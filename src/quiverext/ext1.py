@@ -23,12 +23,11 @@ from .linalg import (
     SubspaceBasis,
     coordinates_in_basis,
     kernel_basis,
-    linear_map_matrix,
+    kron_add,
     row_space_basis,
-    vec_is_zero,
 )
 from .quiver import Path, QuiverError, RelationElement
-from .rep import Representation, VertexCochain
+from .rep import Representation, VertexCochain, hom_system
 
 
 class ArrowCochain:
@@ -169,19 +168,39 @@ def is_cocycle(Z: ArrowCochain) -> bool:
     return all(z_rho(Z, rel).is_zero() for rel in Z.source.bq.relations)
 
 
+def relation_boundary_matrix(V: Representation, U: Representation) -> Matrix:
+    """Matrix of the map sending an arrow cochain to its relation values.
+
+    Columns follow ``ArrowCochain.to_vector`` and rows
+    ``RelationCochain.to_vector``.  By the product rule, the term c*path
+    of a relation sends Z_a, at each position of a in the path, to
+    c * H Z_a T, where H is U of the arrows after that position and T
+    is V of the arrows before it; each such term is one Kronecker block.
+    """
+    field = V.field
+    quiver = V.bq.quiver
+    col0, ncols = {}, 0
+    for a in quiver.arrows:
+        col0[a.name] = ncols
+        ncols += U.dims[a.target] * V.dims[a.source]
+    nrows = RelationCochain.space_dim(V, U)
+    rows = [[field.zero] * ncols for _ in range(nrows)]
+    row0 = 0
+    for rel in V.bq.relations:
+        for coeff, path in rel.terms:
+            c = field.of_fraction(coeff)
+            arrows = path.arrows
+            for i, name in enumerate(arrows):
+                head = U.eval_arrow_word(arrows[:i], quiver.arrow_map[name].target)
+                tail = V.eval_arrow_word(arrows[i + 1:], path.source)
+                kron_add(field, rows, row0, col0[name], c, head, tail)
+        row0 += U.dims[rel.target] * V.dims[rel.source]
+    return Matrix(field, rows, ncols)
+
+
 def z_space(V: Representation, U: Representation) -> SubspaceBasis:
     """Basis of the cocycle space: cochains killing every relation element."""
-    field = V.field
-    dom = ArrowCochain.space_dim(V, U)
-    codom = RelationCochain.space_dim(V, U)
-
-    def apply(vec):
-        Z = ArrowCochain.from_vector(V, U, vec)
-        rc = RelationCochain(V, U, {rel.name: z_rho(Z, rel) for rel in V.bq.relations})
-        return rc.to_vector()
-
-    system = linear_map_matrix(field, dom, codom, apply)
-    return kernel_basis(system)
+    return kernel_basis(relation_boundary_matrix(V, U))
 
 
 def coboundary(h: VertexCochain) -> ArrowCochain:
@@ -193,18 +212,18 @@ def coboundary(h: VertexCochain) -> ArrowCochain:
     return ArrowCochain(V, U, mats)
 
 
+def coboundary_matrix(V: Representation, U: Representation) -> Matrix:
+    """Matrix of the map h |-> coboundary(h) from vertex to arrow cochains.
+
+    The coboundary U_a h_src - h_tgt V_a is minus the intertwining
+    defect whose kernel is Hom(V, U).
+    """
+    return -hom_system(V, U)
+
+
 def b_space(V: Representation, U: Representation) -> SubspaceBasis:
     """Basis of the coboundary space inside the arrow-cochain coordinates."""
-    field = V.field
-    dom = VertexCochain.space_dim(V, U)
-    rows = []
-    for j in range(dom):
-        e = [field.zero] * dom
-        e[j] = field.one
-        h = VertexCochain.from_vector(V, U, e)
-        rows.append(coboundary(h).to_vector())
-    m = Matrix(field, rows, ArrowCochain.space_dim(V, U))
-    return row_space_basis(m)
+    return row_space_basis(coboundary_matrix(V, U).transpose())
 
 
 @dataclass
@@ -223,11 +242,7 @@ class Ext1Class:
             and self.coords == other.coords
 
     def representative(self) -> ArrowCochain:
-        field = self.space.field
-        vec = [field.zero] * self.space.z.ambient_dim
-        for c, bvec in zip(self.coords, self.space.z.vectors):
-            if not field.is_zero(c):
-                vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, bvec)]
+        vec = self.space.z.combine(self.coords)
         return ArrowCochain.from_vector(self.space.source, self.space.target, vec)
 
 

@@ -19,8 +19,8 @@ from .ext1 import (
     ExtSpace1,
     RelationCochain,
     ext1,
+    relation_boundary_matrix,
     z_path,
-    z_rho,
 )
 from .iso import iso_test
 from .linalg import (
@@ -28,7 +28,6 @@ from .linalg import (
     QuotientSpace,
     column_space_basis,
     hstack,
-    linear_map_matrix,
     vec_add,
     vec_scale,
 )
@@ -190,20 +189,6 @@ def ext2_via_omega(N: Representation, M: Representation,
 
 
 # -- the small model on relation cochains ------------------------------
-
-
-def relation_boundary_matrix(N: Representation, M: Representation) -> Matrix:
-    """Matrix of the map sending an arrow cochain to its relation values."""
-    field = N.field
-    dom = ArrowCochain.space_dim(N, M)
-    codom = RelationCochain.space_dim(N, M)
-
-    def apply(vec):
-        Z = ArrowCochain.from_vector(N, M, vec)
-        rc = RelationCochain(N, M, {rel.name: z_rho(Z, rel) for rel in N.bq.relations})
-        return rc.to_vector()
-
-    return linear_map_matrix(field, dom, codom, apply)
 
 
 def b_prime(N: Representation, M: Representation):

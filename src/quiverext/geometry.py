@@ -38,6 +38,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     SubspaceBasis,
+    coordinates_in_basis,
     kernel_basis,
     linear_map_matrix,
     row_space_basis,
@@ -132,15 +133,6 @@ def tangent_block_decomposition(U: Representation, V: Representation):
 # -- tangent pairs ------------------------------------------------------
 
 
-def _combine_in_basis(field, basis: SubspaceBasis, coeffs):
-    vec = [field.zero] * basis.ambient_dim
-    for c, bvec in zip(coeffs, basis.vectors):
-        if field.is_zero(c):
-            continue
-        vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, bvec)]
-    return vec
-
-
 @dataclass
 class TangentPairs:
     """A subspace of pairs (Z', Z'') of self-cocycles of U and of V.
@@ -161,16 +153,13 @@ class TangentPairs:
         return self.basis.dim
 
     def pair_from_coords(self, vec):
-        field = self.U.field
         du = self.zu.dim
-        zp_vec = _combine_in_basis(field, self.zu, vec[:du])
-        zpp_vec = _combine_in_basis(field, self.zv, vec[du:])
+        zp_vec = self.zu.combine(vec[:du])
+        zpp_vec = self.zv.combine(vec[du:])
         return (ArrowCochain.from_vector(self.U, self.U, zp_vec),
                 ArrowCochain.from_vector(self.V, self.V, zpp_vec))
 
     def contains_pair(self, Zp: ArrowCochain, Zpp: ArrowCochain) -> bool:
-        from .linalg import coordinates_in_basis
-
         cu = coordinates_in_basis(self.zu, Zp.to_vector())
         cv = coordinates_in_basis(self.zv, Zpp.to_vector())
         if cu is None or cv is None:
@@ -190,8 +179,8 @@ def hom_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
     dom = zu.dim + zv.dim
 
     def apply(vec):
-        Zp = ArrowCochain.from_vector(U, U, _combine_in_basis(field, zu, vec[:zu.dim]))
-        Zpp = ArrowCochain.from_vector(V, V, _combine_in_basis(field, zv, vec[zu.dim:]))
+        Zp = ArrowCochain.from_vector(U, U, zu.combine(vec[:zu.dim]))
+        Zpp = ArrowCochain.from_vector(V, V, zv.combine(vec[zu.dim:]))
         out = []
         for f in homs:
             mats = {}
@@ -222,7 +211,7 @@ def ext_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
     xi_cochains = [ArrowCochain.from_vector(V, U, v) for v in zvu.vectors]
 
     def apply(coeffs):
-        vec = _combine_in_basis(field, hpairs.basis, coeffs)
+        vec = hpairs.basis.combine(coeffs)
         Zp, Zpp = hpairs.pair_from_coords(vec)
         out = []
         for Zxi in xi_cochains:
@@ -235,7 +224,7 @@ def ext_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
     codom = len(xi_cochains) * model.ambient_dim
     system = linear_map_matrix(field, hpairs.dim, codom, apply)
     inner = kernel_basis(system)
-    lifted = [_combine_in_basis(field, hpairs.basis, v) for v in inner.vectors]
+    lifted = [hpairs.basis.combine(v) for v in inner.vectors]
     rows = Matrix(field, lifted, hpairs.basis.ambient_dim)
     return TangentPairs(U, V, hpairs.zu, hpairs.zv, row_space_basis(rows))
 
@@ -441,7 +430,7 @@ def degeneration_witness_search(M: Representation, U: Representation,
     bs = b_space(V, U)
 
     def try_coeffs(coeffs):
-        vec = _combine_in_basis(field, zs, coeffs)
+        vec = zs.combine(coeffs)
         Z = ArrowCochain.from_vector(V, U, vec)
         W, _, _ = middle_term(Z)
         cert = iso_test(W, M, seed=seed)
@@ -526,13 +515,15 @@ def regularity_certificate(M: Representation, U: Representation,
     ext1_mm = ext1(M, M).dim
     ext2_mm = ext2_via_omega(M, M).dim
     hom_vu = hom_dim(V, U)
-    ext1_vu = ext1(V, U).dim
+    space_vu = ext1(V, U)
+    ext1_vu = space_vu.dim
     ext2_vu = ext2_via_omega(V, U).dim
     hom_uv = hom_dim(U, V)
-    ext1_uv = ext1(U, V).dim
+    space_uv = ext1(U, V)
+    ext1_uv = space_uv.dim
     ext2_uv = ext2_via_omega(U, V).dim
-    z_uv = z_space(U, V).dim
-    z_vu = z_space(V, U).dim
+    z_uv = space_uv.z.dim
+    z_vu = space_vu.z.dim
     epairs = ext_tangent_pairs(U, V)
     N = direct_sum(U, V)
     z_nn = z_space(N, N).dim

@@ -1,9 +1,25 @@
 """Exact dense linear algebra over Q or F_p.
 
 A linear map X -> Y is stored as a (dim Y) x (dim X) matrix acting on
-column vectors.  Every elimination uses the same pivot rule (leftmost
+column vectors.  Elimination is Gauss-Jordan over ``Fraction`` or over
+F_p residues.  Every elimination uses the same pivot rule (leftmost
 column first, first nonzero row), so echelon forms, kernel bases and
 coset representatives are canonical and reproducible run to run.
+
+Lead columns.  A ``SubspaceBasis`` may record one lead column per
+vector: vector i has a 1 at its own lead column and a 0 at every other
+lead column.  ``kernel_basis`` records its free columns, and
+``row_space_basis`` and ``column_space_basis`` record the pivots of
+their RREF rows.  The coordinates of a vector in such a basis are its
+entries at the lead columns; ``coordinates_in_basis`` reads them off and
+then checks membership exactly (the combination must give the vector
+back), so it needs no elimination.  A basis built without lead columns
+is solved against instead.
+
+Constraint systems of the form X |-> A X B on row-major coordinates are
+assembled block by block with ``kron_add``, rather than by pushing unit
+vectors through a closure (``linear_map_matrix``, kept for systems that
+have no block form).
 """
 
 from __future__ import annotations
@@ -234,20 +250,47 @@ def rank(m: Matrix) -> int:
 
 @dataclass
 class SubspaceBasis:
-    """A list of independent coordinate vectors spanning a subspace."""
+    """A list of independent coordinate vectors spanning a subspace.
+
+    ``leads``, when given, holds one lead column per vector (see the
+    module docstring); it is checked on construction.
+    """
 
     field: object
     ambient_dim: int
     vectors: list = dc_field(default_factory=list)
+    leads: Optional[list] = dc_field(default=None, compare=False)
 
     def __post_init__(self):
         for v in self.vectors:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector has wrong ambient dimension")
+        if self.leads is None:
+            return
+        if len(self.leads) != len(self.vectors):
+            raise ValueError("one lead column per basis vector is needed")
+        zero, one = self.field.zero, self.field.one
+        for i, v in enumerate(self.vectors):
+            for k, j in enumerate(self.leads):
+                if v[j] != (one if k == i else zero):
+                    raise ValueError(f"basis vector {i} breaks the lead-column "
+                                     f"pattern at column {j}")
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
+
+    def combine(self, coeffs) -> list:
+        """The vector sum of coeffs[i] * vectors[i]."""
+        f = self.field
+        out = [f.zero] * self.ambient_dim
+        for c, v in zip(coeffs, self.vectors):
+            if f.is_zero(c):
+                continue
+            for k, x in enumerate(v):
+                if not f.is_zero(x):
+                    out[k] = f.add(out[k], f.mul(c, x))
+        return out
 
     def matrix_of_columns(self) -> Matrix:
         """Matrix whose columns are the basis vectors."""
@@ -256,13 +299,13 @@ class SubspaceBasis:
 
 
 def row_space_basis(m: Matrix) -> SubspaceBasis:
-    rows, _ = _rref(m.field, m.rows)
-    return SubspaceBasis(m.field, m.ncols, rows)
+    rows, pivots = _rref(m.field, m.rows)
+    return SubspaceBasis(m.field, m.ncols, rows, pivots)
 
 
 def column_space_basis(m: Matrix) -> SubspaceBasis:
-    rows, _ = _rref(m.field, [m.col(j) for j in range(m.ncols)])
-    return SubspaceBasis(m.field, m.nrows, rows)
+    rows, pivots = _rref(m.field, [m.col(j) for j in range(m.ncols)])
+    return SubspaceBasis(m.field, m.nrows, rows, pivots)
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
@@ -274,16 +317,15 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     f = m.field
     rows, pivots = _rref(f, m.rows)
     pivot_set = set(pivots)
+    free = [j for j in range(m.ncols) if j not in pivot_set]
     vectors = []
-    for j in range(m.ncols):
-        if j in pivot_set:
-            continue
+    for j in free:
         v = [f.zero] * m.ncols
         v[j] = f.one
         for r, p in enumerate(pivots):
             v[p] = f.neg(rows[r][j])
         vectors.append(v)
-    return SubspaceBasis(f, m.ncols, vectors)
+    return SubspaceBasis(f, m.ncols, vectors, free)
 
 
 def solve(m: Matrix, b) -> Optional[list]:
@@ -346,8 +388,42 @@ def quotient(field, ambient_dim: int, subspace: SubspaceBasis) -> QuotientSpace:
 
 
 def coordinates_in_basis(basis: SubspaceBasis, vec) -> Optional[list]:
-    """Coordinates of vec in the given basis, or None if it lies outside."""
-    return solve(basis.matrix_of_columns(), vec)
+    """Coordinates of vec in the given basis, or None if it lies outside.
+
+    With lead columns the coordinates are read off and the membership is
+    checked by recombining; without them the basis is solved against.
+    """
+    if basis.leads is None:
+        return solve(basis.matrix_of_columns(), vec)
+    if len(vec) != basis.ambient_dim:
+        raise ValueError("vector has wrong ambient dimension")
+    f = basis.field
+    coords = [vec[j] for j in basis.leads]
+    if not all(f.is_zero(f.sub(x, y)) for x, y in zip(basis.combine(coords), vec)):
+        return None
+    return coords
+
+
+def kron_add(field, rows, row0: int, col0: int, coeff, A: Matrix, B: Matrix) -> None:
+    """Add coeff * (A kron B^T) into the row lists at offset (row0, col0).
+
+    This is the block of X |-> coeff * A X B in row-major coordinates:
+    entry (p, q) of X sends coeff * A[i][p] * B[q][j] to entry (i, j) of
+    the image, i.e. to row row0 + i * B.ncols + j and column
+    col0 + p * B.nrows + q.
+    """
+    nq, nj = B.nrows, B.ncols
+    for i, arow in enumerate(A.rows):
+        for p, a in enumerate(arow):
+            if field.is_zero(a):
+                continue
+            ca = field.mul(coeff, a)
+            for q, brow in enumerate(B.rows):
+                col = col0 + p * nq + q
+                for j, b in enumerate(brow):
+                    if not field.is_zero(b):
+                        row = rows[row0 + i * nj + j]
+                        row[col] = field.add(row[col], field.mul(ca, b))
 
 
 def linear_map_matrix(field, domain_dim: int, codomain_dim: int,

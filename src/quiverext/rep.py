@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from .linalg import (
     Matrix,
-    SubspaceBasis,
     coordinates_in_basis,
     kernel_basis,
-    linear_map_matrix,
+    kron_add,
 )
 from .quiver import BoundQuiver, Path, QuiverError, RelationElement
 
@@ -197,25 +196,36 @@ class VertexCochain:
         return VertexCochain(other.source, self.target, mats)
 
 
+def hom_system(M: Representation, N: Representation) -> Matrix:
+    """Matrix of the map f |-> (f_tgt M_a - N_a f_src)_a on vertex cochains.
+
+    Columns follow ``VertexCochain.to_vector`` for M -> N; rows hold one
+    row-major block per arrow, in arrow order.  Its kernel is Hom(M, N).
+    """
+    field = M.field
+    quiver = M.bq.quiver
+    col0, ncols = {}, 0
+    for x in quiver.vertices:
+        col0[x] = ncols
+        ncols += N.dims[x] * M.dims[x]
+    nrows = sum(N.dims[a.target] * M.dims[a.source] for a in quiver.arrows)
+    rows = [[field.zero] * ncols for _ in range(nrows)]
+    minus_one = field.neg(field.one)
+    row0 = 0
+    for a in quiver.arrows:
+        eye_t = Matrix.identity(field, N.dims[a.target])
+        eye_s = Matrix.identity(field, M.dims[a.source])
+        kron_add(field, rows, row0, col0[a.target], field.one, eye_t, M.mats[a.name])
+        kron_add(field, rows, row0, col0[a.source], minus_one, N.mats[a.name], eye_s)
+        row0 += N.dims[a.target] * M.dims[a.source]
+    return Matrix(field, rows, ncols)
+
+
 def hom_basis(M: Representation, N: Representation):
     """Canonical basis of the space of morphisms M -> N."""
     if M.bq is not N.bq:
         raise QuiverError("hom of representations over different quivers")
-    field = M.field
-    dom = VertexCochain.space_dim(M, N)
-
-    def constraint(vec):
-        f = VertexCochain.from_vector(M, N, vec)
-        out = []
-        for a in M.bq.quiver.arrows:
-            delta = f.mats[a.target] @ M.mats[a.name] - N.mats[a.name] @ f.mats[a.source]
-            for row in delta.rows:
-                out.extend(row)
-        return out
-
-    codom = sum(N.dims[a.target] * M.dims[a.source] for a in M.bq.quiver.arrows)
-    system = linear_map_matrix(field, dom, codom, constraint)
-    ker = kernel_basis(system)
+    ker = kernel_basis(hom_system(M, N))
     return [VertexCochain.from_vector(M, N, v) for v in ker.vectors]
 
 

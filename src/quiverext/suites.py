@@ -118,12 +118,8 @@ def random_module(ws, names, rng: random.Random,
 def random_cocycle(V: Representation, U: Representation,
                    rng: random.Random) -> ArrowCochain:
     zs = z_space(V, U)
-    field = U.field
-    vec = [field.zero] * zs.ambient_dim
-    for bvec in zs.vectors:
-        c = field.of(rng.randint(-3, 3))
-        vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, bvec)]
-    return ArrowCochain.from_vector(V, U, vec)
+    coeffs = [U.field.of(rng.randint(-3, 3)) for _ in zs.vectors]
+    return ArrowCochain.from_vector(V, U, zs.combine(coeffs))
 
 
 _F2_CATALOG = ("S1", "S2", "S3", "P2", "P3")

@@ -59,6 +59,22 @@ def test_ext2_runs_both_models(capsys, f2_path):
     assert cert == {"small_model": 1, "syzygy_model": 1, "agree": True}
 
 
+def test_ext2_on_a_cyclic_quiver_answers_with_the_syzygy_model(capsys, tmp_path):
+    """Two loops with x^2 = y^2 = xy - yx = 0: the small model is gated out."""
+    ws = tmp_path / "loops.qv"
+    ws.write_text("quiver LOOPS\nvertex 1\narrow x : 1 -> 1\narrow y : 1 -> 1\n"
+                  "relation r1 : x*x\nrelation r2 : y*y\nrelation r3 : x*y - y*x\n"
+                  "field F101\nmodule S : dim 1\n", encoding="utf-8")
+    code, payload = run_json(capsys, ["ext2", str(ws), "S", "S"])
+    assert code == 0
+    task = payload["tasks"][0]
+    assert task["result"] == 3
+    cert = task["certificate"]
+    assert cert["syzygy_model"] == 3 and cert["agree"] is None
+    assert cert["small_model"].startswith("gated: hypotheses not satisfied")
+    assert "oriented cycle" in cert["small_model"]
+
+
 def test_euler_form_of_dimension_vectors(capsys, f2_path):
     code, payload = run_json(capsys, ["euler", f2_path, "1,2,1", "1,2,1"])
     assert code == 0

@@ -2,28 +2,69 @@ import random
 
 import pytest
 
+from quiverext.dsl import parse_workspace
 from quiverext.ext1 import (
     ArrowCochain,
+    RelationCochain,
     b_space,
+    coboundary,
+    coboundary_matrix,
     ext1,
     is_cocycle,
     is_split,
     middle_term,
     pullback_class,
     pushout_class,
+    relation_boundary_matrix,
     z_path,
+    z_rho,
     z_space,
 )
+from quiverext.fields import QQ, PrimeField
+from quiverext.fixtures import load_fixture
 from quiverext.iso import iso_test
-from quiverext.linalg import Matrix
+from quiverext.linalg import (
+    Matrix,
+    kernel_basis,
+    linear_map_matrix,
+    row_space_basis,
+    solve,
+)
 from quiverext.quiver import QuiverError
 from quiverext.rep import (
     VertexCochain,
     direct_sum,
     hom_basis,
     hom_dim,
+    hom_system,
     kernel_representation,
 )
+from quiverext.suites import random_module
+
+F101 = PrimeField(101)
+
+# k[x,y]/(x^2, y^2, xy - yx): one vertex, two loops, so an arrow meets
+# itself in a relation and shares its source and target blocks.
+LOOPS_WS = """\
+quiver LOOPS
+vertex 1
+arrow x : 1 -> 1
+arrow y : 1 -> 1
+relation r1 : x*x
+relation r2 : y*y
+relation r3 : x*y - y*x
+field {field}
+
+module S : dim 1
+module X : dim 2
+  x = [ 0 0 ; 1 0 ]
+module B : dim 2
+  x = [ 0 0 ; 1 0 ]
+  y = [ 0 0 ; 2 0 ]
+module A : dim 4
+  x = [ 0 0 0 0 ; 1 0 0 0 ; 0 0 0 0 ; 0 0 1 0 ]
+  y = [ 0 0 0 0 ; 0 0 0 0 ; 1 0 0 0 ; 0 1 0 0 ]
+"""
 
 
 def identity_hom(rep):
@@ -185,3 +226,101 @@ def test_cochain_blocks_must_match_the_dimension_vectors(f2):
     m = f2.modules
     with pytest.raises(QuiverError):
         ArrowCochain(m["S2"], m["S1"], {"a": m["M"].mats["a"]})
+
+
+# -- block-assembled systems against the probe route ----------------------
+#
+# The probe closures below are the reference: they push unit vectors
+# through the cochain operations, one column at a time.
+
+
+def probe_relation_matrix(V, U):
+    def apply(vec):
+        Z = ArrowCochain.from_vector(V, U, vec)
+        return RelationCochain(V, U, {rel.name: z_rho(Z, rel)
+                                      for rel in V.bq.relations}).to_vector()
+
+    return linear_map_matrix(V.field, ArrowCochain.space_dim(V, U),
+                             RelationCochain.space_dim(V, U), apply)
+
+
+def probe_coboundary_matrix(V, U):
+    def apply(vec):
+        return coboundary(VertexCochain.from_vector(V, U, vec)).to_vector()
+
+    return linear_map_matrix(V.field, VertexCochain.space_dim(V, U),
+                             ArrowCochain.space_dim(V, U), apply)
+
+
+def probe_hom_matrix(M, N):
+    def apply(vec):
+        f = VertexCochain.from_vector(M, N, vec)
+        out = []
+        for a in M.bq.quiver.arrows:
+            delta = f.mats[a.target] @ M.mats[a.name] - N.mats[a.name] @ f.mats[a.source]
+            for row in delta.rows:
+                out.extend(row)
+        return out
+
+    return linear_map_matrix(M.field, VertexCochain.space_dim(M, N),
+                             ArrowCochain.space_dim(M, N), apply)
+
+
+def _workspace(name, field):
+    if name == "loops":
+        return parse_workspace(LOOPS_WS.format(field=field.name))
+    return load_fixture(name, field=field)
+
+
+def _modules(name, field, seed, max_summands=2):
+    """The named modules of a workspace plus three seeded random ones."""
+    ws = _workspace(name, field)
+    names = sorted(ws.modules)
+    rng = random.Random(seed)
+    randoms = [random_module(ws, names, rng, max_summands) for _ in range(3)]
+    return [ws.modules[n] for n in names] + randoms
+
+
+CASES = [(name, field) for name in ("f1", "f2", "f3", "loops") for field in (QQ, F101)]
+
+
+@pytest.mark.parametrize("name, field", CASES, ids=str)
+def test_assembled_systems_equal_the_probed_ones(name, field):
+    mods = _modules(name, field, seed=11)
+    for V in mods:
+        for U in mods:
+            assert relation_boundary_matrix(V, U) == probe_relation_matrix(V, U)
+            assert coboundary_matrix(V, U) == probe_coboundary_matrix(V, U)
+            assert hom_system(V, U) == probe_hom_matrix(V, U)
+
+
+@pytest.mark.parametrize("name, field", CASES, ids=str)
+def test_ext1_readout_equals_the_solve_route(name, field):
+    """Z, B and the coboundary coordinates match the old per-vector route."""
+    mods = _modules(name, field, seed=5, max_summands=1)
+    for V in mods[-4:]:
+        for U in mods[-4:]:
+            space = ext1(V, U)
+            assert space.z.vectors == kernel_basis(probe_relation_matrix(V, U)).vectors
+            old_rows = probe_coboundary_matrix(V, U).transpose()
+            assert space.b.vectors == row_space_basis(old_rows).vectors
+            zcols = space.z.matrix_of_columns()
+            coords = [solve(zcols, bvec) for bvec in space.b.vectors]
+            assert space.quotient.subspace.vectors == coords
+            assert space.dim == space.z.dim - space.b.dim
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+def test_class_of_rejects_a_non_cocycle(field):
+    ws = _workspace("loops", field)
+    X, S = ws.modules["X"], ws.modules["S"]
+    space = ext1(X, S)
+    # Z_x = 0 and Z_y = [0 1]: the relation x*y - y*x takes the value
+    # -Z_y X_x = [-1 0], so this cochain is no cocycle
+    bad = ArrowCochain.from_vector(X, S, [field.zero] * 3 + [field.one])
+    assert not is_cocycle(bad)
+    with pytest.raises(QuiverError):
+        space.class_of(bad)
+    for Z in space.basis_cocycles():
+        cls = space.class_of(Z)
+        assert space.class_of(cls.representative()) == cls

@@ -14,6 +14,7 @@ from quiverext.linalg import (
     coordinates_in_basis,
     hstack,
     kernel_basis,
+    kron_add,
     linear_map_matrix,
     row_space_basis,
     solve,
@@ -158,3 +159,108 @@ def test_linear_map_matrix_columns_are_images():
 def test_column_space_basis_dimension():
     m = Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], 2)
     assert column_space_basis(m).dim == 1
+
+
+# -- lead-column readout against the solve route -----------------------------
+
+
+@st.composite
+def field_matrices(draw, max_dim=5):
+    """A small integer matrix over Q or F101, with its field."""
+    field = draw(st.sampled_from([QQ, F101]))
+    nrows = draw(st.integers(min_value=0, max_value=max_dim))
+    ncols = draw(st.integers(min_value=1, max_value=max_dim))
+    rows = [[field.of(draw(st.integers(min_value=-3, max_value=3)))
+             for _ in range(ncols)] for _ in range(nrows)]
+    return Matrix(field, rows, ncols)
+
+
+def _lead_bases(m):
+    return [kernel_basis(m), row_space_basis(m), column_space_basis(m)]
+
+
+@given(field_matrices(), st.lists(st.integers(min_value=-4, max_value=4),
+                                  min_size=5, max_size=5))
+def test_readout_equals_solve_on_canonical_bases(m, raw):
+    f = m.field
+    for basis in _lead_bases(m):
+        assert basis.leads is not None
+        coeffs = [f.of(c) for c in raw[:basis.dim]]
+        vec = basis.combine(coeffs)
+        coords = coordinates_in_basis(basis, vec)
+        assert coords == solve(basis.matrix_of_columns(), vec)
+        assert coords == coeffs
+
+
+@given(field_matrices())
+def test_readout_rejects_vectors_outside_the_span(m):
+    f = m.field
+    for basis in _lead_bases(m):
+        if basis.dim == basis.ambient_dim:
+            continue
+        quot = QuotientSpace(f, basis.ambient_dim, basis)
+        outside = [f.zero] * basis.ambient_dim
+        outside[quot.free_coordinates()[0]] = f.one
+        assert solve(basis.matrix_of_columns(), outside) is None
+        assert coordinates_in_basis(basis, outside) is None
+        # a vector agreeing with a member at every lead column, but not elsewhere
+        if basis.dim:
+            shifted = basis.combine([f.one] * basis.dim)
+            shifted = [f.add(x, y) for x, y in zip(shifted, outside)]
+            if all(f.is_zero(outside[j]) for j in basis.leads):
+                assert coordinates_in_basis(basis, shifted) is None
+
+
+def test_hand_built_basis_without_leads_is_solved():
+    basis = SubspaceBasis(QQ, 3, [[Fraction(1), Fraction(1), Fraction(0)],
+                                  [Fraction(0), Fraction(1), Fraction(1)]])
+    assert basis.leads is None
+    vec = [Fraction(2), Fraction(5), Fraction(3)]
+    assert coordinates_in_basis(basis, vec) == [2, 3]
+    assert coordinates_in_basis(basis, [Fraction(1), Fraction(0), Fraction(1)]) is None
+
+
+def test_lead_columns_are_checked():
+    f = F101
+    with pytest.raises(ValueError):
+        SubspaceBasis(f, 2, [[1, 1], [0, 1]], [0, 1])
+    with pytest.raises(ValueError):
+        SubspaceBasis(f, 2, [[1, 0]], [0, 1])
+    ok = SubspaceBasis(f, 3, [[1, 0, 5], [0, 1, 7]], [0, 1])
+    assert coordinates_in_basis(ok, [2, 3, f.add(10, 21)]) == [2, 3]
+    assert coordinates_in_basis(ok, [2, 3, 0]) is None
+
+
+@st.composite
+def sandwich_cases(draw):
+    """Matrices A, B over one field and a coefficient, for X |-> c A X B."""
+    field = draw(st.sampled_from([QQ, F101]))
+    dims = [draw(st.integers(min_value=0, max_value=3)) for _ in range(4)]
+    entry = st.integers(min_value=-3, max_value=3)
+
+    def matrix(nrows, ncols):
+        return Matrix(field, [[field.of(draw(entry)) for _ in range(ncols)]
+                              for _ in range(nrows)], ncols)
+
+    return matrix(dims[0], dims[1]), matrix(dims[2], dims[3]), field.of(draw(entry))
+
+
+@given(sandwich_cases())
+def test_kron_add_is_the_block_of_a_sandwich(case):
+    """coeff * (A kron B^T) at an offset equals the probed map X |-> c A X B."""
+    a, b, coeff = case
+    f = a.field
+    nx_rows, nx_cols = a.ncols, b.nrows
+
+    def sandwich(vec):
+        x = Matrix(f, [vec[i * nx_cols:(i + 1) * nx_cols] for i in range(nx_rows)],
+                   nx_cols)
+        image = (a @ x @ b).scale(coeff)
+        return [e for row in image.rows for e in row]
+
+    probe = linear_map_matrix(f, nx_rows * nx_cols, a.nrows * b.ncols, sandwich)
+    rows = [[f.zero] * (nx_rows * nx_cols + 2) for _ in range(a.nrows * b.ncols + 1)]
+    kron_add(f, rows, 1, 2, coeff, a, b)
+    assert rows[0] == [f.zero] * len(rows[0])
+    assert all(r[:2] == [f.zero, f.zero] for r in rows)
+    assert [r[2:] for r in rows[1:]] == probe.rows
