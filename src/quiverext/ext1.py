@@ -27,115 +27,13 @@ from .linalg import (
     row_space_basis,
 )
 from .quiver import Path, QuiverError, RelationElement
-from .rep import Representation, VertexCochain, hom_system
-
-
-class ArrowCochain:
-    """Per-arrow matrices source_rep -> target_rep across each arrow."""
-
-    def __init__(self, source: Representation, target: Representation, mats: dict):
-        self.source = source
-        self.target = target
-        self.mats = {}
-        for a in source.bq.quiver.arrows:
-            m = mats.get(a.name)
-            if m is None:
-                m = Matrix.zeros(source.field, target.dims[a.target], source.dims[a.source])
-            if m.shape() != (target.dims[a.target], source.dims[a.source]):
-                raise QuiverError(
-                    f"arrow {a.name}: cochain block has shape {m.shape()}, "
-                    f"expected {(target.dims[a.target], source.dims[a.source])}"
-                )
-            self.mats[a.name] = m
-
-    @staticmethod
-    def space_dim(source, target) -> int:
-        return sum(target.dims[a.target] * source.dims[a.source]
-                   for a in source.bq.quiver.arrows)
-
-    def to_vector(self):
-        out = []
-        for a in self.source.bq.quiver.arrows:
-            for row in self.mats[a.name].rows:
-                out.extend(row)
-        return out
-
-    @classmethod
-    def from_vector(cls, source, target, vec):
-        mats = {}
-        pos = 0
-        for a in source.bq.quiver.arrows:
-            r, c = target.dims[a.target], source.dims[a.source]
-            rows = [vec[pos + i * c: pos + (i + 1) * c] for i in range(r)]
-            pos += r * c
-            mats[a.name] = Matrix(source.field, rows, c)
-        if pos != len(vec):
-            raise ValueError("vector length does not match the arrow layout")
-        return cls(source, target, mats)
-
-    @classmethod
-    def zero(cls, source, target):
-        return cls(source, target, {})
-
-    def scale(self, c):
-        return ArrowCochain(self.source, self.target,
-                            {a: m.scale(c) for a, m in self.mats.items()})
-
-    def add(self, other: "ArrowCochain"):
-        return ArrowCochain(self.source, self.target,
-                            {a: self.mats[a] + other.mats[a] for a in self.mats})
-
-
-class RelationCochain:
-    """Per-relation matrices source_rep -> target_rep across each relation."""
-
-    def __init__(self, source: Representation, target: Representation, mats: dict):
-        self.source = source
-        self.target = target
-        self.mats = {}
-        for rel in source.bq.relations:
-            m = mats.get(rel.name)
-            if m is None:
-                m = Matrix.zeros(source.field, target.dims[rel.target],
-                                 source.dims[rel.source])
-            if m.shape() != (target.dims[rel.target], source.dims[rel.source]):
-                raise QuiverError(
-                    f"relation {rel.name}: cochain block has shape {m.shape()}, "
-                    f"expected {(target.dims[rel.target], source.dims[rel.source])}"
-                )
-            self.mats[rel.name] = m
-
-    @staticmethod
-    def space_dim(source, target) -> int:
-        return sum(target.dims[r.target] * source.dims[r.source]
-                   for r in source.bq.relations)
-
-    def to_vector(self):
-        out = []
-        for rel in self.source.bq.relations:
-            for row in self.mats[rel.name].rows:
-                out.extend(row)
-        return out
-
-    @classmethod
-    def from_vector(cls, source, target, vec):
-        mats = {}
-        pos = 0
-        for rel in source.bq.relations:
-            r, c = target.dims[rel.target], source.dims[rel.source]
-            rows = [vec[pos + i * c: pos + (i + 1) * c] for i in range(r)]
-            pos += r * c
-            mats[rel.name] = Matrix(source.field, rows, c)
-        if pos != len(vec):
-            raise ValueError("vector length does not match the relation layout")
-        return cls(source, target, mats)
-
-    def add(self, other: "RelationCochain"):
-        return RelationCochain(self.source, self.target,
-                               {r: self.mats[r] + other.mats[r] for r in self.mats})
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.mats.values())
+from .rep import (
+    ArrowCochain,
+    RelationCochain,
+    Representation,
+    VertexCochain,
+    hom_system,
+)
 
 
 def z_path(Z: ArrowCochain, path: Path) -> Matrix:
@@ -171,21 +69,17 @@ def is_cocycle(Z: ArrowCochain) -> bool:
 def relation_boundary_matrix(V: Representation, U: Representation) -> Matrix:
     """Matrix of the map sending an arrow cochain to its relation values.
 
-    Columns follow ``ArrowCochain.to_vector`` and rows
-    ``RelationCochain.to_vector``.  By the product rule, the term c*path
-    of a relation sends Z_a, at each position of a in the path, to
+    Columns follow ``ArrowCochain.offsets(V, U)`` and rows
+    ``RelationCochain.offsets(V, U)``.  By the product rule, the term
+    c*path of a relation sends Z_a, at each position of a in the path, to
     c * H Z_a T, where H is U of the arrows after that position and T
     is V of the arrows before it; each such term is one Kronecker block.
     """
     field = V.field
     quiver = V.bq.quiver
-    col0, ncols = {}, 0
-    for a in quiver.arrows:
-        col0[a.name] = ncols
-        ncols += U.dims[a.target] * V.dims[a.source]
-    nrows = RelationCochain.space_dim(V, U)
+    col0, ncols = ArrowCochain.offsets(V, U)
+    row0, nrows = RelationCochain.offsets(V, U)
     rows = [[field.zero] * ncols for _ in range(nrows)]
-    row0 = 0
     for rel in V.bq.relations:
         for coeff, path in rel.terms:
             c = field.of_fraction(coeff)
@@ -193,8 +87,7 @@ def relation_boundary_matrix(V: Representation, U: Representation) -> Matrix:
             for i, name in enumerate(arrows):
                 head = U.eval_arrow_word(arrows[:i], quiver.arrow_map[name].target)
                 tail = V.eval_arrow_word(arrows[i + 1:], path.source)
-                kron_add(field, rows, row0, col0[name], c, head, tail)
-        row0 += U.dims[rel.target] * V.dims[rel.source]
+                kron_add(field, rows, row0[rel.name], col0[name], c, head, tail)
     return Matrix(field, rows, ncols)
 
 

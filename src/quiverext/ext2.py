@@ -14,10 +14,8 @@ projectivity and global-dimension tests all live here.
 from __future__ import annotations
 
 from .ext1 import (
-    ArrowCochain,
     Ext1Class,
     ExtSpace1,
-    RelationCochain,
     ext1,
     relation_boundary_matrix,
     z_path,
@@ -33,6 +31,8 @@ from .linalg import (
 )
 from .quiver import BoundQuiver, Path, QuiverError, is_acyclic
 from .rep import (
+    ArrowCochain,
+    RelationCochain,
     Representation,
     VertexCochain,
     direct_sum,
@@ -44,11 +44,6 @@ from .rep import (
 
 class HypothesisError(RuntimeError):
     """A gated model was requested while its validity hypotheses fail."""
-
-
-def _mat_from_cols(field, nrows, cols):
-    rows = [[c[i] for c in cols] for i in range(nrows)]
-    return Matrix(field, rows, len(cols))
 
 
 class ProjPresentation:
@@ -106,7 +101,7 @@ class ProjPresentation:
                 for c, tau in self.basis.reduce_path(extended):
                     col[self.p_index[a.target][(y, tau.arrows, j)]] = c
                 cols.append(col)
-            mats[a.name] = _mat_from_cols(field, dims[a.target], cols)
+            mats[a.name] = Matrix.from_columns(field, dims[a.target], cols)
         return Representation(self.bq, field, dims, mats, check=True)
 
     def _build_omega(self) -> Representation:
@@ -131,7 +126,7 @@ class ProjPresentation:
                     idx = self.omega_index[a.target][(a.source, (a.name,), i)]
                     col[idx] = field.sub(col[idx], c)
                 cols.append(col)
-            mats[a.name] = _mat_from_cols(field, dims[a.target], cols)
+            mats[a.name] = Matrix.from_columns(field, dims[a.target], cols)
         return Representation(self.bq, field, dims, mats, check=True)
 
     def _build_incl(self) -> VertexCochain:
@@ -150,7 +145,7 @@ class ProjPresentation:
                     idx = self.p_index[x][(x, (), i)]
                     col[idx] = field.sub(col[idx], c)
                 cols.append(col)
-            mats[x] = _mat_from_cols(field, len(self.p_labels[x]), cols)
+            mats[x] = Matrix.from_columns(field, len(self.p_labels[x]), cols)
         return VertexCochain(self.omega, self.P, mats)
 
     def _build_proj(self) -> VertexCochain:
@@ -159,7 +154,7 @@ class ProjPresentation:
         for x in self.bq.quiver.vertices:
             cols = [self.N.eval_path(sigma).col(j)
                     for (y, sigma, j) in self.p_labels[x]]
-            mats[x] = _mat_from_cols(field, self.N.dims[x], cols)
+            mats[x] = Matrix.from_columns(field, self.N.dims[x], cols)
         return VertexCochain(self.P, self.N, mats)
 
     def _verify_exactness(self):
@@ -341,7 +336,7 @@ def exhibit_phi_kernel_boundary(N: Representation, M: Representation,
     hmats = {}
     for x in N.bq.quiver.vertices:
         cols = [column(x, lab) for lab in pres.omega_labels[x]]
-        hmats[x] = _mat_from_cols(field, M.dims[x], cols)
+        hmats[x] = Matrix.from_columns(field, M.dims[x], cols)
     return VertexCochain(omega, M, hmats)
 
 
@@ -438,7 +433,7 @@ def yoneda_left_omega(Z: ArrowCochain, cls: Ext1Class,
         for (y, sigma, j) in pres.omega_labels[a.source]:
             full = Z.mats[a.name] @ z_path(Zp, sigma)
             cols.append(full.col(j))
-        mats[a.name] = _mat_from_cols(field, M.dims[a.target], cols)
+        mats[a.name] = Matrix.from_columns(field, M.dims[a.target], cols)
     image = ArrowCochain(pres.omega, M, mats)
     target_space = space or ext1(pres.omega, M)
     return target_space.class_of(image)
@@ -504,7 +499,7 @@ def projective_cover(M: Representation):
             for (_, sigma, _) in pres.p_labels[z]:
                 cover_cols[z].append(M.eval_path(sigma).apply(gen))
     P = direct_sum(*summands)
-    mats = {z: _mat_from_cols(field, M.dims[z], cover_cols[z])
+    mats = {z: Matrix.from_columns(field, M.dims[z], cover_cols[z])
             for z in quiver.vertices}
     cover = VertexCochain(P, M, mats)
     if not cover.is_morphism():

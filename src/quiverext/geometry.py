@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 
 from .ext1 import (
-    ArrowCochain,
     b_space,
     ext1,
     is_cocycle,
@@ -45,6 +44,8 @@ from .linalg import (
 )
 from .quiver import QuiverError, a_of_d, gl_dim
 from .rep import (
+    ArrowCochain,
+    RelationCochain,
     Representation,
     VertexCochain,
     direct_sum,
@@ -169,29 +170,33 @@ class TangentPairs:
 
 
 def hom_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
-    """Pairs whose two sides agree on every morphism V -> U up to boundaries."""
+    """Pairs whose two sides agree on every morphism V -> U up to boundaries.
+
+    Column j of the system is the image of the j-th basis cocycle: a
+    cocycle Z' of U sends a morphism f to Z'_a f_src, a cocycle Z'' of V
+    to -f_tgt Z''_a, each reduced modulo the coboundaries B(V, U).
+    """
     field = U.field
+    arrows = U.bq.quiver.arrows
     zu = z_space(U, U)
     zv = z_space(V, V)
     homs = hom_basis(V, U)
     ambient = ArrowCochain.space_dim(V, U)
     quot = QuotientSpace(field, ambient, b_space(V, U))
-    dom = zu.dim + zv.dim
 
-    def apply(vec):
-        Zp = ArrowCochain.from_vector(U, U, zu.combine(vec[:zu.dim]))
-        Zpp = ArrowCochain.from_vector(V, V, zv.combine(vec[zu.dim:]))
-        out = []
-        for f in homs:
-            mats = {}
-            for a in U.bq.quiver.arrows:
-                mats[a.name] = Zp.mats[a.name] @ f.mats[a.source] \
-                    - f.mats[a.target] @ Zpp.mats[a.name]
-            delta = ArrowCochain(V, U, mats)
-            out.extend(quot.reduce(delta.to_vector()))
-        return out
-
-    system = linear_map_matrix(field, dom, len(homs) * ambient, apply)
+    images = []  # per basis cocycle: its arrow blocks V -> U, one set per morphism
+    for vec in zu.vectors:
+        Zp = ArrowCochain.from_vector(U, U, vec)
+        images.append([{a.name: Zp.mats[a.name] @ f.mats[a.source] for a in arrows}
+                       for f in homs])
+    for vec in zv.vectors:
+        Zpp = ArrowCochain.from_vector(V, V, vec)
+        images.append([{a.name: -(f.mats[a.target] @ Zpp.mats[a.name]) for a in arrows}
+                       for f in homs])
+    cols = [[x for mats in image
+             for x in quot.reduce(ArrowCochain(V, U, mats).to_vector())]
+            for image in images]
+    system = Matrix.from_columns(field, len(homs) * ambient, cols)
     return TangentPairs(U, V, zu, zv, kernel_basis(system))
 
 
@@ -200,7 +205,8 @@ def ext_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
 
     The extra condition composes each pair against every cocycle
     V -> U and asks for a relation coboundary; it is tested in the
-    small model, so its hypotheses are enforced.
+    small model, so its hypotheses are enforced.  Column j of the
+    system is the image of the j-th hom-tangent basis pair.
     """
     field = U.field
     hpairs = hom_tangent_pairs(U, V)
@@ -209,21 +215,16 @@ def ext_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
     if zvu.dim == 0 or hpairs.dim == 0:
         return hpairs
     xi_cochains = [ArrowCochain.from_vector(V, U, v) for v in zvu.vectors]
-
-    def apply(coeffs):
-        vec = hpairs.basis.combine(coeffs)
+    cols = []
+    for vec in hpairs.basis.vectors:
         Zp, Zpp = hpairs.pair_from_coords(vec)
-        out = []
+        col = []
         for Zxi in xi_cochains:
-            left = compose_cocycles(Zp, Zxi)
-            right = compose_cocycles(Zxi, Zpp)
-            total = left.add(right)
-            out.extend(model.quotient.reduce(total.to_vector()))
-        return out
-
+            total = compose_cocycles(Zp, Zxi).add(compose_cocycles(Zxi, Zpp))
+            col.extend(model.quotient.reduce(total.to_vector()))
+        cols.append(col)
     codom = len(xi_cochains) * model.ambient_dim
-    system = linear_map_matrix(field, hpairs.dim, codom, apply)
-    inner = kernel_basis(system)
+    inner = kernel_basis(Matrix.from_columns(field, codom, cols))
     lifted = [hpairs.basis.combine(v) for v in inner.vectors]
     rows = Matrix(field, lifted, hpairs.basis.ambient_dim)
     return TangentPairs(U, V, hpairs.zu, hpairs.zv, row_space_basis(rows))
@@ -273,8 +274,7 @@ def psi_map(Zxi: ArrowCochain, U: Representation, V: Representation) -> PsiMap:
     for vec in zv.vectors:
         Zpp = ArrowCochain.from_vector(V, V, vec)
         cols.append(model.quotient.reduce(compose_cocycles(Zxi, Zpp).to_vector()))
-    rows = [[c[i] for c in cols] for i in range(model.ambient_dim)]
-    mat = Matrix(field, rows, len(cols))
+    mat = Matrix.from_columns(field, model.ambient_dim, cols)
     return PsiMap(U, V, Zxi, model, mat, zu.dim + zv.dim, mat.rank())
 
 
@@ -300,8 +300,7 @@ def left_comp_surjectivity(Zxi: ArrowCochain, U: Representation,
     for i in space.quotient.free_coordinates():
         Zp = ArrowCochain.from_vector(V, V, space.z.vectors[i])
         cols.append(model.quotient.reduce(compose_cocycles(Zxi, Zp).to_vector()))
-    rows = [[c[i] for c in cols] for i in range(model.ambient_dim)]
-    mat = Matrix(U.field, rows, len(cols))
+    mat = Matrix.from_columns(U.field, model.ambient_dim, cols)
     return LeftCompReport(space.dim, model.dim, mat.rank())
 
 
@@ -624,9 +623,7 @@ def dual_number_oracle(U: Representation, Mbar: ArrowCochain,
                 out.extend(row)
         return out
 
-    hom_codom = sum(DM.dims[a.target] * DN.dims[a.source]
-                    for a in DN.bq.quiver.arrows)
-    hom_codom += sum(DM.dims[x] * DN.dims[x] for x in DN.bq.quiver.vertices)
+    hom_codom = ArrowCochain.space_dim(DN, DM) + VertexCochain.space_dim(DN, DM)
     hom_dual = kernel_basis(
         linear_map_matrix(field, hom_dom, hom_codom, hom_constraints)).dim
 
@@ -644,8 +641,7 @@ def dual_number_oracle(U: Representation, Mbar: ArrowCochain,
                 out.extend(row)
         return out
 
-    z_codom = sum(DM.dims[r.target] * DN.dims[r.source] for r in DN.bq.relations)
-    z_codom += sum(DM.dims[a.target] * DN.dims[a.source] for a in DN.bq.quiver.arrows)
+    z_codom = RelationCochain.space_dim(DN, DM) + ArrowCochain.space_dim(DN, DM)
     z_dual = kernel_basis(
         linear_map_matrix(field, z_dom, z_codom, z_constraints)).dim
 

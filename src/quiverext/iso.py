@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import sympy
 
 from .fields import RationalField
+from .linalg import SubspaceBasis
 from .rep import Representation, VertexCochain, hom_basis, hom_dim
 
 _SYMBOLIC_DIM_LIMIT = 12
@@ -40,17 +41,6 @@ def _vertexwise_invertible(f: VertexCochain) -> bool:
         if m.nrows and m.rank() != m.nrows:
             return False
     return True
-
-
-def _combine(cochains, coeffs, M, N) -> VertexCochain:
-    field = M.field
-    vec = [field.zero] * VertexCochain.space_dim(M, N)
-    for c, f in zip(coeffs, cochains):
-        if field.is_zero(c):
-            continue
-        for i, entry in enumerate(f.to_vector()):
-            vec[i] = field.add(vec[i], field.mul(c, entry))
-    return VertexCochain.from_vector(M, N, vec)
 
 
 def _symbolic_det_is_zero(M, N, cochains) -> bool | None:
@@ -102,7 +92,8 @@ def iso_test(M: Representation, N: Representation,
     if M.total_dim == 0:
         return IsoCertificate("yes", "both representations are zero",
                               VertexCochain(M, N, {}))
-    fp_m = (hom_dim(M, M), hom_dim(M, N))
+    cochains = hom_basis(M, N)
+    fp_m = (hom_dim(M, M), len(cochains))
     fp_n = (hom_dim(N, N), hom_dim(N, M))
     if fp_m != fp_n:
         return IsoCertificate(
@@ -110,19 +101,21 @@ def iso_test(M: Representation, N: Representation,
             "hom-space fingerprints differ: "
             f"(end M, hom M->N) = {fp_m} but (end N, hom N->M) = {fp_n}",
         )
-    cochains = hom_basis(M, N)
     if not cochains:
         return IsoCertificate("no", "no nonzero morphism exists")
     field = M.field
+    homs = SubspaceBasis(field, VertexCochain.space_dim(M, N),
+                         [f.to_vector() for f in cochains])
 
-    candidate = _combine(cochains, [field.one] * len(cochains), M, N)
+    ones = [field.one] * len(cochains)
+    candidate = VertexCochain.from_vector(M, N, homs.combine(ones))
     if _vertexwise_invertible(candidate):
         return IsoCertificate("yes", "invertible morphism found", candidate)
 
     rng = random.Random(seed)
     for _ in range(trials):
         coeffs = [field.of(rng.randint(-10**6, 10**6)) for _ in cochains]
-        candidate = _combine(cochains, coeffs, M, N)
+        candidate = VertexCochain.from_vector(M, N, homs.combine(coeffs))
         if _vertexwise_invertible(candidate):
             return IsoCertificate("yes", "invertible morphism found", candidate)
 
@@ -134,7 +127,7 @@ def iso_test(M: Representation, N: Representation,
         # dense; keep sampling until one lands
         for _ in range(200):
             coeffs = [field.of(rng.randint(-10**6, 10**6)) for _ in cochains]
-            candidate = _combine(cochains, coeffs, M, N)
+            candidate = VertexCochain.from_vector(M, N, homs.combine(coeffs))
             if _vertexwise_invertible(candidate):
                 return IsoCertificate("yes", "invertible morphism found", candidate)
     return IsoCertificate("unknown", "randomized and symbolic checks were inconclusive")

@@ -17,9 +17,11 @@ back), so it needs no elimination.  A basis built without lead columns
 is solved against instead.
 
 Constraint systems of the form X |-> A X B on row-major coordinates are
-assembled block by block with ``kron_add``, rather than by pushing unit
-vectors through a closure (``linear_map_matrix``, kept for systems that
-have no block form).
+assembled block by block with ``kron_add``, and the other systems from
+the images of basis vectors (``Matrix.from_columns``).  Pushing unit
+vectors through a closure (``linear_map_matrix``) is kept only for the
+dual-number oracle: it must reach its counts by a route that shares no
+system assembly with the tangent-pair computations it checks.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ class Matrix:
     @classmethod
     def from_rows(cls, field, rows, ncols=None) -> "Matrix":
         return cls(field, [[field.of(x) for x in r] for r in rows], ncols)
+
+    @classmethod
+    def from_columns(cls, field, nrows: int, cols) -> "Matrix":
+        """The nrows x len(cols) matrix whose columns are the given lists."""
+        return cls(field, [[c[i] for c in cols] for i in range(nrows)], len(cols))
 
     @classmethod
     def column(cls, field, vec) -> "Matrix":
@@ -294,8 +301,7 @@ class SubspaceBasis:
 
     def matrix_of_columns(self) -> Matrix:
         """Matrix whose columns are the basis vectors."""
-        rows = [[v[i] for v in self.vectors] for i in range(self.ambient_dim)]
-        return Matrix(self.field, rows, self.dim)
+        return Matrix.from_columns(self.field, self.ambient_dim, self.vectors)
 
 
 def row_space_basis(m: Matrix) -> SubspaceBasis:
@@ -437,8 +443,7 @@ def linear_map_matrix(field, domain_dim: int, codomain_dim: int,
         if len(image) != codomain_dim:
             raise ValueError("map produced a vector of the wrong length")
         cols.append(image)
-    rows = [[cols[j][i] for j in range(domain_dim)] for i in range(codomain_dim)]
-    return Matrix(field, rows, domain_dim)
+    return Matrix.from_columns(field, codomain_dim, cols)
 
 
 def vec_is_zero(field, vec) -> bool:

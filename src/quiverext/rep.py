@@ -1,10 +1,14 @@
-"""Finite-dimensional representations of a bound quiver and their morphisms.
+"""Representations of a bound quiver, their morphisms, and cochain layouts.
 
 A representation assigns a space k^{d_x} to each vertex and a matrix to
 each arrow (shape d_target x d_source); the defining constraint is that
 every relation element evaluates to the zero matrix.  Evaluation of a
 path multiplies the arrow matrices in composition order, the rightmost
 arrow acting first; the trivial path evaluates to the identity.
+
+Vertex, arrow and relation cochains share one block layout (``Cochain``);
+Hom, the cocycle and coboundary systems and the small Ext^2 model all
+read their coordinates from it.
 """
 
 from __future__ import annotations
@@ -135,25 +139,86 @@ def direct_sum(*reps: Representation) -> Representation:
     return Representation(bq, field, dims, mats, check=False)
 
 
-class VertexCochain:
-    """A tuple of per-vertex matrices source_x -> target_x.
+class Cochain:
+    """Blocks source -> target in a fixed slot layout.
 
-    Morphisms of representations are exactly the vertex cochains that
-    intertwine the arrow matrices.
+    A slot is (key, source vertex, target vertex) and holds a
+    d_target x d_source block: d_target from the target representation
+    at the slot's target vertex, d_source from the source representation
+    at its source vertex.  Coordinates run through the slots in order,
+    each block row-major.  Subclasses only name their slots.
     """
 
     def __init__(self, source: Representation, target: Representation, mats: dict):
         self.source = source
         self.target = target
         self.mats = {}
-        for x in source.bq.quiver.vertices:
-            m = mats.get(x)
+        for key, x, y in self.slots(source.bq):
+            shape = (target.dims[y], source.dims[x])
+            m = mats.get(key)
             if m is None:
-                m = Matrix.zeros(source.field, target.dims[x], source.dims[x])
-            if m.shape() != (target.dims[x], source.dims[x]):
-                raise QuiverError(f"vertex {x}: block has shape {m.shape()}, "
-                                  f"expected {(target.dims[x], source.dims[x])}")
-            self.mats[x] = m
+                m = Matrix.zeros(source.field, *shape)
+            if m.shape() != shape:
+                raise QuiverError(f"{self.kind} {key}: cochain block has shape "
+                                  f"{m.shape()}, expected {shape}")
+            self.mats[key] = m
+
+    @classmethod
+    def offsets(cls, source, target):
+        """The first coordinate of each slot, by key, and the total."""
+        start, pos = {}, 0
+        for key, x, y in cls.slots(source.bq):
+            start[key] = pos
+            pos += target.dims[y] * source.dims[x]
+        return start, pos
+
+    @classmethod
+    def space_dim(cls, source, target) -> int:
+        return cls.offsets(source, target)[1]
+
+    def to_vector(self):
+        return [x for m in self.mats.values() for row in m.rows for x in row]
+
+    @classmethod
+    def from_vector(cls, source, target, vec):
+        start, total = cls.offsets(source, target)
+        if total != len(vec):
+            raise ValueError(f"vector length does not match the {cls.kind} layout")
+        mats = {}
+        for key, x, y in cls.slots(source.bq):
+            r, c, pos = target.dims[y], source.dims[x], start[key]
+            rows = [vec[pos + i * c: pos + (i + 1) * c] for i in range(r)]
+            mats[key] = Matrix(source.field, rows, c)
+        return cls(source, target, mats)
+
+    @classmethod
+    def zero(cls, source, target):
+        return cls(source, target, {})
+
+    def scale(self, c):
+        return type(self)(self.source, self.target,
+                          {k: m.scale(c) for k, m in self.mats.items()})
+
+    def add(self, other):
+        return type(self)(self.source, self.target,
+                          {k: m + other.mats[k] for k, m in self.mats.items()})
+
+    def is_zero(self) -> bool:
+        return all(m.is_zero() for m in self.mats.values())
+
+
+class VertexCochain(Cochain):
+    """A tuple of per-vertex matrices source_x -> target_x.
+
+    Morphisms of representations are exactly the vertex cochains that
+    intertwine the arrow matrices.
+    """
+
+    kind = "vertex"
+
+    @staticmethod
+    def slots(bq):
+        return [(x, x, x) for x in bq.quiver.vertices]
 
     def is_morphism(self) -> bool:
         V, U = self.source, self.target
@@ -164,30 +229,6 @@ class VertexCochain:
                 return False
         return True
 
-    def to_vector(self):
-        out = []
-        for x in self.source.bq.quiver.vertices:
-            for row in self.mats[x].rows:
-                out.extend(row)
-        return out
-
-    @classmethod
-    def from_vector(cls, source, target, vec):
-        mats = {}
-        pos = 0
-        for x in source.bq.quiver.vertices:
-            r, c = target.dims[x], source.dims[x]
-            rows = [vec[pos + i * c: pos + (i + 1) * c] for i in range(r)]
-            pos += r * c
-            mats[x] = Matrix(source.field, rows, c)
-        if pos != len(vec):
-            raise ValueError("vector length does not match the vertex layout")
-        return cls(source, target, mats)
-
-    @staticmethod
-    def space_dim(source, target) -> int:
-        return sum(target.dims[x] * source.dims[x] for x in source.bq.quiver.vertices)
-
     def compose(self, other: "VertexCochain") -> "VertexCochain":
         """self after other (vertexwise matrix product)."""
         if other.target != self.source:
@@ -196,28 +237,45 @@ class VertexCochain:
         return VertexCochain(other.source, self.target, mats)
 
 
+class ArrowCochain(Cochain):
+    """Per-arrow matrices source_rep -> target_rep across each arrow."""
+
+    kind = "arrow"
+
+    @staticmethod
+    def slots(bq):
+        return [(a.name, a.source, a.target) for a in bq.quiver.arrows]
+
+
+class RelationCochain(Cochain):
+    """Per-relation matrices source_rep -> target_rep across each relation."""
+
+    kind = "relation"
+
+    @staticmethod
+    def slots(bq):
+        return [(r.name, r.source, r.target) for r in bq.relations]
+
+
 def hom_system(M: Representation, N: Representation) -> Matrix:
     """Matrix of the map f |-> (f_tgt M_a - N_a f_src)_a on vertex cochains.
 
-    Columns follow ``VertexCochain.to_vector`` for M -> N; rows hold one
-    row-major block per arrow, in arrow order.  Its kernel is Hom(M, N).
+    Columns follow ``VertexCochain.offsets(M, N)`` and rows
+    ``ArrowCochain.offsets(M, N)``: one row-major block per vertex and
+    per arrow, in vertex and arrow order.  Its kernel is Hom(M, N).
     """
     field = M.field
-    quiver = M.bq.quiver
-    col0, ncols = {}, 0
-    for x in quiver.vertices:
-        col0[x] = ncols
-        ncols += N.dims[x] * M.dims[x]
-    nrows = sum(N.dims[a.target] * M.dims[a.source] for a in quiver.arrows)
+    col0, ncols = VertexCochain.offsets(M, N)
+    row0, nrows = ArrowCochain.offsets(M, N)
     rows = [[field.zero] * ncols for _ in range(nrows)]
     minus_one = field.neg(field.one)
-    row0 = 0
-    for a in quiver.arrows:
+    for a in M.bq.quiver.arrows:
         eye_t = Matrix.identity(field, N.dims[a.target])
         eye_s = Matrix.identity(field, M.dims[a.source])
-        kron_add(field, rows, row0, col0[a.target], field.one, eye_t, M.mats[a.name])
-        kron_add(field, rows, row0, col0[a.source], minus_one, N.mats[a.name], eye_s)
-        row0 += N.dims[a.target] * M.dims[a.source]
+        kron_add(field, rows, row0[a.name], col0[a.target], field.one, eye_t,
+                 M.mats[a.name])
+        kron_add(field, rows, row0[a.name], col0[a.source], minus_one,
+                 N.mats[a.name], eye_s)
     return Matrix(field, rows, ncols)
 
 
@@ -251,8 +309,7 @@ def kernel_representation(f: VertexCochain):
             if coords is None:
                 raise QuiverError("arrow does not preserve the kernel (not a morphism?)")
             cols.append(coords)
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(tgt.dim)]
-        mats[a.name] = Matrix(field, rows, len(cols))
+        mats[a.name] = Matrix.from_columns(field, tgt.dim, cols)
     K = Representation(M.bq, field, dims, mats, check=False)
     incl = VertexCochain(K, M, {
         x: bases[x].matrix_of_columns() for x in M.bq.quiver.vertices

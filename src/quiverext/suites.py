@@ -137,9 +137,10 @@ def suite_zdim(field, seed: int) -> SuiteResult:
     catalog = list(_F2_CATALOG) + ["M"]
 
     def check_pair(key, V, U):
-        lhs = z_space(V, U).dim
+        space = ext1(V, U)
+        lhs = space.z.dim
         cross = sum(U.dims[x] * V.dims[x] for x in ws.bound_quiver.quiver.vertices)
-        rhs = ext1(V, U).dim - hom_dim(V, U) + cross
+        rhs = space.dim - hom_dim(V, U) + cross
         rec.equal(key, lhs, rhs)
 
     for vn in catalog:

@@ -1,7 +1,10 @@
 import pytest
 
-from quiverext.ext1 import ArrowCochain, ext1, middle_term, z_space
-from quiverext.ext2 import ext2_via_omega
+from quiverext import geometry, iso
+from quiverext.ext1 import ArrowCochain, b_space, ext1, middle_term, z_space
+from quiverext.ext2 import compose_cocycles, ext2_small_model, ext2_via_omega
+from quiverext.fields import QQ, PrimeField
+from quiverext.fixtures import load_fixture
 from quiverext.geometry import (
     degeneration_witness_search,
     dual_number_oracle,
@@ -20,9 +23,11 @@ from quiverext.geometry import (
     tangent_module_variety,
 )
 from quiverext.iso import iso_test
-from quiverext.linalg import Matrix
+from quiverext.linalg import Matrix, QuotientSpace, linear_map_matrix
 from quiverext.quiver import QuiverError, a_of_d
-from quiverext.rep import direct_sum
+from quiverext.rep import direct_sum, hom_basis
+
+F101 = PrimeField(101)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +100,84 @@ def test_pair_conditions_can_cut_to_zero(f3):
     hpairs = hom_tangent_pairs(U, V)
     assert hpairs.dim == 0
     assert ext_tangent_pairs(U, V).dim == 0
+
+
+# The probe closures below are the reference for the tangent-pair
+# systems: they push unit vectors through the pair operations.
+
+
+def probe_hom_pairs_matrix(U, V):
+    field = U.field
+    zu, zv = z_space(U, U), z_space(V, V)
+    homs = hom_basis(V, U)
+    ambient = ArrowCochain.space_dim(V, U)
+    quot = QuotientSpace(field, ambient, b_space(V, U))
+
+    def apply(vec):
+        Zp = ArrowCochain.from_vector(U, U, zu.combine(vec[:zu.dim]))
+        Zpp = ArrowCochain.from_vector(V, V, zv.combine(vec[zu.dim:]))
+        out = []
+        for f in homs:
+            mats = {a.name: Zp.mats[a.name] @ f.mats[a.source]
+                    - f.mats[a.target] @ Zpp.mats[a.name]
+                    for a in U.bq.quiver.arrows}
+            out.extend(quot.reduce(ArrowCochain(V, U, mats).to_vector()))
+        return out
+
+    return linear_map_matrix(field, zu.dim + zv.dim, len(homs) * ambient, apply)
+
+
+def probe_ext_pairs_matrix(U, V, hpairs):
+    model = ext2_small_model(V, U)
+    xis = [ArrowCochain.from_vector(V, U, v) for v in z_space(V, U).vectors]
+
+    def apply(coeffs):
+        Zp, Zpp = hpairs.pair_from_coords(hpairs.basis.combine(coeffs))
+        out = []
+        for Zxi in xis:
+            total = compose_cocycles(Zp, Zxi).add(compose_cocycles(Zxi, Zpp))
+            out.extend(model.quotient.reduce(total.to_vector()))
+        return out
+
+    return linear_map_matrix(U.field, hpairs.dim, len(xis) * model.ambient_dim, apply)
+
+
+# The two certified sequences have Hom(V, U) = 0, so their hom-pair
+# systems have no rows; W against N + S3 makes both systems nonzero.
+PAIR_CASES = [("f2", ("S1",), ("V",)), ("f3", ("R4",), ("S4",)),
+              ("f2", ("W",), ("N", "S3"))]
+
+
+@pytest.mark.parametrize("name, sub, quot", PAIR_CASES, ids=str)
+@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+def test_tangent_pair_systems_equal_the_probed_ones(monkeypatch, name, sub, quot, field):
+    ws = load_fixture(name, field=field)
+    U = direct_sum(*(ws.module(n) for n in sub))
+    V = direct_sum(*(ws.module(n) for n in quot))
+    systems = []  # the matrices geometry hands to kernel_basis, in call order
+    kernel_basis = geometry.kernel_basis
+
+    def spy(matrix):
+        systems.append(matrix)
+        return kernel_basis(matrix)
+
+    monkeypatch.setattr(geometry, "kernel_basis", spy)
+    hpairs = hom_tangent_pairs(U, V)
+    assert systems == [probe_hom_pairs_matrix(U, V)]
+    systems.clear()
+    ext_tangent_pairs(U, V)
+    assert len(systems) == 2  # the hom-pair system again, then the Ext2 one
+    assert systems[0] == probe_hom_pairs_matrix(U, V)
+    assert systems[1] == probe_ext_pairs_matrix(U, V, hpairs)
+    assert systems[1].ncols == hpairs.dim > 0
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+def test_symbolic_determinant_fallback(field):
+    m = load_fixture("f3", field=field).modules
+    P4, split = m["P4"], direct_sum(m["R4"], m["S4"])
+    assert iso._symbolic_det_is_zero(P4, split, hom_basis(P4, split)) is True
+    assert iso._symbolic_det_is_zero(P4, P4, hom_basis(P4, P4)) is False
 
 
 def test_dual_number_probe_detects_the_cut(f3):

@@ -224,8 +224,84 @@ def test_semisimple_tangent_dimension(f2):
 
 def test_cochain_blocks_must_match_the_dimension_vectors(f2):
     m = f2.modules
-    with pytest.raises(QuiverError):
-        ArrowCochain(m["S2"], m["S1"], {"a": m["M"].mats["a"]})
+    wrong = m["M"].mats["a"]  # 1 x 2; S2 -> S1 has a 1 x 0 block at 1 and r, 1 x 1 at a
+    cases = ((VertexCochain, "vertex 1"), (ArrowCochain, "arrow a"),
+             (RelationCochain, "relation r"))
+    for cls, slot in cases:
+        with pytest.raises(QuiverError, match=f"^{slot}: cochain block has shape"):
+            cls(m["S2"], m["S1"], {slot.split()[1]: wrong})
+
+
+# -- the cochain layout ----------------------------------------------------
+
+KINDS = (VertexCochain, ArrowCochain, RelationCochain)
+
+
+def _random_cochain(cls, V, U, rng):
+    n = cls.space_dim(V, U)
+    return cls.from_vector(V, U, [V.field.of(rng.randint(-5, 5)) for _ in range(n)])
+
+
+def _block(vec, start, key, m):
+    return vec[start[key]:start[key] + m.nrows * m.ncols]
+
+
+def _flat(m):
+    return [x for row in m.rows for x in row]
+
+
+@pytest.mark.parametrize("name, field", [("f2", QQ), ("f3", F101), ("loops", QQ)], ids=str)
+def test_cochain_layout_round_trips(name, field):
+    mods = _modules(name, field, seed=3, max_summands=1)
+    rng = random.Random(7)
+    for cls in KINDS:
+        for V in mods:
+            for U in mods:
+                start, total = cls.offsets(V, U)
+                assert total == cls.space_dim(V, U)
+                # slots are consecutive, in slot order, each as large as its block
+                pos = 0
+                for key, x, y in cls.slots(V.bq):
+                    assert start[key] == pos
+                    pos += U.dims[y] * V.dims[x]
+                assert pos == total
+                vec = [field.of(rng.randint(-5, 5)) for _ in range(total)]
+                c = cls.from_vector(V, U, vec)
+                assert list(c.mats) == list(start)
+                for key, m in c.mats.items():
+                    assert _block(vec, start, key, m) == _flat(m)
+                assert c.to_vector() == vec
+                with pytest.raises(ValueError, match=f"{cls.kind} layout"):
+                    cls.from_vector(V, U, vec + [field.zero])
+                if total:
+                    with pytest.raises(ValueError, match=f"{cls.kind} layout"):
+                        cls.from_vector(V, U, vec[:-1])
+
+
+@pytest.mark.parametrize("name, field", [("f2", QQ), ("f3", F101), ("loops", QQ)], ids=str)
+def test_systems_follow_the_layout_offsets(name, field):
+    """Row and column blocks of the Z and Hom systems sit at offsets()."""
+    mods = _modules(name, field, seed=9, max_summands=1)
+    rng = random.Random(2)
+    for V in mods:
+        for U in mods:
+            rel_start, nrel = RelationCochain.offsets(V, U)
+            arr_start, narr = ArrowCochain.offsets(V, U)
+            _, nvert = VertexCochain.offsets(V, U)
+            boundary = relation_boundary_matrix(V, U)
+            assert boundary.shape() == (nrel, narr)
+            Z = _random_cochain(ArrowCochain, V, U, rng)
+            image = boundary.apply(Z.to_vector())
+            for rel in V.bq.relations:
+                value = z_rho(Z, rel)
+                assert _block(image, rel_start, rel.name, value) == _flat(value)
+            system = hom_system(V, U)
+            assert system.shape() == (narr, nvert)
+            f = _random_cochain(VertexCochain, V, U, rng)
+            image = system.apply(f.to_vector())
+            for a in V.bq.quiver.arrows:
+                defect = f.mats[a.target] @ V.mats[a.name] - U.mats[a.name] @ f.mats[a.source]
+                assert _block(image, arr_start, a.name, defect) == _flat(defect)
 
 
 # -- block-assembled systems against the probe route ----------------------
