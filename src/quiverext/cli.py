@@ -17,6 +17,7 @@ from .ext1 import b_space, ext1, z_space
 from .ext2 import HypothesisError, ext2_small_model, ext2_via_omega
 from .fields import QQ, field_by_name
 from .geometry import (
+    InconclusiveSearch,
     degeneration_witness_search,
     ext_tangent_pairs,
     hom_tangent_pairs,
@@ -247,12 +248,17 @@ def _task_psi(ws, args):
 
 def _task_witness(ws, args):
     M, U, V = ws.module(args.M), ws.module(args.U), ws.module(args.V)
-    witness = degeneration_witness_search(M, U, V, seed=args.seed)
     task = {
         "task": "witness",
         "inputs": {"middle": args.M, "sub": args.U, "quotient": args.V,
                    "seed": args.seed},
     }
+    try:
+        witness = degeneration_witness_search(M, U, V, seed=args.seed)
+    except InconclusiveSearch as exc:
+        task["result"] = {"found": False, "conclusive": False}
+        task["warnings"] = [str(exc)]
+        return task, 1
     if witness is None:
         # every cocycle a coboundary: the split sum was the only candidate
         conclusive = z_space(V, U).dim == b_space(V, U).dim
@@ -272,11 +278,16 @@ def _task_witness(ws, args):
 
 
 def _task_certify(ws, args):
-    M, U, V, witness = _witness_or_none(ws, args.ses, args.seed)
     task = {
         "task": "certify",
         "inputs": {"ses": args.ses, "seed": args.seed},
     }
+    try:
+        M, U, V, witness = _witness_or_none(ws, args.ses, args.seed)
+    except InconclusiveSearch as exc:
+        task["result"] = None
+        task["warnings"] = [f"no verified witness for the sequence: {exc}"]
+        return task, 1
     if witness is None:
         task["result"] = None
         task["warnings"] = ["no verified witness for the sequence"]
@@ -374,8 +385,8 @@ def main(argv=None) -> int:
                 "truncation": ws.bound_quiver.truncation_cap}
         _emit(args, [task], meta)
         return code
-    except (ParseError, QuiverError, HypothesisError, OSError,
-            ValueError) as exc:
+    except (ParseError, QuiverError, HypothesisError, InconclusiveSearch,
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

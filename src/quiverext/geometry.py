@@ -412,6 +412,10 @@ class SesWitness:
         return rebuilt == self.middle
 
 
+class InconclusiveSearch(RuntimeError):
+    """A witness search that could neither find a witness nor rule one out."""
+
+
 def degeneration_witness_search(M: Representation, U: Representation,
                                 V: Representation, seed: int = 0):
     """Look for a cocycle whose middle term is isomorphic to M.
@@ -419,14 +423,16 @@ def degeneration_witness_search(M: Representation, U: Representation,
     Exhaustive over small integer coefficient grids in low cocycle
     dimension, then seeded random sampling.  Returns a verified witness
     or None; None is conclusive only in the forced-split case (every
-    cocycle a coboundary) where it means the split sum misses M.
+    cocycle a coboundary) where it means the split sum misses M.  In that
+    case an ``unknown`` isomorphism verdict raises ``InconclusiveSearch``
+    instead, since None would read as a conclusive miss.
     """
     field = M.field
     dsum = {x: U.dims[x] + V.dims[x] for x in M.bq.quiver.vertices}
     if dsum != M.dim_vector():
         raise QuiverError("dimension vectors of the ends do not sum to the middle")
     zs = z_space(V, U)
-    bs = b_space(V, U)
+    split_only = zs.dim == b_space(V, U).dim
 
     def try_coeffs(coeffs):
         vec = zs.combine(coeffs)
@@ -435,9 +441,13 @@ def degeneration_witness_search(M: Representation, U: Representation,
         cert = iso_test(W, M, seed=seed)
         if cert.verdict == "yes":
             return SesWitness(M, U, V, Z, W, cert)
+        if split_only and cert.verdict == "unknown":
+            raise InconclusiveSearch(
+                "only the split sum is a middle term, and testing it "
+                f"against M was inconclusive: {cert.reason}")
         return None
 
-    if zs.dim == bs.dim:
+    if split_only:
         # only split middle terms exist; the answer is decided by U + V
         witness = try_coeffs([field.zero] * zs.dim)
         return witness  # None here is conclusive

@@ -1,10 +1,23 @@
 """Exact dense linear algebra over Q or F_p.
 
 A linear map X -> Y is stored as a (dim Y) x (dim X) matrix acting on
-column vectors.  Elimination is Gauss-Jordan over ``Fraction`` or over
-F_p residues.  Every elimination uses the same pivot rule (leftmost
-column first, first nonzero row), so echelon forms, kernel bases and
-coset representatives are canonical and reproducible run to run.
+column vectors.  Every elimination goes through ``_rref(field, rows)``,
+which picks a kernel by the characteristic and uses the same pivot rule
+(leftmost column first, first nonzero row):
+
+* over Q, Gauss-Jordan on integer rows (Bareiss 1968 style): each row's
+  denominators are cleared, a row is updated as (a/g) row - (b/g) pivot
+  row with g = gcd(a, b) and divided by the gcd of its entries, and the
+  pivot rows are normalised to ``Fraction``s once at the end;
+* over F_p, Gauss-Jordan on ``int`` residues, where the pivot row is
+  scaled once by the inverse of its pivot and only its nonzero columns
+  are updated in the other rows.
+
+Neither calls the field's methods per entry.  Both give the reduced row
+echelon form, which is unique for the row space, so echelon forms,
+kernel bases and coset representatives are canonical and reproducible
+run to run, and equal to those of elimination through the field methods
+(the tests keep that elimination as their oracle).
 
 Lead columns.  A ``SubspaceBasis`` may record one lead column per
 vector: vector i has a 1 at its own lead column and a 0 at every other
@@ -27,6 +40,8 @@ system assembly with the tangent-pair computations it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Optional
 
 
@@ -217,38 +232,84 @@ def block_diag(field, blocks) -> Matrix:
 
 
 def _rref(field, rows):
-    """In-place reduced row echelon form; returns (nonzero rows, pivot cols).
+    """Reduced row echelon form; returns (nonzero rows, pivot cols).
 
     Pivot order is fixed: columns scanned left to right, first row with a
     nonzero entry wins.  Rows are fully reduced (zeros above pivots too),
-    so the output is canonical for the row space.
+    so the output is canonical for the row space.  The caller's rows are
+    left unchanged.  Over Q the rows are ``Fraction``s, over F_p ``int``
+    residues in [0, p).
     """
-    rows = [list(r) for r in rows]
-    if not rows:
+    if not rows or not rows[0]:
         return [], []
-    ncols = len(rows[0])
+    if field.char == 0:
+        return _rref_rational(rows)
+    return _rref_residues(field.char, rows)
+
+
+def _pivot_loop(m, eliminate):
+    """Apply the pivot rule to the rows m in place; return the pivot columns.
+
+    For each column, left to right, the first row at or below the next
+    pivot position with a nonzero entry is swapped up to it, and
+    ``eliminate(m, r, c)`` clears column c in every other row.
+    """
+    nrows = len(m)
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][c]):
-                pr = i
-                break
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        m[r], m[pr] = m[pr], m[r]
+        eliminate(m, r, c)
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == nrows:
             break
-    return rows[:r], pivots
+    return pivots
+
+
+def _rref_rational(rows):
+    m = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
+
+    def eliminate(m, r, c):
+        prow = m[r]
+        a = prow[c]
+        for i, row in enumerate(m):
+            b = row[c]
+            if i == r or not b:
+                continue
+            g = gcd(a, b)
+            ag, bg = a // g, b // g
+            new = [ag * x - bg * y for x, y in zip(row, prow)]
+            content = gcd(*new)
+            m[i] = [x // content for x in new] if content > 1 else new
+
+    pivots = _pivot_loop(m, eliminate)
+    zero = Fraction(0)
+    return [[Fraction(x, row[p]) if x else zero for x in row]
+            for row, p in zip(m, pivots)], pivots
+
+
+def _rref_residues(p, rows):
+    m = [[x % p for x in row] for row in rows]
+
+    def eliminate(m, r, c):
+        inv = pow(m[r][c], p - 2, p)
+        prow = m[r] = [x * inv % p for x in m[r]]
+        support = [(j, y) for j, y in enumerate(prow) if y]
+        for i, row in enumerate(m):
+            b = row[c]
+            if i == r or not b:
+                continue
+            for j, y in support:
+                row[j] = (row[j] - b * y) % p
+
+    pivots = _pivot_loop(m, eliminate)
+    return m[:len(pivots)], pivots
 
 
 def rank(m: Matrix) -> int:
@@ -444,10 +505,6 @@ def linear_map_matrix(field, domain_dim: int, codomain_dim: int,
             raise ValueError("map produced a vector of the wrong length")
         cols.append(image)
     return Matrix.from_columns(field, codomain_dim, cols)
-
-
-def vec_is_zero(field, vec) -> bool:
-    return all(field.is_zero(x) for x in vec)
 
 
 def vec_add(field, u, v):

@@ -228,11 +228,7 @@ def suite_yoneda(field, seed: int) -> SuiteResult:
         for i in range(20):
             if bp.dim:
                 coeffs = [field.of(rng.randint(-4, 4)) for _ in bp.vectors]
-                vec = [field.zero] * bp.ambient_dim
-                for c, bvec in zip(coeffs, bp.vectors):
-                    vec = [field.add(a, field.mul(c, b))
-                           for a, b in zip(vec, bvec)]
-                B = ArrowCochain.from_vector(V, U, vec)
+                B = ArrowCochain.from_vector(V, U, bp.combine(coeffs))
                 shifted = model.class_of(
                     compose_cocycles(Zp.add(B), Zpp))
                 rec.equal(f"{key}:left-shift:{i:02d}", shifted.coords,
@@ -242,11 +238,7 @@ def suite_yoneda(field, seed: int) -> SuiteResult:
                           "pure boundary composed to a nonzero class")
             if bpp.dim:
                 coeffs = [field.of(rng.randint(-4, 4)) for _ in bpp.vectors]
-                vec = [field.zero] * bpp.ambient_dim
-                for c, bvec in zip(coeffs, bpp.vectors):
-                    vec = [field.add(a, field.mul(c, b))
-                           for a, b in zip(vec, bvec)]
-                B = ArrowCochain.from_vector(W, V, vec)
+                B = ArrowCochain.from_vector(W, V, bpp.combine(coeffs))
                 shifted = model.class_of(compose_cocycles(Zp, Zpp.add(B)))
                 rec.equal(f"{key}:right-shift:{i:02d}", shifted.coords,
                           product.coords)

@@ -4,6 +4,7 @@ import pytest
 
 from quiverext.cli import main
 from quiverext.fixtures import fixture_source
+from quiverext.iso import IsoCertificate
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,30 @@ def test_witness_search_outcomes(capsys, f2_path):
     code, payload = run_json(capsys, ["witness", f2_path, "M", "S2", "W"])
     assert code == 0
     assert payload["tasks"][0]["result"] == {"found": False, "conclusive": True}
+
+
+def test_an_unknown_isomorphism_verdict_is_not_a_conclusive_miss(
+        capsys, tmp_path, monkeypatch):
+    """Only the split sum S2 + W is a middle term of M; when testing it
+    against M comes back unknown, neither command may report a miss."""
+    monkeypatch.setattr(
+        "quiverext.geometry.iso_test",
+        lambda W, M, seed=0: IsoCertificate("unknown", "forced by the test"))
+    path = tmp_path / "f2.qv"
+    path.write_text(fixture_source("f2") + "ses SPLIT : S2 -> M -> W\n",
+                    encoding="utf-8")
+    code, payload = run_json(capsys, ["witness", str(path), "M", "S2", "W"])
+    assert code == 1
+    task = payload["tasks"][0]
+    assert task["result"] == {"found": False, "conclusive": False}
+    assert task["warnings"] == [
+        "only the split sum is a middle term, and testing it against M was "
+        "inconclusive: forced by the test"]
+    code, payload = run_json(capsys, ["certify", str(path), "SPLIT"])
+    assert code == 1
+    task = payload["tasks"][0]
+    assert task["result"] is None
+    assert "inconclusive" in task["warnings"][0]
 
 
 def test_certify_the_declared_sequences(capsys, f2_path, f3_path):

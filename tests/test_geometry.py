@@ -6,6 +6,7 @@ from quiverext.ext2 import compose_cocycles, ext2_small_model, ext2_via_omega
 from quiverext.fields import QQ, PrimeField
 from quiverext.fixtures import load_fixture
 from quiverext.geometry import (
+    InconclusiveSearch,
     degeneration_witness_search,
     dual_number_oracle,
     ext_tangent_pairs,
@@ -22,7 +23,7 @@ from quiverext.geometry import (
     tangent_block_decomposition,
     tangent_module_variety,
 )
-from quiverext.iso import iso_test
+from quiverext.iso import IsoCertificate, iso_test
 from quiverext.linalg import Matrix, QuotientSpace, linear_map_matrix
 from quiverext.quiver import QuiverError, a_of_d
 from quiverext.rep import direct_sum, hom_basis
@@ -270,6 +271,16 @@ def test_witness_search_conclusive_miss(f2):
     # only split middles exist for this pair, and the split sum is not M
     assert z_space(m["W"], m["S2"]).dim == 1
     assert degeneration_witness_search(m["M"], m["S2"], m["W"]) is None
+
+
+def test_witness_search_does_not_turn_unknown_into_a_miss(f2, monkeypatch):
+    m = f2.modules
+    monkeypatch.setattr(geometry, "iso_test",
+                        lambda W, M, seed=0: IsoCertificate("unknown", "forced"))
+    with pytest.raises(InconclusiveSearch):
+        degeneration_witness_search(m["M"], m["S2"], m["W"])
+    # with nonsplit cocycles to try, unknown verdicts only exhaust the search
+    assert degeneration_witness_search(m["M"], m["S1"], m["V"]) is None
 
 
 def test_witness_search_checks_the_dimension_count(f2):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from quiverext.linalg import (
     Matrix,
     QuotientSpace,
     SubspaceBasis,
+    _rref,
     block_diag,
     column_space_basis,
     coordinates_in_basis,
@@ -22,6 +24,7 @@ from quiverext.linalg import (
 )
 
 F101 = PrimeField(101)
+F2 = PrimeField(2)
 
 small_ints = st.integers(min_value=-6, max_value=6)
 
@@ -264,3 +267,89 @@ def test_kron_add_is_the_block_of_a_sandwich(case):
     assert rows[0] == [f.zero] * len(rows[0])
     assert all(r[:2] == [f.zero, f.zero] for r in rows)
     assert [r[2:] for r in rows[1:]] == probe.rows
+
+
+# -- the field-specialised kernels against the generic elimination -----------
+
+
+def _oracle_rref(field, rows):
+    """Gauss-Jordan through the field methods, with the same pivot rule."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(rows)):
+            if not field.is_zero(rows[i][c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not field.is_zero(rows[i][c]):
+                factor = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+SHAPES = [(4, 4), (3, 7), (7, 3), (1, 6), (6, 1), (5, 5)]
+
+
+def _entry(field, rng, kind):
+    if kind == "big":
+        return field.of(rng.randint(-10**6, 10**6))
+    if kind == "fraction" and field.char == 0:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    # sparse small integers, as in the assembled constraint systems
+    return field.of(rng.choice((0, 0, 0, 1, -1, 2, -3)))
+
+
+def _random_rows(field, rng, nrows, ncols, kind):
+    if kind == "zero":
+        return [[field.zero] * ncols for _ in range(nrows)]
+    rows = [[_entry(field, rng, kind) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "deficient" and nrows >= 3:
+        # replace one row by a combination of two others
+        i, j, k = rng.sample(range(nrows), 3)
+        a, b = field.of(rng.randint(-4, 4)), field.of(rng.randint(-4, 4))
+        rows[k] = [field.add(field.mul(a, x), field.mul(b, y))
+                   for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=["Q", "F101", "F2"])
+@pytest.mark.parametrize("kind", ["sparse", "big", "fraction", "zero", "deficient"])
+def test_rref_kernels_equal_the_generic_elimination(field, kind):
+    rng = random.Random(f"{field.name}:{kind}")
+    for _ in range(25):
+        for nrows, ncols in SHAPES:
+            rows = _random_rows(field, rng, nrows, ncols, kind)
+            before = [list(r) for r in rows]
+            got_rows, got_pivots = _rref(field, rows)
+            assert rows == before, "the kernel changed its input"
+            assert (got_rows, got_pivots) == _oracle_rref(field, rows)
+            for row in got_rows:
+                if field.char == 0:
+                    assert all(type(x) is Fraction for x in row)
+                else:
+                    assert all(type(x) is int and 0 <= x < field.char for x in row)
+            if kind == "zero":
+                assert got_pivots == []
+            if kind == "deficient" and nrows >= 3:
+                assert len(got_pivots) < nrows
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=["Q", "F101", "F2"])
+def test_rref_of_no_rows(field):
+    assert _rref(field, []) == ([], [])
+    assert _rref(field, [[], []]) == ([], [])
