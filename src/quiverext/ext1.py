@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     SubspaceBasis,
+    _product,
     coordinates_in_basis,
     kernel_basis,
     kron_add,
@@ -148,12 +149,10 @@ class ExtSpace1:
         self.field = V.field
         self.z = z_space(V, U)
         self.b = b_space(V, U)
-        coords = []
-        for bvec in self.b.vectors:
-            c = coordinates_in_basis(self.z, bvec)
-            if c is None:
-                raise QuiverError("coboundary outside the cocycle space")
-            coords.append(c)
+        # coordinates read at Z's lead columns, checked by one recombination
+        coords = [[bvec[j] for j in self.z.leads] for bvec in self.b.vectors]
+        if _product(self.field, coords, self.z.vectors, self.z.ambient_dim) != self.b.vectors:
+            raise QuiverError("coboundary outside the cocycle space")
         self.quotient = QuotientSpace(self.field, self.z.dim,
                                       SubspaceBasis(self.field, self.z.dim, coords))
         self.dim = self.quotient.dim

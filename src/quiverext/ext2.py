@@ -24,10 +24,9 @@ from .iso import iso_test
 from .linalg import (
     Matrix,
     QuotientSpace,
+    _product,
     column_space_basis,
     hstack,
-    vec_add,
-    vec_scale,
 )
 from .quiver import BoundQuiver, Path, QuiverError, is_acyclic
 from .rep import (
@@ -320,13 +319,14 @@ def exhibit_phi_kernel_boundary(N: Representation, M: Representation,
             tail_path = Path(y, alpha.source, tail_arrows)
             reduced = pres.basis.reduce_terms(alpha.source, y,
                                               [(field.one, tail_path)])
-            hvec = [field.zero] * M.dims[alpha.source]
             zvec = [field.zero] * omega.dims[alpha.source]
+            coeffs, subs = [], []
             for c, tau in reduced:
-                sub = column(alpha.source, (y, tau, j))
-                hvec = vec_add(field, hvec, vec_scale(field, c, sub))
+                coeffs.append(c)
+                subs.append(column(alpha.source, (y, tau, j)))
                 pos = pres.omega_index[alpha.source][(y, tau.arrows, j)]
                 zvec[pos] = field.add(zvec[pos], c)
+            hvec = _product(field, [coeffs], subs, M.dims[alpha.source])[0]
             mh = M.mats[alpha.name].apply(hvec)
             zz = Z.mats[alpha.name].apply(zvec)
             val = [field.sub(a, b) for a, b in zip(mh, zz)]

@@ -1,9 +1,11 @@
 """Exact ground fields: the rationals and prime fields F_p.
 
 Field elements are raw Python objects (``fractions.Fraction`` for Q,
-small ``int`` residues for F_p); all arithmetic is routed through a
-field object so matrix code stays generic and stays exact.  Floating
-point never appears anywhere in this package.
+small ``int`` residues for F_p).  Code outside ``linalg`` routes its
+arithmetic through a field object so it stays generic and exact; the
+``linalg`` kernels use Python operators on the raw elements and read
+``char`` to decide whether to reduce mod p.  Floating point never
+appears anywhere in this package.
 """
 
 from __future__ import annotations

@@ -29,6 +29,23 @@ then checks membership exactly (the combination must give the vector
 back), so it needs no elimination.  A basis built without lead columns
 is solved against instead.
 
+Products.  Matrix products, matrix-vector products, basis recombination
+(``SubspaceBasis.combine``, and through it the lead-column readout) all
+go through one private kernel, ``_product(field, a_rows, b_rows,
+ncols)``.  It lists the nonzero entries of the right factor once per
+call, walks only those, multiplies and adds with Python operators, and
+over F_p reduces each output entry once with ``% p``.  ``kron_add``,
+``QuotientSpace.reduce``, the entrywise ``Matrix`` arithmetic and the
+vector build of ``kernel_basis`` follow the same rule: operators, zero
+entries skipped, one reduction per stored entry.  Over Q the kernel
+multiplies ``Fraction``s directly and does not clear denominators: most
+products here are of 1x1 and 2x2 blocks, and clearing denominators in
+every product made the Q workloads slower, not faster.  Matrices built
+by these kernels are adopted without the copy and checks of
+``Matrix(...)``; the field objects' methods stay for the other modules,
+and the tests keep the field-method bodies these kernels replaced as
+their oracles.
+
 Constraint systems of the form X |-> A X B on row-major coordinates are
 assembled block by block with ``kron_add``, and the other systems from
 the images of basis vectors (``Matrix.from_columns``).  Pushing unit
@@ -56,6 +73,9 @@ class Matrix:
         self.nrows = len(self.rows)
         if self.nrows:
             self.ncols = len(self.rows[0])
+            if ncols is not None and ncols != self.ncols:
+                raise ValueError(f"rows of length {self.ncols} contradict "
+                                 f"the column count {ncols}")
             for r in self.rows:
                 if len(r) != self.ncols:
                     raise ValueError("ragged rows in matrix")
@@ -64,17 +84,25 @@ class Matrix:
                 raise ValueError("a 0-row matrix needs an explicit column count")
             self.ncols = ncols
 
+    @classmethod
+    def _adopt(cls, field, rows, ncols) -> "Matrix":
+        """Take ownership of freshly built rows of length ncols, unchecked."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        return m
+
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._adopt(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return cls._adopt(field, [[o if i == j else z for j in range(n)]
+                                  for i in range(n)], n)
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None) -> "Matrix":
@@ -104,8 +132,10 @@ class Matrix:
         return Matrix(self.field, self.rows, self.ncols)
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for r in self.rows for x in r)
+        p = self.field.char
+        if p:
+            return not any(x % p for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other):
         return (
@@ -123,68 +153,66 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _check_same_shape(self, other, op):
         if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch {self.shape()} + {other.shape()}")
-        f = self.field
-        return Matrix(
-            f,
-            [[f.add(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+            raise ValueError(f"shape mismatch {self.shape()} {op} {other.shape()}")
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        self._check_same_shape(other, "+")
+        p = self.field.char
+        if p:
+            rows = [[(a + b) % p for a, b in zip(r, s)]
+                    for r, s in zip(self.rows, other.rows)]
+        else:
+            rows = [[a + b if a and b else a or b for a, b in zip(r, s)]
+                    for r, s in zip(self.rows, other.rows)]
+        return Matrix._adopt(self.field, rows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch {self.shape()} - {other.shape()}")
-        f = self.field
-        return Matrix(
-            f,
-            [[f.sub(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        self._check_same_shape(other, "-")
+        p = self.field.char
+        if p:
+            rows = [[(a - b) % p for a, b in zip(r, s)]
+                    for r, s in zip(self.rows, other.rows)]
+        else:
+            rows = [[a - b if b else a for a, b in zip(r, s)]
+                    for r, s in zip(self.rows, other.rows)]
+        return Matrix._adopt(self.field, rows, self.ncols)
 
     def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.neg(a) for a in r] for r in self.rows], self.ncols)
+        p = self.field.char
+        if p:
+            rows = [[-a % p for a in r] for r in self.rows]
+        else:
+            rows = [[-a if a else a for a in r] for r in self.rows]
+        return Matrix._adopt(self.field, rows, self.ncols)
 
     def scale(self, c) -> "Matrix":
         f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows], self.ncols)
+        p, zero = f.char, f.zero
+        if p:
+            rows = [[c * a % p for a in r] for r in self.rows]
+        else:
+            rows = [[c * a if a else zero for a in r] for r in self.rows]
+        return Matrix._adopt(f, rows, self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape()} @ {other.shape()}")
-        f = self.field
-        out = []
-        orows = other.rows
-        for r in self.rows:
-            new = [f.zero] * other.ncols
-            for k, a in enumerate(r):
-                if f.is_zero(a):
-                    continue
-                ok = orows[k]
-                for j in range(other.ncols):
-                    new[j] = f.add(new[j], f.mul(a, ok[j]))
-            out.append(new)
-        return Matrix(f, out, other.ncols)
+        return Matrix._adopt(self.field,
+                             _product(self.field, self.rows, other.rows, other.ncols),
+                             other.ncols)
 
     def apply(self, vec):
         """Matrix-vector product on a plain list."""
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
-        f = self.field
-        out = []
-        for r in self.rows:
-            s = f.zero
-            for a, x in zip(r, vec):
-                s = f.add(s, f.mul(a, x))
-            out.append(s)
-        return out
+        return [r[0] for r in _product(self.field, self.rows, [[x] for x in vec], 1)]
 
     def transpose(self) -> "Matrix":
         if self.nrows == 0:
-            return Matrix(self.field, [[] for _ in range(self.ncols)], 0)
-        return Matrix(self.field, [list(c) for c in zip(*self.rows)], self.nrows)
+            return Matrix._adopt(self.field, [[] for _ in range(self.ncols)], 0)
+        return Matrix._adopt(self.field, [list(c) for c in zip(*self.rows)], self.nrows)
 
     def rank(self) -> int:
         return rank(self)
@@ -201,6 +229,33 @@ class Matrix:
         if pivots != list(range(n)):
             return None
         return Matrix(f, [r[n:] for r in rows], n)
+
+
+def _support(rows):
+    """For each row, the (column, entry) pairs of its nonzero entries."""
+    return [[(j, y) for j, y in enumerate(row) if y] for row in rows]
+
+
+def _product(field, a_rows, b_rows, ncols):
+    """The rows of the product of a_rows with b_rows (ncols columns).
+
+    The nonzero entries of b_rows are listed once; each entry of a_rows
+    that is nonzero then touches only those of its row of b_rows.
+    Entries are multiplied and summed with Python operators, and over F_p
+    each output entry is reduced once, at the end.  The output rows are
+    new lists.
+    """
+    support = _support(b_rows)
+    zero, p = field.zero, field.char
+    out = []
+    for arow in a_rows:
+        acc = [zero] * ncols
+        for a, srow in zip(arow, support):
+            if a:
+                for j, y in srow:
+                    acc[j] += a * y
+        out.append([x % p for x in acc] if p else acc)
+    return out
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
@@ -350,15 +405,7 @@ class SubspaceBasis:
 
     def combine(self, coeffs) -> list:
         """The vector sum of coeffs[i] * vectors[i]."""
-        f = self.field
-        out = [f.zero] * self.ambient_dim
-        for c, v in zip(coeffs, self.vectors):
-            if f.is_zero(c):
-                continue
-            for k, x in enumerate(v):
-                if not f.is_zero(x):
-                    out[k] = f.add(out[k], f.mul(c, x))
-        return out
+        return _product(self.field, [coeffs], self.vectors, self.ambient_dim)[0]
 
     def matrix_of_columns(self) -> Matrix:
         """Matrix whose columns are the basis vectors."""
@@ -382,6 +429,7 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     in its free coordinate.
     """
     f = m.field
+    p = f.char
     rows, pivots = _rref(f, m.rows)
     pivot_set = set(pivots)
     free = [j for j in range(m.ncols) if j not in pivot_set]
@@ -389,8 +437,10 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     for j in free:
         v = [f.zero] * m.ncols
         v[j] = f.one
-        for r, p in enumerate(pivots):
-            v[p] = f.neg(rows[r][j])
+        for row, c in zip(rows, pivots):
+            x = row[j]
+            if x:
+                v[c] = -x % p if p else -x
         vectors.append(v)
     return SubspaceBasis(f, m.ncols, vectors, free)
 
@@ -416,7 +466,9 @@ class QuotientSpace:
 
     The reducer subtracts the pivot components against the RREF basis of
     W, is linear and idempotent, and vanishes exactly on W, so reduced
-    vectors are canonical coset representatives.
+    vectors are canonical coset representatives.  An RREF row is zero at
+    every other pivot, so the component along row r is the vector's own
+    entry at pivot r, and all of them are read off before subtracting.
     """
 
     def __init__(self, field, ambient_dim: int, subspace: SubspaceBasis):
@@ -426,23 +478,23 @@ class QuotientSpace:
         self.ambient_dim = ambient_dim
         self.subspace = subspace
         self._rows, self._pivots = _rref(field, subspace.vectors)
+        self._support = _support(self._rows)
         self.dim = ambient_dim - len(self._rows)
 
     def reduce(self, vec):
         if len(vec) != self.ambient_dim:
             raise ValueError("vector has wrong ambient dimension")
-        f = self.field
         v = list(vec)
-        for row, p in zip(self._rows, self._pivots):
-            c = v[p]
-            if f.is_zero(c):
-                continue
-            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return v
+        for c, srow in zip(self._pivots, self._support):
+            a = vec[c]
+            if a:
+                for j, y in srow:
+                    v[j] -= a * y
+        p = self.field.char
+        return [x % p for x in v] if p else v
 
     def contains(self, vec) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def free_coordinates(self):
         """Indices of the non-pivot coordinates (a transversal basis)."""
@@ -464,9 +516,9 @@ def coordinates_in_basis(basis: SubspaceBasis, vec) -> Optional[list]:
         return solve(basis.matrix_of_columns(), vec)
     if len(vec) != basis.ambient_dim:
         raise ValueError("vector has wrong ambient dimension")
-    f = basis.field
+    p = basis.field.char
     coords = [vec[j] for j in basis.leads]
-    if not all(f.is_zero(f.sub(x, y)) for x, y in zip(basis.combine(coords), vec)):
+    if basis.combine(coords) != ([x % p for x in vec] if p else list(vec)):
         return None
     return coords
 
@@ -477,20 +529,30 @@ def kron_add(field, rows, row0: int, col0: int, coeff, A: Matrix, B: Matrix) -> 
     This is the block of X |-> coeff * A X B in row-major coordinates:
     entry (p, q) of X sends coeff * A[i][p] * B[q][j] to entry (i, j) of
     the image, i.e. to row row0 + i * B.ncols + j and column
-    col0 + p * B.nrows + q.
+    col0 + p * B.nrows + q.  Each touched entry gets one term, so over
+    F_p it is reduced once.
     """
     nq, nj = B.nrows, B.ncols
+    p = field.char
+    cols = [[(q, brow[j]) for q, brow in enumerate(B.rows) if brow[j]] for j in range(nj)]
+    support = [(j, cells) for j, cells in enumerate(cols) if cells]
+    if not support:
+        return
     for i, arow in enumerate(A.rows):
-        for p, a in enumerate(arow):
-            if field.is_zero(a):
+        base = row0 + i * nj
+        for k, a in enumerate(arow):
+            if not a:
                 continue
-            ca = field.mul(coeff, a)
-            for q, brow in enumerate(B.rows):
-                col = col0 + p * nq + q
-                for j, b in enumerate(brow):
-                    if not field.is_zero(b):
-                        row = rows[row0 + i * nj + j]
-                        row[col] = field.add(row[col], field.mul(ca, b))
+            ca = coeff * a
+            c0 = col0 + k * nq
+            for j, cells in support:
+                row = rows[base + j]
+                if p:
+                    for q, b in cells:
+                        row[c0 + q] = (row[c0 + q] + ca * b) % p
+                else:
+                    for q, b in cells:
+                        row[c0 + q] += ca * b
 
 
 def linear_map_matrix(field, domain_dim: int, codomain_dim: int,
@@ -505,11 +567,3 @@ def linear_map_matrix(field, domain_dim: int, codomain_dim: int,
             raise ValueError("map produced a vector of the wrong length")
         cols.append(image)
     return Matrix.from_columns(field, codomain_dim, cols)
-
-
-def vec_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
-
-
-def vec_scale(field, c, v):
-    return [field.mul(c, x) for x in v]

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from quiverext.fixtures import load_fixture
 from quiverext.iso import iso_test
 from quiverext.linalg import (
     Matrix,
+    SubspaceBasis,
     kernel_basis,
     linear_map_matrix,
     row_space_basis,
@@ -400,3 +402,22 @@ def test_class_of_rejects_a_non_cocycle(field):
     for Z in space.basis_cocycles():
         cls = space.class_of(Z)
         assert space.class_of(cls.representative()) == cls
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+def test_ext1_rejects_a_coboundary_outside_the_cocycles(field, monkeypatch):
+    ws = _workspace("loops", field)
+    X, S = ws.modules["X"], ws.modules["S"]
+    true_b = b_space(X, S)
+    # the non-cocycle of test_class_of_rejects_a_non_cocycle
+    outside = [field.zero] * 3 + [field.one]
+    assert not is_cocycle(ArrowCochain.from_vector(X, S, outside))
+
+    def planted_b_space(V, U):
+        return SubspaceBasis(field, true_b.ambient_dim, true_b.vectors + [outside])
+
+    # the package attribute quiverext.ext1 is the function, not the module
+    monkeypatch.setattr(importlib.import_module("quiverext.ext1"), "b_space",
+                        planted_b_space)
+    with pytest.raises(QuiverError, match="^coboundary outside the cocycle space$"):
+        ext1(X, S)

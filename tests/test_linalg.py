@@ -353,3 +353,225 @@ def test_rref_kernels_equal_the_generic_elimination(field, kind):
 def test_rref_of_no_rows(field):
     assert _rref(field, []) == ([], [])
     assert _rref(field, [[], []]) == ([], [])
+
+
+# -- the product kernels against the field-method bodies they replaced --------
+
+
+def _oracle_matmul(field, a_rows, b_rows, ncols):
+    out = []
+    for r in a_rows:
+        new = [field.zero] * ncols
+        for k, a in enumerate(r):
+            if field.is_zero(a):
+                continue
+            ok = b_rows[k]
+            for j in range(ncols):
+                new[j] = field.add(new[j], field.mul(a, ok[j]))
+        out.append(new)
+    return out
+
+
+def _oracle_apply(field, rows, vec):
+    out = []
+    for r in rows:
+        s = field.zero
+        for a, x in zip(r, vec):
+            s = field.add(s, field.mul(a, x))
+        out.append(s)
+    return out
+
+
+def _oracle_combine(field, ambient_dim, vectors, coeffs):
+    out = [field.zero] * ambient_dim
+    for c, v in zip(coeffs, vectors):
+        if field.is_zero(c):
+            continue
+        for k, x in enumerate(v):
+            if not field.is_zero(x):
+                out[k] = field.add(out[k], field.mul(c, x))
+    return out
+
+
+def _oracle_kron_add(field, rows, row0, col0, coeff, A, B):
+    nq, nj = B.nrows, B.ncols
+    for i, arow in enumerate(A.rows):
+        for p, a in enumerate(arow):
+            if field.is_zero(a):
+                continue
+            ca = field.mul(coeff, a)
+            for q, brow in enumerate(B.rows):
+                col = col0 + p * nq + q
+                for j, b in enumerate(brow):
+                    if not field.is_zero(b):
+                        row = rows[row0 + i * nj + j]
+                        row[col] = field.add(row[col], field.mul(ca, b))
+
+
+def _oracle_reduce(field, rref_rows, pivots, vec):
+    v = list(vec)
+    for row, p in zip(rref_rows, pivots):
+        c = v[p]
+        if field.is_zero(c):
+            continue
+        v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+    return v
+
+
+def _oracle_entrywise(field, op, a_rows, b_rows=None, c=None):
+    if op == "add":
+        return [[field.add(x, y) for x, y in zip(r, s)] for r, s in zip(a_rows, b_rows)]
+    if op == "sub":
+        return [[field.sub(x, y) for x, y in zip(r, s)] for r, s in zip(a_rows, b_rows)]
+    if op == "neg":
+        return [[field.neg(x) for x in r] for r in a_rows]
+    return [[field.mul(c, x) for x in r] for r in a_rows]  # scale
+
+
+def _oracle_is_zero(field, rows):
+    return all(field.is_zero(x) for r in rows for x in r)
+
+
+PRODUCT_KINDS = ["sparse", "dense", "zero", "unreduced"]
+PRODUCT_SHAPES = [(0, 3), (3, 0), (0, 0), (1, 1), (2, 5), (5, 2), (4, 4)]
+
+
+def _kernel_entry(field, rng, kind):
+    if kind == "unreduced" and field.char:
+        return rng.choice((0, 1, field.char, -1, 10**6, 2 * field.char + 1))
+    if kind == "dense":
+        if field.char == 0:
+            return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+        return rng.randrange(1, field.char)
+    return field.of(rng.choice((0, 0, 0, 0, 1, -1, 2, -3)))
+
+
+def _kernel_rows(field, rng, nrows, ncols, kind):
+    if kind == "zero":
+        return [[field.zero] * ncols for _ in range(nrows)]
+    return [[_kernel_entry(field, rng, kind) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _snapshot(*row_lists):
+    return [[list(r) for r in rows] for rows in row_lists]
+
+
+def _assert_field_entries(field, rows):
+    for row in rows:
+        if field.char == 0:
+            assert all(type(x) is Fraction for x in row)
+        else:
+            assert all(type(x) is int and 0 <= x < field.char for x in row)
+
+
+def _kernel_cases():
+    for field in (QQ, F101, F2):
+        for kind in PRODUCT_KINDS:
+            if kind == "unreduced" and field.char == 0:
+                continue
+            yield pytest.param(field, kind, id=f"{field.name}-{kind}")
+
+
+@pytest.mark.parametrize("field, kind", _kernel_cases())
+def test_matmul_and_apply_equal_the_field_method_bodies(field, kind):
+    rng = random.Random(f"product:{field.name}:{kind}")
+    for _ in range(15):
+        for n, k in PRODUCT_SHAPES:
+            for m in (0, 1, 3):
+                a_rows = _kernel_rows(field, rng, n, k, kind)
+                b_rows = _kernel_rows(field, rng, k, m, kind)
+                vec = _kernel_rows(field, rng, 1, k, kind)[0]
+                a, b = Matrix(field, a_rows, k), Matrix(field, b_rows, m)
+                before = _snapshot(a_rows, b_rows, [vec])
+                got = a @ b
+                assert got.shape() == (n, m)
+                assert got.rows == _oracle_matmul(field, a_rows, b_rows, m)
+                _assert_field_entries(field, got.rows)
+                image = a.apply(vec)
+                assert image == _oracle_apply(field, a_rows, vec)
+                _assert_field_entries(field, [image])
+                for row in got.rows:
+                    row.append(field.one)
+                image.append(field.one)
+                assert _snapshot(a.rows, b.rows, [vec]) == before
+
+
+@pytest.mark.parametrize("field, kind", _kernel_cases())
+def test_combine_and_reduce_equal_the_field_method_bodies(field, kind):
+    rng = random.Random(f"combine:{field.name}:{kind}")
+    for _ in range(15):
+        for dim, n in PRODUCT_SHAPES:
+            vectors = _kernel_rows(field, rng, dim, n, kind)
+            coeffs = _kernel_rows(field, rng, 1, dim, kind)[0]
+            vec = _kernel_rows(field, rng, 1, n, kind)[0]
+            before = _snapshot(vectors, [coeffs], [vec])
+            basis = SubspaceBasis(field, n, vectors)
+            got = basis.combine(coeffs)
+            assert got == _oracle_combine(field, n, vectors, coeffs)
+            _assert_field_entries(field, [got])
+            quot = QuotientSpace(field, n, basis)
+            reduced = quot.reduce(vec)
+            # the old reducer passed entries through unreduced when no
+            # pivot component was nonzero; the kernel always returns residues
+            expected = [field.of(x) for x in
+                        _oracle_reduce(field, quot._rows, quot._pivots, vec)]
+            assert reduced == expected
+            _assert_field_entries(field, [reduced])
+            assert quot.contains(vec) == _oracle_is_zero(field, [expected])
+            got.append(field.one)
+            reduced.append(field.one)
+            assert _snapshot(vectors, [coeffs], [vec]) == before
+
+
+@pytest.mark.parametrize("field, kind", _kernel_cases())
+def test_kron_add_equals_the_field_method_body(field, kind):
+    rng = random.Random(f"kron:{field.name}:{kind}")
+    for _ in range(15):
+        for (ar, ac), (br, bc) in zip(PRODUCT_SHAPES, reversed(PRODUCT_SHAPES)):
+            A = Matrix(field, _kernel_rows(field, rng, ar, ac, kind), ac)
+            B = Matrix(field, _kernel_rows(field, rng, br, bc, kind), bc)
+            coeff = _kernel_entry(field, rng, kind)
+            before = _snapshot(A.rows, B.rows)
+            start = _kernel_rows(field, rng, ar * bc + 2, ac * br + 1, "sparse")
+            got, expected = _snapshot(start, start)
+            kron_add(field, got, 1, 1, coeff, A, B)
+            _oracle_kron_add(field, expected, 1, 1, coeff, A, B)
+            assert got == expected
+            _assert_field_entries(field, got)
+            assert _snapshot(A.rows, B.rows) == before
+
+
+@pytest.mark.parametrize("field, kind", _kernel_cases())
+def test_entrywise_arithmetic_equals_the_field_method_bodies(field, kind):
+    rng = random.Random(f"entrywise:{field.name}:{kind}")
+    for _ in range(15):
+        for n, m in PRODUCT_SHAPES:
+            a_rows = _kernel_rows(field, rng, n, m, kind)
+            b_rows = _kernel_rows(field, rng, n, m, kind)
+            c = _kernel_entry(field, rng, kind)
+            a, b = Matrix(field, a_rows, m), Matrix(field, b_rows, m)
+            before = _snapshot(a_rows, b_rows)
+            results = {"add": a + b, "sub": a - b, "neg": -a, "scale": a.scale(c)}
+            for op, got in results.items():
+                assert got.shape() == (n, m)
+                assert got.rows == _oracle_entrywise(field, op, a_rows, b_rows, c)
+                _assert_field_entries(field, got.rows)
+                for row in got.rows:
+                    row.append(field.one)
+            assert a.is_zero() == _oracle_is_zero(field, a_rows)
+            assert _snapshot(a.rows, b.rows) == before
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix.zeros(field, 1, 2) + Matrix.zeros(field, 2, 1)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix.zeros(field, 1, 2) - Matrix.zeros(field, 2, 1)
+
+
+def test_an_explicit_column_count_must_match_the_rows():
+    rows = [[Fraction(1), Fraction(2)]]
+    assert Matrix(QQ, rows, 2).shape() == (1, 2)
+    assert Matrix(QQ, rows).shape() == (1, 2)
+    with pytest.raises(ValueError, match="contradict the column count 3"):
+        Matrix(QQ, rows, 3)
+    with pytest.raises(ValueError, match="contradict the column count 0"):
+        Matrix(F101, [[1]], 0)
+    assert Matrix(F101, [], 4).shape() == (0, 4)
