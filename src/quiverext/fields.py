@@ -1,7 +1,11 @@
 """Exact ground fields: the rationals and prime fields F_p.
 
-Field elements are raw Python objects (``fractions.Fraction`` for Q,
-small ``int`` residues for F_p).  Code outside ``linalg`` routes its
+Field elements are raw Python objects.  An element of Q has one
+canonical form: an ``int`` when it is integral and a
+``fractions.Fraction`` with denominator > 1 otherwise, so the integer
+entries that make up most module matrices and constraint systems stay
+cheap ``int``s; every Q method returns that form.  An element of F_p is
+a small ``int`` residue.  Code outside ``linalg`` routes its
 arithmetic through a field object so it stays generic and exact; the
 ``linalg`` kernels use Python operators on the raw elements and read
 ``char`` to decide whether to reduce mod p.  Floating point never
@@ -13,6 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 _PRIME_LIMIT = 2**31
+
+
+def canonical(x):
+    """The canonical form of an exact rational: an int when integral."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
 
 
 def _is_prime(n: int) -> bool:
@@ -33,45 +44,42 @@ class RationalField:
 
     name = "Q"
     char = 0
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, value):
         """Coerce an int, Fraction, or 'a/b' string into the field."""
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
         if isinstance(value, str):
-            return Fraction(value)
+            value = Fraction(value)
+        if isinstance(value, (int, Fraction)):
+            return canonical(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
 
     def of_fraction(self, q: Fraction):
-        return q
+        return canonical(q)
 
     def add(self, a, b):
-        return a + b
+        return canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return canonical(a * b)
 
     def neg(self, a):
-        return -a
+        return canonical(-a)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
-        return Fraction(a.denominator, a.numerator)
+        return canonical(Fraction(a.denominator, a.numerator))
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return a / b
+        # Fraction first: int / int would be a float
+        return canonical(Fraction(a) / b)
 
     def is_zero(self, a) -> bool:
         return a == 0

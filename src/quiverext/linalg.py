@@ -5,10 +5,12 @@ column vectors.  Every elimination goes through ``_rref(field, rows)``,
 which picks a kernel by the characteristic and uses the same pivot rule
 (leftmost column first, first nonzero row):
 
-* over Q, Gauss-Jordan on integer rows (Bareiss 1968 style): each row's
-  denominators are cleared, a row is updated as (a/g) row - (b/g) pivot
-  row with g = gcd(a, b) and divided by the gcd of its entries, and the
-  pivot rows are normalised to ``Fraction``s once at the end;
+* over Q, Gauss-Jordan on integer rows (Bareiss 1968 style): a row of
+  ``int``s goes in as it is and the denominators of any other row are
+  cleared, a row is updated as (a/g) row - (b/g) pivot row with
+  g = gcd(a, b) and divided by the gcd of its entries, and each pivot row
+  is divided by its pivot d once at the end, as x // d where d divides x
+  and ``Fraction(x, d)`` elsewhere;
 * over F_p, Gauss-Jordan on ``int`` residues, where the pivot row is
   scaled once by the inverse of its pivot and only its nonzero columns
   are updated in the other rows.
@@ -29,18 +31,25 @@ then checks membership exactly (the combination must give the vector
 back), so it needs no elimination.  A basis built without lead columns
 is solved against instead.
 
+Canonical entries.  Every entry these kernels emit is in its field's
+canonical form: a residue in [0, p) over F_p, and over Q an ``int`` when
+it is integral and a ``Fraction`` with denominator > 1 otherwise (see
+``fields``).  They accept any exact input (unreduced residues, or
+``int``s and ``Fraction``s in any form), so integral rationals stay
+cheap ``int``s from the parsed module matrices to the reported bases.
+
 Products.  Matrix products, matrix-vector products, basis recombination
 (``SubspaceBasis.combine``, and through it the lead-column readout) all
 go through one private kernel, ``_product(field, a_rows, b_rows,
 ncols)``.  It lists the nonzero entries of the right factor once per
 call, walks only those, multiplies and adds with Python operators, and
-over F_p reduces each output entry once with ``% p``.  ``kron_add``,
+brings each output entry to its canonical form once.  ``kron_add``,
 ``QuotientSpace.reduce``, the entrywise ``Matrix`` arithmetic and the
 vector build of ``kernel_basis`` follow the same rule: operators, zero
-entries skipped, one reduction per stored entry.  Over Q the kernel
-multiplies ``Fraction``s directly and does not clear denominators: most
-products here are of 1x1 and 2x2 blocks, and clearing denominators in
-every product made the Q workloads slower, not faster.  Matrices built
+entries skipped, one canonical form per stored entry.  Over Q the
+kernel does not clear denominators: most products here are of 1x1 and
+2x2 blocks, and clearing denominators in every product made the Q
+workloads slower, not faster.  Matrices built
 by these kernels are adopted without the copy and checks of
 ``Matrix(...)``; the field objects' methods stay for the other modules,
 and the tests keep the field-method bodies these kernels replaced as
@@ -60,6 +69,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Optional
+
+from .fields import canonical
 
 
 class Matrix:
@@ -164,7 +175,7 @@ class Matrix:
             rows = [[(a + b) % p for a, b in zip(r, s)]
                     for r, s in zip(self.rows, other.rows)]
         else:
-            rows = [[a + b if a and b else a or b for a, b in zip(r, s)]
+            rows = [[canonical(a + b) for a, b in zip(r, s)]
                     for r, s in zip(self.rows, other.rows)]
         return Matrix._adopt(self.field, rows, self.ncols)
 
@@ -175,7 +186,7 @@ class Matrix:
             rows = [[(a - b) % p for a, b in zip(r, s)]
                     for r, s in zip(self.rows, other.rows)]
         else:
-            rows = [[a - b if b else a for a, b in zip(r, s)]
+            rows = [[canonical(a - b) for a, b in zip(r, s)]
                     for r, s in zip(self.rows, other.rows)]
         return Matrix._adopt(self.field, rows, self.ncols)
 
@@ -184,16 +195,16 @@ class Matrix:
         if p:
             rows = [[-a % p for a in r] for r in self.rows]
         else:
-            rows = [[-a if a else a for a in r] for r in self.rows]
+            rows = [[canonical(-a) for a in r] for r in self.rows]
         return Matrix._adopt(self.field, rows, self.ncols)
 
     def scale(self, c) -> "Matrix":
         f = self.field
-        p, zero = f.char, f.zero
+        p = f.char
         if p:
             rows = [[c * a % p for a in r] for r in self.rows]
         else:
-            rows = [[c * a if a else zero for a in r] for r in self.rows]
+            rows = [[canonical(c * a) for a in r] for r in self.rows]
         return Matrix._adopt(f, rows, self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -241,9 +252,10 @@ def _product(field, a_rows, b_rows, ncols):
 
     The nonzero entries of b_rows are listed once; each entry of a_rows
     that is nonzero then touches only those of its row of b_rows.
-    Entries are multiplied and summed with Python operators, and over F_p
-    each output entry is reduced once, at the end.  The output rows are
-    new lists.
+    Entries are multiplied and summed with Python operators, and each
+    output entry is brought to its canonical form once, at the end:
+    reduced mod p over F_p, an ``int`` when integral over Q.  The output
+    rows are new lists.
     """
     support = _support(b_rows)
     zero, p = field.zero, field.char
@@ -254,7 +266,8 @@ def _product(field, a_rows, b_rows, ncols):
             if a:
                 for j, y in srow:
                     acc[j] += a * y
-        out.append([x % p for x in acc] if p else acc)
+        out.append([x % p for x in acc] if p else
+                   [x if type(x) is int else canonical(x) for x in acc])
     return out
 
 
@@ -292,8 +305,8 @@ def _rref(field, rows):
     Pivot order is fixed: columns scanned left to right, first row with a
     nonzero entry wins.  Rows are fully reduced (zeros above pivots too),
     so the output is canonical for the row space.  The caller's rows are
-    left unchanged.  Over Q the rows are ``Fraction``s, over F_p ``int``
-    residues in [0, p).
+    left unchanged.  Over Q the entries are canonical (``int`` when
+    integral, else ``Fraction``), over F_p ``int`` residues in [0, p).
     """
     if not rows or not rows[0]:
         return [], []
@@ -327,6 +340,9 @@ def _pivot_loop(m, eliminate):
 def _rref_rational(rows):
     m = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            m.append(row)  # eliminate replaces rows, it never writes into one
+            continue
         d = lcm(*(x.denominator for x in row))
         m.append([x.numerator * (d // x.denominator) for x in row])
 
@@ -344,9 +360,14 @@ def _rref_rational(rows):
             m[i] = [x // content for x in new] if content > 1 else new
 
     pivots = _pivot_loop(m, eliminate)
-    zero = Fraction(0)
-    return [[Fraction(x, row[p]) if x else zero for x in row]
-            for row, p in zip(m, pivots)], pivots
+    out = []
+    for row, c in zip(m, pivots):
+        d = row[c]
+        if d == 1:
+            out.append(list(row))
+        else:
+            out.append([Fraction(x, d) if x % d else x // d for x in row])
+    return out, pivots
 
 
 def _rref_residues(p, rows):
@@ -491,7 +512,9 @@ class QuotientSpace:
                 for j, y in srow:
                     v[j] -= a * y
         p = self.field.char
-        return [x % p for x in v] if p else v
+        if p:
+            return [x % p for x in v]
+        return [x if type(x) is int else canonical(x) for x in v]
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -517,7 +540,7 @@ def coordinates_in_basis(basis: SubspaceBasis, vec) -> Optional[list]:
     if len(vec) != basis.ambient_dim:
         raise ValueError("vector has wrong ambient dimension")
     p = basis.field.char
-    coords = [vec[j] for j in basis.leads]
+    coords = [vec[j] % p if p else canonical(vec[j]) for j in basis.leads]
     if basis.combine(coords) != ([x % p for x in vec] if p else list(vec)):
         return None
     return coords
@@ -552,7 +575,8 @@ def kron_add(field, rows, row0: int, col0: int, coeff, A: Matrix, B: Matrix) -> 
                         row[c0 + q] = (row[c0 + q] + ca * b) % p
                 else:
                     for q, b in cells:
-                        row[c0 + q] += ca * b
+                        x = row[c0 + q] + ca * b
+                        row[c0 + q] = x if type(x) is int else canonical(x)
 
 
 def linear_map_matrix(field, domain_dim: int, codomain_dim: int,

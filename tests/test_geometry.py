@@ -1,8 +1,11 @@
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from quiverext import geometry, iso
-from quiverext.ext1 import ArrowCochain, b_space, ext1, middle_term, z_space
-from quiverext.ext2 import compose_cocycles, ext2_small_model, ext2_via_omega
+from quiverext.ext1 import ArrowCochain, ExtSpace1, b_space, ext1, middle_term, z_space
+from quiverext.ext2 import Ext2Model, compose_cocycles, ext2_small_model, ext2_via_omega
 from quiverext.fields import QQ, PrimeField
 from quiverext.fixtures import load_fixture
 from quiverext.geometry import (
@@ -24,9 +27,9 @@ from quiverext.geometry import (
     tangent_module_variety,
 )
 from quiverext.iso import IsoCertificate, iso_test
-from quiverext.linalg import Matrix, QuotientSpace, linear_map_matrix
+from quiverext.linalg import Matrix, QuotientSpace, SubspaceBasis, linear_map_matrix
 from quiverext.quiver import QuiverError, a_of_d
-from quiverext.rep import direct_sum, hom_basis
+from quiverext.rep import Cochain, Representation, direct_sum, hom_basis
 
 F101 = PrimeField(101)
 
@@ -313,6 +316,54 @@ def test_regularity_certificate_of_the_square_sequence(f3):
     assert report.verdict == "regular-tangent"
     assert report.bound == report.a_d == 3
     assert report.a_d - report.orbit_dim_n == 1
+
+
+def _field_entries(obj):
+    """Every field element held by obj, through the package's containers."""
+    if isinstance(obj, Matrix):
+        for row in obj.rows:
+            yield from row
+    elif isinstance(obj, (Representation, Cochain)):
+        for m in obj.mats.values():
+            yield from _field_entries(m)
+    elif isinstance(obj, SubspaceBasis):
+        yield from _field_entries(obj.vectors)
+    elif isinstance(obj, QuotientSpace):
+        yield from _field_entries([obj.subspace, obj._rows])
+    elif isinstance(obj, ExtSpace1):
+        yield from _field_entries([obj.source, obj.target, obj.z, obj.b, obj.quotient])
+    elif isinstance(obj, Ext2Model):
+        yield from _field_entries([obj.source, obj.target, obj.bprime, obj.quotient])
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _field_entries(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _field_entries(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _field_entries(v)
+    elif type(obj) in (int, float, Fraction):
+        yield obj
+
+
+def test_rational_entries_stay_canonical_end_to_end(f3):
+    """Integral values are ints, the others Fractions, and none is a float."""
+    assert f3.field == QQ
+    mods = f3.modules
+    held = list(mods.values())
+    for V in mods.values():
+        for U in mods.values():
+            held += [hom_basis(V, U), ext1(V, U), ext2_small_model(V, U),
+                     ext2_via_omega(V, U)]
+    ses = f3.sequence("XI3")
+    M, U, V = mods[ses.middle], mods[ses.sub], mods[ses.quot]
+    witness = degeneration_witness_search(M, U, V)
+    held += [witness, regularity_certificate(M, U, V, witness)]
+    entries = list(_field_entries(held))
+    assert len(entries) > 500
+    for x in entries:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
 
 
 def test_regularity_certificate_rejects_a_mismatched_witness(f2, ses1_witness):

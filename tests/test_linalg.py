@@ -108,6 +108,48 @@ def test_prime_field_arithmetic_round_trip():
         f.of_fraction(Fraction(1, 101))
 
 
+def _is_canonical_rational(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def test_rational_field_returns_the_canonical_form():
+    f = QQ
+    assert type(f.zero) is int and type(f.one) is int
+    half = f.div(1, 2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert f.div(6, 3) == 2 and type(f.div(6, 3)) is int
+    assert f.inv(Fraction(1, 2)) == 2 and type(f.inv(Fraction(1, 2))) is int
+    assert f.inv(-3) == Fraction(-1, 3)
+    for value in ("6/3", Fraction(4, 2), True, 7, -2):
+        assert type(f.of(value)) is int
+    assert f.of(True) == 1 and f.of("6/3") == 2
+    assert type(f.of_fraction(Fraction(-6, 2))) is int
+    assert f.add(Fraction(1, 2), Fraction(1, 2)) == 1
+    assert type(f.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(f.sub(Fraction(3, 2), Fraction(1, 2))) is int
+    assert type(f.mul(Fraction(2, 3), Fraction(3, 2))) is int
+    assert type(f.neg(Fraction(4))) is int
+    assert f.mul(Fraction(1, 2), 3) == Fraction(3, 2)
+    samples = [0, 1, -4, Fraction(0), Fraction(5), Fraction(1, 3), Fraction(-7, 2)]
+    for a in samples:
+        assert _is_canonical_rational(f.of(a)) and f.of(a) == a
+        assert _is_canonical_rational(f.neg(a))
+        if a:
+            assert _is_canonical_rational(f.inv(a)) and f.mul(a, f.inv(a)) == 1
+        for b in samples:
+            for op in (f.add, f.sub, f.mul):
+                assert _is_canonical_rational(op(a, b))
+            if b:
+                q = f.div(a, b)
+                assert _is_canonical_rational(q) and q * b == a
+    with pytest.raises(ZeroDivisionError):
+        f.div(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(Fraction(0))
+    with pytest.raises(TypeError):
+        f.of(0.5)
+
+
 @st.composite
 def tiny_matrices(draw):
     nrows = draw(st.integers(min_value=0, max_value=3))
@@ -234,6 +276,23 @@ def test_lead_columns_are_checked():
     assert coordinates_in_basis(ok, [2, 3, 0]) is None
 
 
+def test_readout_and_solve_agree_on_unreduced_and_non_canonical_input():
+    basis = kernel_basis(Matrix(F101, [[1, 1, 0]], 3))
+    vec = [201, 1, 207]
+    assert solve(basis.matrix_of_columns(), vec) == [1, 5]
+    assert coordinates_in_basis(basis, vec) == [1, 5]
+    cases = [
+        (Matrix(QQ, [[1, 1, 0]], 3), [Fraction(-2), Fraction(2), Fraction(6, 3)]),
+        (Matrix(QQ, [[1, 1, 0], [0, 2, 1]], 3),
+         [Fraction(3, 2), Fraction(-3, 2), Fraction(3)]),
+    ]
+    for m, vec in cases:
+        basis = kernel_basis(m)
+        coords = coordinates_in_basis(basis, vec)
+        assert coords == solve(basis.matrix_of_columns(), vec)
+        assert all(type(x) is int for x in coords)
+
+
 @st.composite
 def sandwich_cases(draw):
     """Matrices A, B over one field and a coefficient, for X |-> c A X B."""
@@ -338,11 +397,7 @@ def test_rref_kernels_equal_the_generic_elimination(field, kind):
             got_rows, got_pivots = _rref(field, rows)
             assert rows == before, "the kernel changed its input"
             assert (got_rows, got_pivots) == _oracle_rref(field, rows)
-            for row in got_rows:
-                if field.char == 0:
-                    assert all(type(x) is Fraction for x in row)
-                else:
-                    assert all(type(x) is int and 0 <= x < field.char for x in row)
+            _assert_field_entries(field, got_rows)
             if kind == "zero":
                 assert got_pivots == []
             if kind == "deficient" and nrows >= 3:
@@ -459,7 +514,7 @@ def _snapshot(*row_lists):
 def _assert_field_entries(field, rows):
     for row in rows:
         if field.char == 0:
-            assert all(type(x) is Fraction for x in row)
+            assert all(_is_canonical_rational(x) for x in row)
         else:
             assert all(type(x) is int and 0 <= x < field.char for x in row)
 
