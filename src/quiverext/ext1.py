@@ -23,9 +23,11 @@ from .linalg import (
     SubspaceBasis,
     _product,
     coordinates_in_basis,
+    hstack,
     kernel_basis,
     kron_add,
     row_space_basis,
+    vstack,
 )
 from .quiver import Path, QuiverError, RelationElement
 from .rep import (
@@ -202,24 +204,17 @@ def middle_term(Z: ArrowCochain):
     mats = {}
     for a in bq.quiver.arrows:
         ua, za, va = U.mats[a.name], Z.mats[a.name], V.mats[a.name]
-        rows = []
-        for i in range(ua.nrows):
-            rows.append(list(ua.rows[i]) + list(za.rows[i]))
-        for i in range(va.nrows):
-            rows.append([field.zero] * ua.ncols + list(va.rows[i]))
-        mats[a.name] = Matrix(field, rows, ua.ncols + va.ncols)
+        mats[a.name] = vstack(hstack(ua, za),
+                              hstack(Matrix.zeros(field, va.nrows, ua.ncols), va))
     W = Representation(bq, field, dims, mats, check=True)
-    incl_mats, proj_mats = {}, {}
-    for x in bq.quiver.vertices:
-        du, dv = U.dims[x], V.dims[x]
-        eye_u = Matrix.identity(field, du)
-        eye_v = Matrix.identity(field, dv)
-        incl_rows = [list(r) for r in eye_u.rows] + [[field.zero] * du for _ in range(dv)]
-        proj_rows = [[field.zero] * du + list(r) for r in eye_v.rows]
-        incl_mats[x] = Matrix(field, incl_rows, du)
-        proj_mats[x] = Matrix(field, proj_rows, du + dv)
-    incl = VertexCochain(U, W, incl_mats)
-    proj = VertexCochain(W, V, proj_mats)
+    incl = VertexCochain(U, W, {
+        x: vstack(Matrix.identity(field, U.dims[x]),
+                  Matrix.zeros(field, V.dims[x], U.dims[x]))
+        for x in bq.quiver.vertices})
+    proj = VertexCochain(W, V, {
+        x: hstack(Matrix.zeros(field, V.dims[x], U.dims[x]),
+                  Matrix.identity(field, V.dims[x]))
+        for x in bq.quiver.vertices})
     return W, incl, proj
 
 

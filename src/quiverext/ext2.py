@@ -20,7 +20,6 @@ from .ext1 import (
     relation_boundary_matrix,
     z_path,
 )
-from .iso import iso_test
 from .linalg import (
     Matrix,
     QuotientSpace,
@@ -54,6 +53,15 @@ class ProjPresentation:
     explicit label lists so cochains on them can be indexed by path
     decompositions.  The presentation is deliberately non-minimal: its
     shape depends only on dimension data, never on choices.
+
+    The inclusion sends a syzygy label (y, sigma, j) to the same label of
+    P minus N_sigma e_j placed on the labels of the trivial path at x.
+    That correction lives only on trivial-path labels, which are not
+    syzygy labels, so the rows of the inclusion at the syzygy labels form
+    an identity.  Since the inclusion is a morphism, incl_t omega_a =
+    P_a incl_s, and reading that product at the syzygy labels gives
+    omega_a: the syzygy's arrow matrices are the rows of P_a @ incl at
+    the syzygy labels, with no second path reduction or N_sigma term.
     """
 
     def __init__(self, N: Representation):
@@ -81,8 +89,9 @@ class ProjPresentation:
                                    for i, (y, s, j) in enumerate(self.omega_labels[x])}
 
         self.P = self._build_p()
-        self.omega = self._build_omega()
-        self.incl = self._build_incl()
+        incl_mats = self._incl_matrices()
+        self.omega = self._build_omega(incl_mats)
+        self.incl = VertexCochain(self.omega, self.P, incl_mats)
         self.proj = self._build_proj()
         self._verify_exactness()
 
@@ -103,32 +112,7 @@ class ProjPresentation:
             mats[a.name] = Matrix.from_columns(field, dims[a.target], cols)
         return Representation(self.bq, field, dims, mats, check=True)
 
-    def _build_omega(self) -> Representation:
-        field, quiver = self.field, self.bq.quiver
-        N = self.N
-        dims = {x: len(self.omega_labels[x]) for x in quiver.vertices}
-        mats = {}
-        for a in quiver.arrows:
-            cols = []
-            for (y, sigma, j) in self.omega_labels[a.source]:
-                col = [field.zero] * dims[a.target]
-                extended = Path(y, a.target, (a.name,) + sigma.arrows)
-                for c, tau in self.basis.reduce_path(extended):
-                    idx = self.omega_index[a.target][(y, tau.arrows, j)]
-                    col[idx] = field.add(col[idx], c)
-                # subtract (arrow) tensor N_sigma n
-                n_sigma = N.eval_path(sigma)
-                for i in range(N.dims[a.source]):
-                    c = n_sigma.rows[i][j]
-                    if field.is_zero(c):
-                        continue
-                    idx = self.omega_index[a.target][(a.source, (a.name,), i)]
-                    col[idx] = field.sub(col[idx], c)
-                cols.append(col)
-            mats[a.name] = Matrix.from_columns(field, dims[a.target], cols)
-        return Representation(self.bq, field, dims, mats, check=True)
-
-    def _build_incl(self) -> VertexCochain:
+    def _incl_matrices(self) -> dict:
         field = self.field
         mats = {}
         for x in self.bq.quiver.vertices:
@@ -145,7 +129,20 @@ class ProjPresentation:
                     col[idx] = field.sub(col[idx], c)
                 cols.append(col)
             mats[x] = Matrix.from_columns(field, len(self.p_labels[x]), cols)
-        return VertexCochain(self.omega, self.P, mats)
+        return mats
+
+    def _build_omega(self, incl_mats: dict) -> Representation:
+        field, quiver = self.field, self.bq.quiver
+        omega_rows = {x: [self.p_index[x][(y, s.arrows, j)]
+                          for (y, s, j) in self.omega_labels[x]]
+                      for x in quiver.vertices}
+        dims = {x: len(rows) for x, rows in omega_rows.items()}
+        mats = {}
+        for a in quiver.arrows:
+            image = self.P.mats[a.name] @ incl_mats[a.source]
+            mats[a.name] = Matrix(field, [image.rows[i] for i in omega_rows[a.target]],
+                                  dims[a.source])
+        return Representation(self.bq, field, dims, mats, check=True)
 
     def _build_proj(self) -> VertexCochain:
         field = self.field
@@ -462,11 +459,6 @@ def top_dims(M: Representation) -> dict:
     return out
 
 
-def projective_at(bq: BoundQuiver, field, x) -> Representation:
-    """The projective whose basis is the surviving paths out of a vertex."""
-    return ProjPresentation(simple(bq, field, x)).P
-
-
 def projective_cover(M: Representation):
     """Minimal projective cover built from a transversal of the top.
 
@@ -517,17 +509,15 @@ def syzygy(M: Representation):
 
 
 def is_projective(M: Representation) -> bool:
-    """Whether M matches the projective built on its own top."""
-    P, cover = projective_cover(M)
-    if P.dim_vector() != M.dim_vector():
-        return False
-    cert = iso_test(P, M)
-    if cert.verdict == "yes":
-        return True
-    if cert.verdict == "no":  # unreachable: cover is onto with equal dims
-        return False
-    # a surjective morphism between equal dimension vectors is invertible
-    return all(cover.mats[x].rank() == M.dims[x] for x in M.bq.quiver.vertices)
+    """Whether M is isomorphic to the projective built on its own top.
+
+    ``projective_cover`` raises unless its cover P -> M is onto at every
+    vertex, and an onto map between spaces of equal dimension is
+    invertible.  So M is projective exactly when P and M have the same
+    dimension vector; no isomorphism search is needed.
+    """
+    P, _ = projective_cover(M)
+    return P.dim_vector() == M.dim_vector()
 
 
 def gldim_le2_check(bq: BoundQuiver, field) -> bool:

@@ -37,10 +37,13 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     SubspaceBasis,
+    block_diag,
     coordinates_in_basis,
+    hstack,
     kernel_basis,
     linear_map_matrix,
     row_space_basis,
+    vstack,
 )
 from .quiver import QuiverError, a_of_d, gl_dim
 from .rep import (
@@ -346,41 +349,25 @@ class ScalingFamily:
     note: str
 
 
-def _coerce_scalar(field, t):
-    if isinstance(t, int):
-        return field.of(t)
-    return t
-
-
 def scaling_family(Z: ArrowCochain, t) -> ScalingFamily:
     """The middle term of t*Z, with a conjugation certificate when t != 0.
 
     Every nonzero t gives a point conjugate to the middle term of Z
     itself; t = 0 gives the split sum.  Together: the split sum is a
-    degeneration of the middle term.
+    degeneration of the middle term.  t is anything ``field.of`` takes.
     """
     V, U = Z.source, Z.target
     field = U.field
-    tval = _coerce_scalar(field, t)
+    tval = field.of(t)
     note = "the middle term degenerates to the split direct sum"
     if field.is_zero(tval):
         return ScalingFamily(U, V, Z, tval, direct_sum(U, V), None, True, note)
     W, _, _ = middle_term(Z)
     Wt, _, _ = middle_term(Z.scale(tval))
     s = field.inv(tval)
-    g = {}
-    for x in U.bq.quiver.vertices:
-        du, dv = U.dims[x], V.dims[x]
-        rows = []
-        for i in range(du):
-            row = [field.zero] * (du + dv)
-            row[i] = field.one
-            rows.append(row)
-        for i in range(dv):
-            row = [field.zero] * (du + dv)
-            row[du + i] = s
-            rows.append(row)
-        g[x] = Matrix(field, rows, du + dv)
+    g = {x: block_diag(field, [Matrix.identity(field, U.dims[x]),
+                               Matrix.identity(field, V.dims[x]).scale(s)])
+         for x in U.bq.quiver.vertices}
     moved = gl_action(g, W)
     return ScalingFamily(U, V, Z, tval, Wt, g, moved == Wt, note)
 
@@ -587,14 +574,9 @@ class DualNumberProbe:
 
 
 def _epsilon_matrix(field, d):
-    rows = []
-    for i in range(d):
-        row = [field.zero] * (2 * d)
-        row[d + i] = field.one
-        rows.append(row)
-    for _ in range(d):
-        rows.append([field.zero] * (2 * d))
-    return Matrix(field, rows, 2 * d)
+    """The square-zero operator [[0, 1], [0, 0]] on k^d + k^d."""
+    return vstack(hstack(Matrix.zeros(field, d, d), Matrix.identity(field, d)),
+                  Matrix.zeros(field, d, 2 * d))
 
 
 def dual_number_oracle(U: Representation, Mbar: ArrowCochain,

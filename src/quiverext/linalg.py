@@ -61,6 +61,11 @@ the images of basis vectors (``Matrix.from_columns``).  Pushing unit
 vectors through a closure (``linear_map_matrix``) is kept only for the
 dual-number oracle: it must reach its counts by a route that shares no
 system assembly with the tangent-pair computations it checks.
+
+Block matrices (direct sums, middle terms [[U, Z], [0, V]] with their
+inclusions and projections, block scalings) are assembled only with
+``block_diag``, ``hstack`` and ``vstack`` from ``Matrix.zeros`` and
+``Matrix.identity`` blocks, never by writing rows by hand elsewhere.
 """
 
 from __future__ import annotations
@@ -116,17 +121,9 @@ class Matrix:
                                   for i in range(n)], n)
 
     @classmethod
-    def from_rows(cls, field, rows, ncols=None) -> "Matrix":
-        return cls(field, [[field.of(x) for x in r] for r in rows], ncols)
-
-    @classmethod
     def from_columns(cls, field, nrows: int, cols) -> "Matrix":
         """The nrows x len(cols) matrix whose columns are the given lists."""
         return cls(field, [[c[i] for c in cols] for i in range(nrows)], len(cols))
-
-    @classmethod
-    def column(cls, field, vec) -> "Matrix":
-        return cls(field, [[x] for x in vec], 1)
 
     # -- shape and access --------------------------------------------
 
@@ -138,9 +135,6 @@ class Matrix:
 
     def col(self, j: int):
         return [r[j] for r in self.rows]
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.ncols)
 
     def is_zero(self) -> bool:
         p = self.field.char
@@ -523,10 +517,6 @@ class QuotientSpace:
         """Indices of the non-pivot coordinates (a transversal basis)."""
         pivot_set = set(self._pivots)
         return [j for j in range(self.ambient_dim) if j not in pivot_set]
-
-
-def quotient(field, ambient_dim: int, subspace: SubspaceBasis) -> QuotientSpace:
-    return QuotientSpace(field, ambient_dim, subspace)
 
 
 def coordinates_in_basis(basis: SubspaceBasis, vec) -> Optional[list]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .linalg import (
     Matrix,
+    block_diag,
     coordinates_in_basis,
     kernel_basis,
     kron_add,
@@ -50,9 +51,6 @@ class Representation:
                     )
 
     # -- basic data ----------------------------------------------------
-
-    def dim_at(self, x) -> int:
-        return self.dims[x]
 
     @property
     def total_dim(self) -> int:
@@ -98,11 +96,6 @@ class Representation:
         dims = ",".join(str(self.dims[x]) for x in self.bq.quiver.vertices)
         return f"<{label} ({dims}) over {self.field.name}>"
 
-    def relabel(self, name: str) -> "Representation":
-        clone = Representation(self.bq, self.field, self.dims, self.mats,
-                               name=name, check=False)
-        return clone
-
 
 def zero_rep(bq: BoundQuiver, field, dims: dict | None = None) -> Representation:
     dims = dims or {x: 0 for x in bq.quiver.vertices}
@@ -125,17 +118,8 @@ def direct_sum(*reps: Representation) -> Representation:
         if r.bq is not bq or r.field != field:
             raise QuiverError("direct summands live over different quivers or fields")
     dims = {x: sum(r.dims[x] for r in reps) for x in bq.quiver.vertices}
-    mats = {}
-    for a in bq.quiver.arrows:
-        out = Matrix.zeros(field, dims[a.target], dims[a.source])
-        r0 = c0 = 0
-        for r in reps:
-            block = r.mats[a.name]
-            for i in range(block.nrows):
-                out.rows[r0 + i][c0:c0 + block.ncols] = list(block.rows[i])
-            r0 += block.nrows
-            c0 += block.ncols
-        mats[a.name] = out
+    mats = {a.name: block_diag(field, [r.mats[a.name] for r in reps])
+            for a in bq.quiver.arrows}
     return Representation(bq, field, dims, mats, check=False)
 
 

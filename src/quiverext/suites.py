@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .dsl import ParseError, parse_workspace, print_workspace, serialize_report
-from .ext1 import ArrowCochain, b_space, ext1, middle_term, z_space
+from .ext1 import ArrowCochain, b_space, ext1, z_space
 from .ext2 import (
     compose_cocycles,
     ext2_small_model,
@@ -38,7 +38,7 @@ from .geometry import (
     tangent_module_variety,
 )
 from .linalg import Matrix
-from .quiver import a_of_d, euler_form
+from .quiver import euler_form
 from .rep import Representation, direct_sum, hom_dim
 
 

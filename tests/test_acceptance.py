@@ -40,12 +40,8 @@ def report(capfd, number, note):
 
 def random_boundary(V, U, rng):
     bs = b_space(V, U)
-    field = U.field
-    vec = [field.zero] * bs.ambient_dim
-    for bvec in bs.vectors:
-        c = field.of(rng.randint(-3, 3))
-        vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, bvec)]
-    return ArrowCochain.from_vector(V, U, vec)
+    coeffs = [U.field.of(rng.randint(-3, 3)) for _ in bs.vectors]
+    return ArrowCochain.from_vector(V, U, bs.combine(coeffs))
 
 
 def check_zdim(V, U):

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from quiverext.ext1 import (
@@ -25,6 +27,7 @@ from quiverext.ext2 import (
     yoneda_left_omega,
 )
 from quiverext.fields import QQ
+from quiverext.fixtures import load_fixture
 from quiverext.iso import iso_test
 from quiverext.linalg import kernel_basis, linear_map_matrix
 from quiverext.quiver import validate_bound_quiver
@@ -185,11 +188,31 @@ def test_global_dimension_gate(f2, f3):
     assert gldim_le2_check(f3.bound_quiver, QQ)
 
 
-def test_small_model_refuses_a_deep_algebra():
-    bq = validate_bound_quiver(
+def deep_algebra():
+    return validate_bound_quiver(
         "deep", ["1", "2", "3", "4"],
         [("a", "2", "1"), ("b", "3", "2"), ("c", "4", "3")],
         [("r", [(1, ["a", "b"])]), ("s", [(1, ["b", "c"])])])
+
+
+def test_projectivity_and_gldim_run_no_isomorphism_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("isomorphism search run")
+
+    monkeypatch.setattr(importlib.import_module("quiverext.ext2"), "iso_test",
+                        no_search, raising=False)
+    # fresh workspaces, so no global-dimension verdict is cached yet
+    f2, f3 = load_fixture("f2"), load_fixture("f3")
+    m = f2.modules
+    names = ("S1", "P2", "P3", "M", "S2", "S3", "N", "V")
+    assert [is_projective(m[n]) for n in names] == [True] * 4 + [False] * 4
+    assert gldim_le2_check(f2.bound_quiver, QQ)
+    assert gldim_le2_check(f3.bound_quiver, QQ)
+    assert not gldim_le2_check(deep_algebra(), QQ)
+
+
+def test_small_model_refuses_a_deep_algebra():
+    bq = deep_algebra()
     assert not gldim_le2_check(bq, QQ)
     N, M = simple(bq, QQ, "4"), simple(bq, QQ, "1")
     with pytest.raises(HypothesisError, match="dimension"):

@@ -263,6 +263,17 @@ def test_scaling_family_certificates(f2, ses1_witness):
     assert limit.rep == direct_sum(Z.target, Z.source)
 
 
+@pytest.mark.parametrize("field, t, expected", [(F101, Fraction(1, 2), 51),
+                                                 (QQ, Fraction(4, 2), 2)], ids=str)
+def test_scaling_family_brings_t_into_the_field(field, t, expected):
+    m = load_fixture("f2", field=field).modules
+    U, V = m["S1"], m["V"]
+    Z = ArrowCochain.from_vector(V, U, z_space(V, U).vectors[0])
+    fam = scaling_family(Z, t)
+    assert fam.t == expected and type(fam.t) is int
+    assert fam.verified
+
+
 def test_witness_search_finds_the_middle(f2, ses1_witness):
     m = f2.modules
     assert iso_test(ses1_witness.middle, m["M"]).verdict == "yes"

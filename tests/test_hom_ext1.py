@@ -1,5 +1,6 @@
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,8 +22,10 @@ from quiverext.ext1 import (
     z_rho,
     z_space,
 )
+from quiverext.ext2 import ProjPresentation
 from quiverext.fields import QQ, PrimeField
 from quiverext.fixtures import load_fixture
+from quiverext.geometry import _epsilon_matrix, scaling_family
 from quiverext.iso import iso_test
 from quiverext.linalg import (
     Matrix,
@@ -32,7 +35,7 @@ from quiverext.linalg import (
     row_space_basis,
     solve,
 )
-from quiverext.quiver import QuiverError
+from quiverext.quiver import Path, QuiverError
 from quiverext.rep import (
     VertexCochain,
     direct_sum,
@@ -40,8 +43,9 @@ from quiverext.rep import (
     hom_dim,
     hom_system,
     kernel_representation,
+    zero_rep,
 )
-from quiverext.suites import random_module
+from quiverext.suites import random_cocycle, random_module
 
 F101 = PrimeField(101)
 
@@ -386,6 +390,144 @@ def test_ext1_readout_equals_the_solve_route(name, field):
             coords = [solve(zcols, bvec) for bvec in space.b.vectors]
             assert space.quotient.subspace.vectors == coords
             assert space.dim == space.z.dim - space.b.dim
+
+
+# -- block builders against the row-writing loops they replaced -----------
+#
+# Each oracle below writes the rows of its matrices by hand, as the
+# library did before it assembled them from block_diag, hstack, vstack
+# and existing maps.
+
+
+def rows_direct_sum(*reps):
+    bq, field = reps[0].bq, reps[0].field
+    dims = {x: sum(r.dims[x] for r in reps) for x in bq.quiver.vertices}
+    mats = {}
+    for a in bq.quiver.arrows:
+        out = Matrix.zeros(field, dims[a.target], dims[a.source])
+        r0 = c0 = 0
+        for r in reps:
+            block = r.mats[a.name]
+            for i in range(block.nrows):
+                out.rows[r0 + i][c0:c0 + block.ncols] = list(block.rows[i])
+            r0 += block.nrows
+            c0 += block.ncols
+        mats[a.name] = out
+    return mats
+
+
+def rows_middle_term(Z):
+    """The arrow, inclusion and projection matrices of the middle term."""
+    V, U = Z.source, Z.target
+    field = V.field
+    mats, incl, proj = {}, {}, {}
+    for a in V.bq.quiver.arrows:
+        ua, za, va = U.mats[a.name], Z.mats[a.name], V.mats[a.name]
+        rows = []
+        for i in range(ua.nrows):
+            rows.append(list(ua.rows[i]) + list(za.rows[i]))
+        for i in range(va.nrows):
+            rows.append([field.zero] * ua.ncols + list(va.rows[i]))
+        mats[a.name] = Matrix(field, rows, ua.ncols + va.ncols)
+    for x in V.bq.quiver.vertices:
+        du, dv = U.dims[x], V.dims[x]
+        eye_u = Matrix.identity(field, du)
+        eye_v = Matrix.identity(field, dv)
+        incl_rows = [list(r) for r in eye_u.rows] + [[field.zero] * du for _ in range(dv)]
+        proj_rows = [[field.zero] * du + list(r) for r in eye_v.rows]
+        incl[x] = Matrix(field, incl_rows, du)
+        proj[x] = Matrix(field, proj_rows, du + dv)
+    return mats, incl, proj
+
+
+def path_reduced_omega(pres):
+    """The syzygy's arrow matrices by path reduction and the N_sigma term."""
+    field, quiver, N = pres.field, pres.bq.quiver, pres.N
+    dims = {x: len(pres.omega_labels[x]) for x in quiver.vertices}
+    mats = {}
+    for a in quiver.arrows:
+        cols = []
+        for (y, sigma, j) in pres.omega_labels[a.source]:
+            col = [field.zero] * dims[a.target]
+            extended = Path(y, a.target, (a.name,) + sigma.arrows)
+            for c, tau in pres.basis.reduce_path(extended):
+                idx = pres.omega_index[a.target][(y, tau.arrows, j)]
+                col[idx] = field.add(col[idx], c)
+            n_sigma = N.eval_path(sigma)
+            for i in range(N.dims[a.source]):
+                c = n_sigma.rows[i][j]
+                if field.is_zero(c):
+                    continue
+                idx = pres.omega_index[a.target][(a.source, (a.name,), i)]
+                col[idx] = field.sub(col[idx], c)
+            cols.append(col)
+        mats[a.name] = Matrix.from_columns(field, dims[a.target], cols)
+    return mats
+
+
+def rows_scaling(field, du, dv, s):
+    rows = []
+    for i in range(du):
+        row = [field.zero] * (du + dv)
+        row[i] = field.one
+        rows.append(row)
+    for i in range(dv):
+        row = [field.zero] * (du + dv)
+        row[du + i] = s
+        rows.append(row)
+    return Matrix(field, rows, du + dv)
+
+
+def rows_epsilon(field, d):
+    rows = []
+    for i in range(d):
+        row = [field.zero] * (2 * d)
+        row[d + i] = field.one
+        rows.append(row)
+    for _ in range(d):
+        rows.append([field.zero] * (2 * d))
+    return Matrix(field, rows, 2 * d)
+
+
+def assert_same_entries(new, old):
+    """Equal shapes, entries and entry types (2 and Fraction(2) differ)."""
+    assert new.shape() == old.shape()
+    assert [[(type(x), x) for x in r] for r in new.rows] == \
+        [[(type(x), x) for x in r] for r in old.rows]
+
+
+def assert_same_mats(new, old):
+    assert list(new) == list(old)
+    for key in old:
+        assert_same_entries(new[key], old[key])
+
+
+@pytest.mark.parametrize("name, field", CASES, ids=str)
+def test_block_builders_equal_the_row_loops(name, field):
+    mods = _modules(name, field, seed=13)
+    mods.append(zero_rep(mods[0].bq, field))  # dimension 0 at every vertex
+    rng = random.Random(17)
+    for V in mods:
+        for U in mods:
+            assert_same_mats(direct_sum(U, V, V).mats, rows_direct_sum(U, V, V))
+            Z = random_cocycle(V, U, rng)
+            W, incl, proj = middle_term(Z)
+            mats, incl_rows, proj_rows = rows_middle_term(Z)
+            assert_same_mats(W.mats, mats)
+            assert_same_mats(incl.mats, incl_rows)
+            assert_same_mats(proj.mats, proj_rows)
+            t = field.of(rng.choice((1, -1, 2, 3, Fraction(1, 2))))
+            fam = scaling_family(Z, t)
+            s = field.inv(t)
+            assert fam.verified
+            assert_same_mats(fam.conjugation, {
+                x: rows_scaling(field, U.dims[x], V.dims[x], s)
+                for x in U.bq.quiver.vertices})
+    for N in mods:
+        pres = ProjPresentation(N)
+        assert_same_mats(pres.omega.mats, path_reduced_omega(pres))
+    for d in range(4):
+        assert_same_entries(_epsilon_matrix(field, d), rows_epsilon(field, d))
 
 
 @pytest.mark.parametrize("field", [QQ, F101], ids=str)
