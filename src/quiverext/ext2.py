@@ -1,14 +1,23 @@
 """Projective presentations and second extension groups.
 
 Second extensions are computed in two ways.  The reference model is
-unconditional: present N by the projective whose vertex-x piece is
-spanned by (basis path into x) tensor (coordinate of N), take the
-syzygy, and compute first extensions of the syzygy.  The small model
-lives on relation cochains -- one matrix per relation element -- and is
-a faithful quotient only over acyclic quivers of global dimension at
-most two, so it is gated by those checks.  The transport map between
-the models, Yoneda composition of cocycle representatives, and the
-projectivity and global-dimension tests all live here.
+unconditional: first extensions of a syzygy of N.  ``ext2_via_omega``
+takes the minimal syzygy, the kernel of the projective cover
+(``syzygy``), unless it is handed a presentation.  The standard
+presentation (``ProjPresentation``) places at vertex x the span of
+(basis path into x) tensor (coordinate of N); its larger syzygy carries
+the labels that the transport map, the Yoneda oracle and the suites
+index by, so they keep it.  The small model lives on relation cochains
+-- one matrix per relation element -- and is a faithful quotient only
+over acyclic quivers of global dimension at most two, so it is gated by
+those checks.  The transport map between the models, Yoneda composition
+of cocycle representatives, and the projectivity and global-dimension
+tests all live here.
+
+The indecomposable projectives P(x) behind every projective cover are
+the standard presentations of the simples, built and verified once per
+bound quiver, field and vertex and memoised on the bound quiver
+(``indecomposable_projective``).
 """
 
 from __future__ import annotations
@@ -52,7 +61,11 @@ class ProjPresentation:
     omega keeps the labels with sigma of positive length.  Both carry
     explicit label lists so cochains on them can be indexed by path
     decompositions.  The presentation is deliberately non-minimal: its
-    shape depends only on dimension data, never on choices.
+    shape depends only on dimension data, never on choices.  It is the
+    route of ``phi``, the Yoneda oracle and every caller that passes a
+    presentation; ``ext2_via_omega`` without one uses the smaller
+    minimal syzygy instead.  For a simple at x, P is the indecomposable
+    projective P(x), which ``indecomposable_projective`` memoises.
 
     The inclusion sends a syzygy label (y, sigma, j) to the same label of
     P minus N_sigma e_j placed on the labels of the trivial path at x.
@@ -73,14 +86,14 @@ class ProjPresentation:
         self.basis = ab
 
         quiver = bq.quiver
+        self.paths = {}
         self.p_labels, self.omega_labels = {}, {}
         self.p_index, self.omega_index = {}, {}
         for x in quiver.vertices:
-            pl = []
-            for y in quiver.vertices:
-                for sigma in ab.basis.get((x, y), ()):
-                    for j in range(N.dims[y]):
-                        pl.append((y, sigma, j))
+            # only paths out of a vertex where N is nonzero carry labels
+            self.paths[x] = [(y, sigma) for y in quiver.vertices if N.dims[y]
+                             for sigma in ab.basis.get((x, y), ())]
+            pl = [(y, sigma, j) for y, sigma in self.paths[x] for j in range(N.dims[y])]
             self.p_labels[x] = pl
             self.omega_labels[x] = [(y, s, j) for (y, s, j) in pl if s.length >= 1]
             self.p_index[x] = {(y, s.arrows, j): i
@@ -88,46 +101,56 @@ class ProjPresentation:
             self.omega_index[x] = {(y, s.arrows, j): i
                                    for i, (y, s, j) in enumerate(self.omega_labels[x])}
 
+        # N_sigma for each basis path, in the order of self.paths
+        evals = {x: [N.eval_path(sigma) for _, sigma in self.paths[x]]
+                 for x in quiver.vertices}
         self.P = self._build_p()
-        incl_mats = self._incl_matrices()
+        incl_mats = self._incl_matrices(evals)
         self.omega = self._build_omega(incl_mats)
         self.incl = VertexCochain(self.omega, self.P, incl_mats)
-        self.proj = self._build_proj()
+        self.proj = self._build_proj(evals)
         self._verify_exactness()
 
     # -- construction -------------------------------------------------
+    # The labels of a path (y, sigma) are (y, sigma, j) for every
+    # coordinate j of N_y, consecutive, so each builder reduces or
+    # evaluates a path once and spreads the result over its labels.
 
     def _build_p(self) -> Representation:
         field, quiver = self.field, self.bq.quiver
         dims = {x: len(self.p_labels[x]) for x in quiver.vertices}
         mats = {}
         for a in quiver.arrows:
+            index = self.p_index[a.target]
             cols = []
-            for (y, sigma, j) in self.p_labels[a.source]:
-                col = [field.zero] * dims[a.target]
-                extended = Path(y, a.target, (a.name,) + sigma.arrows)
-                for c, tau in self.basis.reduce_path(extended):
-                    col[self.p_index[a.target][(y, tau.arrows, j)]] = c
-                cols.append(col)
+            for y, sigma in self.paths[a.source]:
+                reduced = self.basis.reduce_path(
+                    Path(y, a.target, (a.name,) + sigma.arrows))
+                for j in range(self.N.dims[y]):
+                    col = [field.zero] * dims[a.target]
+                    for c, tau in reduced:
+                        col[index[(y, tau.arrows, j)]] = c
+                    cols.append(col)
             mats[a.name] = Matrix.from_columns(field, dims[a.target], cols)
         return Representation(self.bq, field, dims, mats, check=True)
 
-    def _incl_matrices(self) -> dict:
-        field = self.field
+    def _incl_matrices(self, evals: dict) -> dict:
+        field, N = self.field, self.N
         mats = {}
         for x in self.bq.quiver.vertices:
+            index = self.p_index[x]
+            trivial = [index[(x, (), i)] for i in range(N.dims[x])]
             cols = []
-            for (y, sigma, j) in self.omega_labels[x]:
-                col = [field.zero] * len(self.p_labels[x])
-                col[self.p_index[x][(y, sigma.arrows, j)]] = field.one
-                n_sigma = self.N.eval_path(sigma)
-                for i in range(self.N.dims[x]):
-                    c = n_sigma.rows[i][j]
-                    if field.is_zero(c):
-                        continue
-                    idx = self.p_index[x][(x, (), i)]
-                    col[idx] = field.sub(col[idx], c)
-                cols.append(col)
+            for (y, sigma), n_sigma in zip(self.paths[x], evals[x]):
+                if sigma.length == 0:
+                    continue
+                for j in range(N.dims[y]):
+                    col = [field.zero] * len(self.p_labels[x])
+                    col[index[(y, sigma.arrows, j)]] = field.one
+                    for idx, row in zip(trivial, n_sigma.rows):
+                        if not field.is_zero(row[j]):
+                            col[idx] = field.neg(row[j])
+                    cols.append(col)
             mats[x] = Matrix.from_columns(field, len(self.p_labels[x]), cols)
         return mats
 
@@ -144,13 +167,13 @@ class ProjPresentation:
                                   dims[a.source])
         return Representation(self.bq, field, dims, mats, check=True)
 
-    def _build_proj(self) -> VertexCochain:
-        field = self.field
+    def _build_proj(self, evals: dict) -> VertexCochain:
+        """At x, the blocks N_sigma side by side, in label order."""
         mats = {}
         for x in self.bq.quiver.vertices:
-            cols = [self.N.eval_path(sigma).col(j)
-                    for (y, sigma, j) in self.p_labels[x]]
-            mats[x] = Matrix.from_columns(field, self.N.dims[x], cols)
+            rows = [[e for m in evals[x] for e in m.rows[i]]
+                    for i in range(self.N.dims[x])]
+            mats[x] = Matrix(self.field, rows, len(self.p_labels[x]))
         return VertexCochain(self.P, self.N, mats)
 
     def _verify_exactness(self):
@@ -174,9 +197,17 @@ def proj_presentation(N: Representation) -> ProjPresentation:
 
 def ext2_via_omega(N: Representation, M: Representation,
                    presentation: ProjPresentation | None = None) -> ExtSpace1:
-    """Second extensions of N by M as first extensions of the syzygy."""
-    pres = presentation or ProjPresentation(N)
-    return ext1(pres.omega, M)
+    """Second extensions of N by M as first extensions of a syzygy of N.
+
+    Without a presentation the syzygy is the minimal one, the kernel of
+    the projective cover (``syzygy``); with one, it is that
+    presentation's syzygy.  Two syzygies of N differ by projective
+    summands (Schanuel's lemma), on which Ext^1 vanishes, so the
+    dimension does not depend on the route; the returned space lives on
+    the syzygy used.
+    """
+    omega = syzygy(N)[0] if presentation is None else presentation.omega
+    return ext1(omega, M)
 
 
 # -- the small model on relation cochains ------------------------------
@@ -459,15 +490,32 @@ def top_dims(M: Representation) -> dict:
     return out
 
 
+def indecomposable_projective(bq: BoundQuiver, field, x) -> ProjPresentation:
+    """The standard presentation of the simple at x; its P is P(x).
+
+    Built, and so verified, once per bound quiver, field and vertex: the
+    presentations are memoised on the bound quiver.
+    """
+    cache = bq._projective_cache
+    key = (field.name, x)
+    if key not in cache:
+        cache[key] = ProjPresentation(simple(bq, field, x))
+    return cache[key]
+
+
 def projective_cover(M: Representation):
     """Minimal projective cover built from a transversal of the top.
 
     Returns (P, cover) with P a direct sum of vertex projectives, one
-    per top coordinate, and cover: P -> M surjective.
+    per top coordinate, and cover: P -> M surjective.  The vertex
+    projectives come from ``indecomposable_projective``, so they are
+    built once per bound quiver and field, and each path of M is
+    evaluated once per call.
     """
     bq, field = M.bq, M.field
     quiver = bq.quiver
-    generators = []  # (vertex, coordinate vector in M_x)
+    summands = []
+    cover_cols = {z: [] for z in quiver.vertices}
     for x in quiver.vertices:
         rad = radical_subspace(M, x)
         if rad is None:
@@ -475,21 +523,19 @@ def projective_cover(M: Representation):
         else:
             quot = QuotientSpace(field, M.dims[x], column_space_basis(rad))
             free = quot.free_coordinates()
-        for i in free:
-            gen = [field.zero] * M.dims[x]
-            gen[i] = field.one
-            generators.append((x, gen))
-    if not generators:
+        if not free:
+            continue
+        proj = indecomposable_projective(bq, field, x)
+        # the presentation of the simple at x lists the paths x -> z
+        evals = {z: [M.eval_path(sigma) for _, sigma in proj.paths[z]]
+                 for z in quiver.vertices}
+        for i in free:  # the generator e_i of M_x
+            summands.append(proj.P)
+            for z in quiver.vertices:
+                cover_cols[z].extend(m.col(i) for m in evals[z])
+    if not summands:
         P = zero_rep(bq, field)
         return P, VertexCochain(P, M, {})
-    summands = []
-    cover_cols = {z: [] for z in quiver.vertices}
-    for x, gen in generators:
-        pres = ProjPresentation(simple(bq, field, x))
-        summands.append(pres.P)
-        for z in quiver.vertices:
-            for (_, sigma, _) in pres.p_labels[z]:
-                cover_cols[z].append(M.eval_path(sigma).apply(gen))
     P = direct_sum(*summands)
     mats = {z: Matrix.from_columns(field, M.dims[z], cover_cols[z])
             for z in quiver.vertices}
@@ -522,10 +568,7 @@ def is_projective(M: Representation) -> bool:
 
 def gldim_le2_check(bq: BoundQuiver, field) -> bool:
     """Whether every simple has projective second syzygy."""
-    cache = getattr(bq, "_gldim_cache", None)
-    if cache is None:
-        cache = {}
-        bq._gldim_cache = cache
+    cache = bq._gldim_cache
     if field.name in cache:
         return cache[field.name]
     verdict = True

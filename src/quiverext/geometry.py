@@ -30,7 +30,7 @@ from .ext2 import (
     compose_cocycles,
     ext2_small_model,
     ext2_via_omega,
-    proj_presentation,
+    syzygy,
 )
 from .iso import IsoCertificate, iso_test
 from .linalg import (
@@ -318,11 +318,13 @@ def opposite_rep(M: Representation) -> Representation:
 
 
 def pd_le1(M: Representation) -> bool:
-    """Projective dimension at most one: no second extensions into simples."""
-    pres = proj_presentation(M)
+    """Projective dimension at most one: no second extensions into simples.
+
+    Ext^2(M, S) is Ext^1 of the minimal syzygy of M, built once.
+    """
+    K, _ = syzygy(M)
     for x in M.bq.quiver.vertices:
-        S = simple(M.bq, M.field, x)
-        if ext2_via_omega(M, S, pres).dim != 0:
+        if ext1(K, simple(M.bq, M.field, x)).dim != 0:
             return False
     return True
 

@@ -130,6 +130,11 @@ class BoundQuiver:
         for rel in self.relations:
             self._check_relation(rel)
         self._algebra_cache = {}
+        # filled by ext2: global-dimension verdicts by field name, and the
+        # presentations of the simples (whose P are the indecomposable
+        # projectives) by (field name, vertex)
+        self._gldim_cache = {}
+        self._projective_cache = {}
         self._opposite = None
 
     def _check_relation(self, rel: RelationElement):

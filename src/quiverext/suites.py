@@ -351,7 +351,8 @@ def suite_psi(field, seed: int) -> SuiteResult:
         if psi.surjective:
             duu = z_space(U, U).dim
             dvv = z_space(V, V).dim
-            ext2_vu = ext2_via_omega(V, U).dim
+            # on the standard syzygy, so the suites exercise both routes
+            ext2_vu = ext2_via_omega(V, U, proj_presentation(V)).dim
             rec.equal(f"{wsname}:{ses}:kernel", psi.kernel_dim,
                       duu + dvv - ext2_vu)
         left = left_comp_surjectivity(witness.Z, U, V)

@@ -18,9 +18,11 @@ from quiverext.ext2 import (
     ext2_small_model,
     ext2_via_omega,
     gldim_le2_check,
+    indecomposable_projective,
     is_projective,
     phi,
     proj_presentation,
+    projective_cover,
     syzygy,
     top_dims,
     yoneda_left,
@@ -28,10 +30,13 @@ from quiverext.ext2 import (
 )
 from quiverext.fields import QQ
 from quiverext.fixtures import load_fixture
+from quiverext.geometry import id_le1, opposite_rep, pd_le1
 from quiverext.iso import iso_test
 from quiverext.linalg import kernel_basis, linear_map_matrix
-from quiverext.quiver import validate_bound_quiver
-from quiverext.rep import simple
+from quiverext.quiver import is_acyclic, validate_bound_quiver
+from quiverext.rep import direct_sum, simple, zero_rep
+
+from cases import F2, F101, case_modules
 
 
 def combine(field, basis, coeffs):
@@ -228,3 +233,57 @@ def test_small_model_refuses_an_oriented_cycle():
         [("r", [(1, ["a", "b"])]), ("s", [(1, ["b", "a"])])])
     with pytest.raises(HypothesisError, match="cycle"):
         ext2_small_model(simple(bq, QQ, "1"), simple(bq, QQ, "2"))
+
+
+def pd_le1_by_presentation(M):
+    """The projective-dimension test on the standard presentation's syzygy."""
+    pres = proj_presentation(M)
+    return all(ext2_via_omega(M, simple(M.bq, M.field, x), pres).dim == 0
+               for x in M.bq.quiver.vertices)
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=str)
+@pytest.mark.parametrize("name", ["f1", "f2", "f3", "loops"])
+def test_minimal_syzygy_route_agrees_with_the_other_models(name, field):
+    """Ext^2 on the minimal syzygy against the standard one and the small model."""
+    mods = case_modules(name, field, seed=23)
+    bq = mods[0].bq
+    gated = not is_acyclic(bq) or not gldim_le2_check(bq, field)
+    zero = zero_rep(bq, field)
+    projectives = [indecomposable_projective(bq, field, x).P for x in bq.quiver.vertices]
+    for N in mods:
+        pres = proj_presentation(N)
+        for M in mods:
+            dim = ext2_via_omega(N, M).dim
+            assert dim == ext2_via_omega(N, M, pres).dim
+            if not gated:
+                assert dim == ext2_small_model(N, M).dim
+        assert ext2_via_omega(zero, N).dim == ext2_via_omega(N, zero).dim == 0
+        assert all(ext2_via_omega(P, N).dim == 0 for P in projectives)
+        assert pd_le1(N) == pd_le1_by_presentation(N)
+        assert id_le1(N) == pd_le1_by_presentation(opposite_rep(N))
+
+
+def test_projectives_are_built_once_per_vertex(monkeypatch):
+    ext2_module = importlib.import_module("quiverext.ext2")
+    real_init = ext2_module.ProjPresentation.__init__
+    built = []
+
+    def counting_init(self, N):
+        built.append(N)
+        real_init(self, N)
+
+    monkeypatch.setattr(ext2_module.ProjPresentation, "__init__", counting_init)
+    f3 = load_fixture("f3")  # a fresh bound quiver, so nothing is memoised yet
+    m = f3.modules
+    M = direct_sum(m["P4"], m["S4"], m["S1"])  # two top generators at vertex 4
+    P, _ = projective_cover(M)
+    again, _ = projective_cover(M)
+    assert P.dim_vector() == again.dim_vector() == {"1": 3, "2": 2, "3": 2, "4": 2}
+    assert gldim_le2_check(f3.bound_quiver, QQ)
+    tops = [next(x for x, d in N.dims.items() if d) for N in built]
+    assert all(N.total_dim == 1 for N in built)
+    assert len(tops) == len(set(tops)) <= len(f3.bound_quiver.quiver.vertices)
+    built.clear()
+    assert ext2_via_omega(m["S4"], m["S1"]).dim == 1
+    assert built == []

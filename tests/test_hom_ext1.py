@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from quiverext.dsl import parse_workspace
 from quiverext.ext1 import (
     ArrowCochain,
     RelationCochain,
@@ -22,14 +21,21 @@ from quiverext.ext1 import (
     z_rho,
     z_space,
 )
-from quiverext.ext2 import ProjPresentation
-from quiverext.fields import QQ, PrimeField
-from quiverext.fixtures import load_fixture
+from quiverext.ext2 import (
+    ProjPresentation,
+    indecomposable_projective,
+    projective_cover,
+    radical_subspace,
+    top_dims,
+)
+from quiverext.fields import QQ
 from quiverext.geometry import _epsilon_matrix, scaling_family
 from quiverext.iso import iso_test
 from quiverext.linalg import (
     Matrix,
+    QuotientSpace,
     SubspaceBasis,
+    column_space_basis,
     kernel_basis,
     linear_map_matrix,
     row_space_basis,
@@ -37,40 +43,19 @@ from quiverext.linalg import (
 )
 from quiverext.quiver import Path, QuiverError
 from quiverext.rep import (
+    Representation,
     VertexCochain,
     direct_sum,
     hom_basis,
     hom_dim,
     hom_system,
     kernel_representation,
+    simple,
     zero_rep,
 )
-from quiverext.suites import random_cocycle, random_module
+from quiverext.suites import random_cocycle
 
-F101 = PrimeField(101)
-
-# k[x,y]/(x^2, y^2, xy - yx): one vertex, two loops, so an arrow meets
-# itself in a relation and shares its source and target blocks.
-LOOPS_WS = """\
-quiver LOOPS
-vertex 1
-arrow x : 1 -> 1
-arrow y : 1 -> 1
-relation r1 : x*x
-relation r2 : y*y
-relation r3 : x*y - y*x
-field {field}
-
-module S : dim 1
-module X : dim 2
-  x = [ 0 0 ; 1 0 ]
-module B : dim 2
-  x = [ 0 0 ; 1 0 ]
-  y = [ 0 0 ; 2 0 ]
-module A : dim 4
-  x = [ 0 0 0 0 ; 1 0 0 0 ; 0 0 0 0 ; 0 0 1 0 ]
-  y = [ 0 0 0 0 ; 0 0 0 0 ; 1 0 0 0 ; 0 1 0 0 ]
-"""
+from cases import CASES, F101, case_modules, case_workspace
 
 
 def identity_hom(rep):
@@ -258,7 +243,7 @@ def _flat(m):
 
 @pytest.mark.parametrize("name, field", [("f2", QQ), ("f3", F101), ("loops", QQ)], ids=str)
 def test_cochain_layout_round_trips(name, field):
-    mods = _modules(name, field, seed=3, max_summands=1)
+    mods = case_modules(name, field, seed=3, max_summands=1)
     rng = random.Random(7)
     for cls in KINDS:
         for V in mods:
@@ -287,7 +272,7 @@ def test_cochain_layout_round_trips(name, field):
 @pytest.mark.parametrize("name, field", [("f2", QQ), ("f3", F101), ("loops", QQ)], ids=str)
 def test_systems_follow_the_layout_offsets(name, field):
     """Row and column blocks of the Z and Hom systems sit at offsets()."""
-    mods = _modules(name, field, seed=9, max_summands=1)
+    mods = case_modules(name, field, seed=9, max_summands=1)
     rng = random.Random(2)
     for V in mods:
         for U in mods:
@@ -348,27 +333,9 @@ def probe_hom_matrix(M, N):
                              ArrowCochain.space_dim(M, N), apply)
 
 
-def _workspace(name, field):
-    if name == "loops":
-        return parse_workspace(LOOPS_WS.format(field=field.name))
-    return load_fixture(name, field=field)
-
-
-def _modules(name, field, seed, max_summands=2):
-    """The named modules of a workspace plus three seeded random ones."""
-    ws = _workspace(name, field)
-    names = sorted(ws.modules)
-    rng = random.Random(seed)
-    randoms = [random_module(ws, names, rng, max_summands) for _ in range(3)]
-    return [ws.modules[n] for n in names] + randoms
-
-
-CASES = [(name, field) for name in ("f1", "f2", "f3", "loops") for field in (QQ, F101)]
-
-
 @pytest.mark.parametrize("name, field", CASES, ids=str)
 def test_assembled_systems_equal_the_probed_ones(name, field):
-    mods = _modules(name, field, seed=11)
+    mods = case_modules(name, field, seed=11)
     for V in mods:
         for U in mods:
             assert relation_boundary_matrix(V, U) == probe_relation_matrix(V, U)
@@ -379,7 +346,7 @@ def test_assembled_systems_equal_the_probed_ones(name, field):
 @pytest.mark.parametrize("name, field", CASES, ids=str)
 def test_ext1_readout_equals_the_solve_route(name, field):
     """Z, B and the coboundary coordinates match the old per-vector route."""
-    mods = _modules(name, field, seed=5, max_summands=1)
+    mods = case_modules(name, field, seed=5, max_summands=1)
     for V in mods[-4:]:
         for U in mods[-4:]:
             space = ext1(V, U)
@@ -504,7 +471,7 @@ def assert_same_mats(new, old):
 
 @pytest.mark.parametrize("name, field", CASES, ids=str)
 def test_block_builders_equal_the_row_loops(name, field):
-    mods = _modules(name, field, seed=13)
+    mods = case_modules(name, field, seed=13)
     mods.append(zero_rep(mods[0].bq, field))  # dimension 0 at every vertex
     rng = random.Random(17)
     for V in mods:
@@ -530,9 +497,104 @@ def test_block_builders_equal_the_row_loops(name, field):
         assert_same_entries(_epsilon_matrix(field, d), rows_epsilon(field, d))
 
 
+def per_label_p(pres):
+    """P's arrow matrices, reducing a*sigma once per label (y, sigma, j)."""
+    field = pres.field
+    mats = {}
+    for a in pres.bq.quiver.arrows:
+        n = len(pres.p_labels[a.target])
+        cols = []
+        for (y, sigma, j) in pres.p_labels[a.source]:
+            col = [field.zero] * n
+            extended = Path(y, a.target, (a.name,) + sigma.arrows)
+            for c, tau in pres.basis.reduce_path(extended):
+                col[pres.p_index[a.target][(y, tau.arrows, j)]] = c
+            cols.append(col)
+        mats[a.name] = Matrix.from_columns(field, n, cols)
+    return mats
+
+
+def per_label_incl(pres):
+    """The syzygy inclusion, evaluating N_sigma once per label."""
+    field, N = pres.field, pres.N
+    mats = {}
+    for x in pres.bq.quiver.vertices:
+        cols = []
+        for (y, sigma, j) in pres.omega_labels[x]:
+            col = [field.zero] * len(pres.p_labels[x])
+            col[pres.p_index[x][(y, sigma.arrows, j)]] = field.one
+            n_sigma = N.eval_path(sigma)
+            for i in range(N.dims[x]):
+                c = n_sigma.rows[i][j]
+                if field.is_zero(c):
+                    continue
+                idx = pres.p_index[x][(x, (), i)]
+                col[idx] = field.sub(col[idx], c)
+            cols.append(col)
+        mats[x] = Matrix.from_columns(field, len(pres.p_labels[x]), cols)
+    return mats
+
+
+def per_label_proj(pres):
+    """The cover P -> N, evaluating N_sigma once per label."""
+    return {x: Matrix.from_columns(pres.field, pres.N.dims[x],
+                                   [pres.N.eval_path(sigma).col(j)
+                                    for (y, sigma, j) in pres.p_labels[x]])
+            for x in pres.bq.quiver.vertices}
+
+
+def per_generator_cover(M):
+    """The minimal cover's matrices, one presentation of a simple per generator."""
+    bq, field = M.bq, M.field
+    cols = {z: [] for z in bq.quiver.vertices}
+    for x in bq.quiver.vertices:
+        rad = radical_subspace(M, x)
+        free = (range(M.dims[x]) if rad is None else
+                QuotientSpace(field, M.dims[x], column_space_basis(rad)).free_coordinates())
+        for i in free:
+            gen = [field.zero] * M.dims[x]
+            gen[i] = field.one
+            pres = ProjPresentation(simple(bq, field, x))
+            for z in bq.quiver.vertices:
+                for (_, sigma, _) in pres.p_labels[z]:
+                    cols[z].append(M.eval_path(sigma).apply(gen))
+    return {z: Matrix.from_columns(field, M.dims[z], c) for z, c in cols.items()}
+
+
+@pytest.mark.parametrize("name, field", CASES, ids=str)
+def test_presentation_builders_equal_the_per_label_loops(name, field, monkeypatch):
+    """Presentations and covers evaluate each path of N once, same entries."""
+    evaluated = []
+    real_eval_path = Representation.eval_path
+
+    def counting_eval_path(rep, path):
+        evaluated.append((rep, path))
+        return real_eval_path(rep, path)
+
+    mods = case_modules(name, field, seed=19)
+    mods.append(zero_rep(mods[0].bq, field))
+    vertices = mods[0].bq.quiver.vertices
+    for N in mods:
+        monkeypatch.setattr(Representation, "eval_path", counting_eval_path)
+        pres = ProjPresentation(N)
+        P, cover = projective_cover(N)
+        monkeypatch.undo()
+        on_n = [path for rep, path in evaluated if rep is N]
+        evaluated.clear()
+        tops = [x for x in vertices if top_dims(N)[x]]
+        paths = sum(len(pres.paths[x]) for x in vertices)
+        paths += sum(len(indecomposable_projective(N.bq, field, x).paths[z])
+                     for x in tops for z in vertices)
+        assert len(on_n) == paths
+        assert_same_mats(pres.P.mats, per_label_p(pres))
+        assert_same_mats(pres.incl.mats, per_label_incl(pres))
+        assert_same_mats(pres.proj.mats, per_label_proj(pres))
+        assert_same_mats(cover.mats, per_generator_cover(N))
+
+
 @pytest.mark.parametrize("field", [QQ, F101], ids=str)
 def test_class_of_rejects_a_non_cocycle(field):
-    ws = _workspace("loops", field)
+    ws = case_workspace("loops", field)
     X, S = ws.modules["X"], ws.modules["S"]
     space = ext1(X, S)
     # Z_x = 0 and Z_y = [0 1]: the relation x*y - y*x takes the value
@@ -548,7 +610,7 @@ def test_class_of_rejects_a_non_cocycle(field):
 
 @pytest.mark.parametrize("field", [QQ, F101], ids=str)
 def test_ext1_rejects_a_coboundary_outside_the_cocycles(field, monkeypatch):
-    ws = _workspace("loops", field)
+    ws = case_workspace("loops", field)
     X, S = ws.modules["X"], ws.modules["S"]
     true_b = b_space(X, S)
     # the non-cocycle of test_class_of_rejects_a_non_cocycle
