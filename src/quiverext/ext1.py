@@ -108,18 +108,14 @@ def coboundary(h: VertexCochain) -> ArrowCochain:
     return ArrowCochain(V, U, mats)
 
 
-def coboundary_matrix(V: Representation, U: Representation) -> Matrix:
-    """Matrix of the map h |-> coboundary(h) from vertex to arrow cochains.
-
-    The coboundary U_a h_src - h_tgt V_a is minus the intertwining
-    defect whose kernel is Hom(V, U).
-    """
-    return -hom_system(V, U)
-
-
 def b_space(V: Representation, U: Representation) -> SubspaceBasis:
-    """Basis of the coboundary space inside the arrow-cochain coordinates."""
-    return row_space_basis(coboundary_matrix(V, U).transpose())
+    """Basis of the coboundary space inside the arrow-cochain coordinates.
+
+    The coboundary U_a h_src - h_tgt V_a is minus the intertwining defect
+    f_tgt V_a - U_a f_src of ``hom_system(V, U)``, so the columns of that
+    matrix span the coboundaries, and its transpose is reduced as it is.
+    """
+    return row_space_basis(hom_system(V, U).transpose())
 
 
 @dataclass

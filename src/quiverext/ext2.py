@@ -11,8 +11,9 @@ index by, so they keep it.  The small model lives on relation cochains
 -- one matrix per relation element -- and is a faithful quotient only
 over acyclic quivers of global dimension at most two, so it is gated by
 those checks.  The transport map between the models, Yoneda composition
-of cocycle representatives, and the projectivity and global-dimension
-tests all live here.
+of cocycle representatives (``compose_cocycles``) and its matrices for a
+fixed cocycle, assembled from Kronecker blocks (``yoneda_matrices``), and
+the projectivity and global-dimension tests all live here.
 
 The indecomposable projectives P(x) behind every projective cover are
 the standard presentations of the simples, built and verified once per
@@ -35,6 +36,7 @@ from .linalg import (
     _product,
     column_space_basis,
     hstack,
+    kron_add,
 )
 from .quiver import BoundQuiver, Path, QuiverError, is_acyclic
 from .rep import (
@@ -410,6 +412,48 @@ def compose_cocycles(Zp: ArrowCochain, Zpp: ArrowCochain) -> RelationCochain:
     return RelationCochain(W, U, mats)
 
 
+def yoneda_matrices(xi: ArrowCochain):
+    """Matrices of Yoneda composition with a fixed cocycle xi: V -> U.
+
+    Returns (left, right): left is the matrix of Z |-> compose_cocycles(Z,
+    xi) on arrow cochains U -> U, right that of Z |-> compose_cocycles(xi,
+    Z) on arrow cochains V -> V.  Rows follow ``RelationCochain.offsets(V,
+    U)``, columns ``ArrowCochain.offsets`` of (U, U) and of (V, V).  Each
+    term of ``compose_cocycles`` is linear in the free factor, X |-> A X B
+    with the other factor folded into A or B, so both matrices are
+    assembled from Kronecker blocks (``kron_add``), with no composition of
+    unit cochains.
+    """
+    V, U = xi.source, xi.target
+    field = U.field
+    quiver = V.bq.quiver
+    row0, nrows = RelationCochain.offsets(V, U)
+    col_u, n_u = ArrowCochain.offsets(U, U)
+    col_v, n_v = ArrowCochain.offsets(V, V)
+    left = [[field.zero] * n_u for _ in range(nrows)]
+    right = [[field.zero] * n_v for _ in range(nrows)]
+    for rel in V.bq.relations:
+        r0 = row0[rel.name]
+        for coeff, p in rel.terms:
+            c = field.of_fraction(coeff)
+            arrows = p.arrows
+            for j2 in range(2, len(arrows) + 1):
+                a2 = quiver.arrow_map[arrows[j2 - 1]]
+                tail = V.eval_arrow_word(arrows[j2:], p.source)
+                xi_tail = xi.mats[a2.name] @ tail
+                for j1 in range(1, j2):
+                    a1 = quiver.arrow_map[arrows[j1 - 1]]
+                    word = arrows[j1:j2 - 1]
+                    head = U.eval_arrow_word(arrows[:j1 - 1], a1.target)
+                    # Z at a1 with xi at a2, then xi at a1 with Z at a2
+                    kron_add(field, left, r0, col_u[a1.name], c, head,
+                             U.eval_arrow_word(word, a2.target) @ xi_tail)
+                    kron_add(field, right, r0, col_v[a2.name], c,
+                             head @ xi.mats[a1.name] @ V.eval_arrow_word(word, a2.target),
+                             tail)
+    return Matrix(field, left, n_u), Matrix(field, right, n_v)
+
+
 def yoneda_left(Z: ArrowCochain, cls: Ext1Class,
                 model: Ext2Model | None = None) -> Ext2Class:
     """Compose a fixed cocycle with a first-extension class on the right.
@@ -518,11 +562,9 @@ def projective_cover(M: Representation):
     cover_cols = {z: [] for z in quiver.vertices}
     for x in quiver.vertices:
         rad = radical_subspace(M, x)
-        if rad is None:
-            free = range(M.dims[x])
-        else:
-            quot = QuotientSpace(field, M.dims[x], column_space_basis(rad))
-            free = quot.free_coordinates()
+        # the coordinates off the pivots of the radical span the top
+        leads = set(column_space_basis(rad).leads) if rad is not None else ()
+        free = [i for i in range(M.dims[x]) if i not in leads]
         if not free:
             continue
         proj = indecomposable_projective(bq, field, x)

@@ -27,16 +27,17 @@ from .ext1 import (
 )
 from .ext2 import (
     Ext2Model,
-    compose_cocycles,
     ext2_small_model,
     ext2_via_omega,
     syzygy,
+    yoneda_matrices,
 )
 from .iso import IsoCertificate, iso_test
 from .linalg import (
     Matrix,
     QuotientSpace,
     SubspaceBasis,
+    _product,
     block_diag,
     coordinates_in_basis,
     hstack,
@@ -203,13 +204,32 @@ def hom_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
     return TangentPairs(U, V, zu, zv, kernel_basis(system))
 
 
+def _images(matrix: Matrix, vectors) -> list:
+    """The images matrix @ v of the given vectors, each as a list."""
+    return _product(matrix.field, vectors, matrix.transpose().rows, matrix.nrows)
+
+
+def _pairing_images(Zxi: ArrowCochain, zu: SubspaceBasis, zv: SubspaceBasis) -> list:
+    """[Z' o xi] for each basis cocycle Z' of zu, then [xi o Z''] for zv.
+
+    Each image is a relation-cochain vector, unreduced; both sides come
+    from the composition matrices of ``yoneda_matrices``.
+    """
+    left, right = yoneda_matrices(Zxi)
+    return _images(left, zu.vectors) + _images(right, zv.vectors)
+
+
 def ext_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
     """Hom-tangent pairs that also act trivially on second extensions.
 
     The extra condition composes each pair against every cocycle
     V -> U and asks for a relation coboundary; it is tested in the
     small model, so its hypotheses are enforced.  Column j of the
-    system is the image of the j-th hom-tangent basis pair.
+    system is the image of the j-th hom-tangent basis pair: for each
+    basis cocycle xi, the composition matrices of ``yoneda_matrices``
+    applied to the cocycle bases give the image of every basis cocycle,
+    the pair basis combines them, and each column is reduced once
+    modulo the relation coboundaries.
     """
     field = U.field
     hpairs = hom_tangent_pairs(U, V)
@@ -217,16 +237,13 @@ def ext_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
     zvu = z_space(V, U)
     if zvu.dim == 0 or hpairs.dim == 0:
         return hpairs
-    xi_cochains = [ArrowCochain.from_vector(V, U, v) for v in zvu.vectors]
-    cols = []
-    for vec in hpairs.basis.vectors:
-        Zp, Zpp = hpairs.pair_from_coords(vec)
-        col = []
-        for Zxi in xi_cochains:
-            total = compose_cocycles(Zp, Zxi).add(compose_cocycles(Zxi, Zpp))
-            col.extend(model.quotient.reduce(total.to_vector()))
-        cols.append(col)
-    codom = len(xi_cochains) * model.ambient_dim
+    cols = [[] for _ in hpairs.basis.vectors]
+    for v in zvu.vectors:
+        images = _pairing_images(ArrowCochain.from_vector(V, U, v), hpairs.zu, hpairs.zv)
+        pairs = _product(field, hpairs.basis.vectors, images, model.ambient_dim)
+        for col, image in zip(cols, pairs):
+            col.extend(model.quotient.reduce(image))
+    codom = zvu.dim * model.ambient_dim
     inner = kernel_basis(Matrix.from_columns(field, codom, cols))
     lifted = [hpairs.basis.combine(v) for v in inner.vectors]
     rows = Matrix(field, lifted, hpairs.basis.ambient_dim)
@@ -263,20 +280,19 @@ class PsiMap:
 
 
 def psi_map(Zxi: ArrowCochain, U: Representation, V: Representation) -> PsiMap:
-    """Matrix of (Z', Z'') -> [Z' o xi] + [xi o Z''] into Ext2(V, U)."""
+    """Matrix of (Z', Z'') -> [Z' o xi] + [xi o Z''] into Ext2(V, U).
+
+    Column j is the image of the j-th basis cocycle of Z(U, U), then of
+    Z(V, V): the composition matrices of ``yoneda_matrices`` applied to
+    the cocycle bases, each column reduced once in the small model.
+    """
     if Zxi.source != V or Zxi.target != U:
         raise QuiverError("the fixed cocycle must run V -> U")
     field = U.field
     model = ext2_small_model(V, U)
     zu = z_space(U, U)
     zv = z_space(V, V)
-    cols = []
-    for vec in zu.vectors:
-        Zp = ArrowCochain.from_vector(U, U, vec)
-        cols.append(model.quotient.reduce(compose_cocycles(Zp, Zxi).to_vector()))
-    for vec in zv.vectors:
-        Zpp = ArrowCochain.from_vector(V, V, vec)
-        cols.append(model.quotient.reduce(compose_cocycles(Zxi, Zpp).to_vector()))
+    cols = [model.quotient.reduce(image) for image in _pairing_images(Zxi, zu, zv)]
     mat = Matrix.from_columns(field, model.ambient_dim, cols)
     return PsiMap(U, V, Zxi, model, mat, zu.dim + zv.dim, mat.rank())
 
@@ -294,15 +310,20 @@ class LeftCompReport:
 
 def left_comp_surjectivity(Zxi: ArrowCochain, U: Representation,
                            V: Representation) -> LeftCompReport:
-    """Rank of composing with xi from Ext1(V,V) into Ext2(V,U)."""
+    """Rank of composing with xi from Ext1(V,V) into Ext2(V,U).
+
+    The right composition matrix of ``yoneda_matrices`` is applied to the
+    basis cocycles of Z(V, V) at the free coordinates of Ext1(V, V) (a
+    transversal of the coboundaries), and each image is reduced once in
+    the small model.
+    """
     if Zxi.source != V or Zxi.target != U:
         raise QuiverError("the fixed cocycle must run V -> U")
     model = ext2_small_model(V, U)
     space = ext1(V, V)
-    cols = []
-    for i in space.quotient.free_coordinates():
-        Zp = ArrowCochain.from_vector(V, V, space.z.vectors[i])
-        cols.append(model.quotient.reduce(compose_cocycles(Zxi, Zp).to_vector()))
+    _, right = yoneda_matrices(Zxi)
+    transversal = [space.z.vectors[i] for i in space.quotient.free_coordinates()]
+    cols = [model.quotient.reduce(image) for image in _images(right, transversal)]
     mat = Matrix.from_columns(U.field, model.ambient_dim, cols)
     return LeftCompReport(space.dim, model.dim, mat.rank())
 
@@ -317,16 +338,18 @@ def opposite_rep(M: Representation) -> Representation:
     return Representation(opp, M.field, dict(M.dims), mats, check=True)
 
 
+def _pd_le1_on(M: Representation, K: Representation) -> bool:
+    """pd M <= 1 read on a minimal syzygy K of M: Ext^1(K, S) = 0 for each simple."""
+    return all(ext1(K, simple(M.bq, M.field, x)).dim == 0
+               for x in M.bq.quiver.vertices)
+
+
 def pd_le1(M: Representation) -> bool:
     """Projective dimension at most one: no second extensions into simples.
 
     Ext^2(M, S) is Ext^1 of the minimal syzygy of M, built once.
     """
-    K, _ = syzygy(M)
-    for x in M.bq.quiver.vertices:
-        if ext1(K, simple(M.bq, M.field, x)).dim != 0:
-            return False
-    return True
+    return _pd_le1_on(M, syzygy(M)[0])
 
 
 def id_le1(M: Representation) -> bool:
@@ -511,7 +534,9 @@ def regularity_certificate(M: Representation, U: Representation,
     d = M.dim_vector()
 
     ext1_mm = ext1(M, M).dim
-    ext2_mm = ext2_via_omega(M, M).dim
+    # the minimal syzygy of M serves both Ext^2(M, M) and pd M <= 1
+    omega_m, _ = syzygy(M)
+    ext2_mm = ext1(omega_m, M).dim
     hom_vu = hom_dim(V, U)
     space_vu = ext1(V, U)
     ext1_vu = space_vu.dim
@@ -533,7 +558,7 @@ def regularity_certificate(M: Representation, U: Representation,
         "hom_vu_vanishes": hom_vu == 0,
         "ext1_uv_vanishes": ext1_uv == 0,
         "ext2_uv_vanishes": ext2_uv == 0,
-        "pd_m_le1": pd_le1(M),
+        "pd_m_le1": _pd_le1_on(M, omega_m),
     }
     verdict = "inconclusive"
     if all(flags.values()) and z_nn == a_of_d(bq, d):

@@ -1,12 +1,15 @@
 """Isomorphism testing with certificates.
 
 Two representations are isomorphic exactly when some morphism between
-them is invertible at every vertex.  The test below combines cheap
-refutations (dimension vectors, hom-space fingerprints), a randomized
-search for an invertible morphism, and -- on small inputs -- a symbolic
-determinant that can refute conclusively.  The verdict is always one of
-"yes" (with an invertible witness), "no" (with the reason), or
-"unknown".
+them is invertible at every vertex.  The test runs in this order: the
+dimension vectors; the sum of the Hom(M, N) basis, which proves
+isomorphism when it is invertible; the hom-space fingerprints (dim
+End M, dim Hom(M, N), dim End N, dim Hom(N, M)), which refute it when
+they differ and which an invertible first candidate makes unnecessary;
+a seeded randomized search for an invertible morphism; and -- on small
+inputs -- a symbolic determinant that can refute conclusively.  The
+verdict is always one of "yes" (with an invertible witness), "no" (with
+the reason), or "unknown".
 """
 
 from __future__ import annotations
@@ -93,6 +96,16 @@ def iso_test(M: Representation, N: Representation,
         return IsoCertificate("yes", "both representations are zero",
                               VertexCochain(M, N, {}))
     cochains = hom_basis(M, N)
+    field = M.field
+    homs = SubspaceBasis(field, VertexCochain.space_dim(M, N),
+                         [f.to_vector() for f in cochains])
+    if cochains:
+        # an invertible candidate proves M and N isomorphic, so the
+        # fingerprints below would agree: try it first
+        ones = [field.one] * len(cochains)
+        candidate = VertexCochain.from_vector(M, N, homs.combine(ones))
+        if _vertexwise_invertible(candidate):
+            return IsoCertificate("yes", "invertible morphism found", candidate)
     fp_m = (hom_dim(M, M), len(cochains))
     fp_n = (hom_dim(N, N), hom_dim(N, M))
     if fp_m != fp_n:
@@ -103,14 +116,6 @@ def iso_test(M: Representation, N: Representation,
         )
     if not cochains:
         return IsoCertificate("no", "no nonzero morphism exists")
-    field = M.field
-    homs = SubspaceBasis(field, VertexCochain.space_dim(M, N),
-                         [f.to_vector() for f in cochains])
-
-    ones = [field.one] * len(cochains)
-    candidate = VertexCochain.from_vector(M, N, homs.combine(ones))
-    if _vertexwise_invertible(candidate):
-        return IsoCertificate("yes", "invertible morphism found", candidate)
 
     rng = random.Random(seed)
     for _ in range(trials):

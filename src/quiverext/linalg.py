@@ -56,9 +56,12 @@ and the tests keep the field-method bodies these kernels replaced as
 their oracles.
 
 Constraint systems of the form X |-> A X B on row-major coordinates are
-assembled block by block with ``kron_add``, and the other systems from
-the images of basis vectors (``Matrix.from_columns``).  Pushing unit
-vectors through a closure (``linear_map_matrix``) is kept only for the
+assembled block by block with ``kron_add`` (the relation system of the
+cocycles, and the Yoneda composition matrices ``ext2.yoneda_matrices``),
+the Hom system ``rep.hom_system`` by writing its two blocks f_t M_a and
+-N_a f_s straight into its rows, and the other systems from the images
+of basis vectors (``Matrix.from_columns``).  Pushing unit vectors
+through a closure (``linear_map_matrix``) is kept only for the
 dual-number oracle: it must reach its counts by a route that shares no
 system assembly with the tangent-pair computations it checks.
 
@@ -334,7 +337,7 @@ def _pivot_loop(m, eliminate):
 def _rref_rational(rows):
     m = []
     for row in rows:
-        if all(type(x) is int for x in row):
+        if set(map(type, row)) <= {int}:
             m.append(row)  # eliminate replaces rows, it never writes into one
             continue
         d = lcm(*(x.denominator for x in row))

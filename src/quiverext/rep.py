@@ -13,12 +13,12 @@ read their coordinates from it.
 
 from __future__ import annotations
 
+from .fields import canonical
 from .linalg import (
     Matrix,
     block_diag,
     coordinates_in_basis,
     kernel_basis,
-    kron_add,
 )
 from .quiver import BoundQuiver, Path, QuiverError, RelationElement
 
@@ -246,33 +246,50 @@ def hom_system(M: Representation, N: Representation) -> Matrix:
 
     Columns follow ``VertexCochain.offsets(M, N)`` and rows
     ``ArrowCochain.offsets(M, N)``: one row-major block per vertex and
-    per arrow, in vertex and arrow order.  Its kernel is Hom(M, N).
+    per arrow, in vertex and arrow order.  Entry (i, j) of the block of a
+    takes M_a[q][j] from f_tgt[i][q] and -N_a[i][p] from f_src[p][j]; both
+    are written straight into the rows (on a loop they meet in one entry)
+    and each entry is brought to canonical form once.  Its kernel is
+    Hom(M, N).
     """
+    if M.bq is not N.bq:
+        raise QuiverError("hom of representations over different quivers")
     field = M.field
     col0, ncols = VertexCochain.offsets(M, N)
     row0, nrows = ArrowCochain.offsets(M, N)
-    rows = [[field.zero] * ncols for _ in range(nrows)]
-    minus_one = field.neg(field.one)
+    rows = [[0] * ncols for _ in range(nrows)]
     for a in M.bq.quiver.arrows:
-        eye_t = Matrix.identity(field, N.dims[a.target])
-        eye_s = Matrix.identity(field, M.dims[a.source])
-        kron_add(field, rows, row0[a.name], col0[a.target], field.one, eye_t,
-                 M.mats[a.name])
-        kron_add(field, rows, row0[a.name], col0[a.source], minus_one,
-                 N.mats[a.name], eye_s)
+        m_a, n_a = M.mats[a.name].rows, N.mats[a.name].rows
+        m_t, m_s = M.dims[a.target], M.dims[a.source]
+        c_t, c_s = col0[a.target], col0[a.source]
+        m_cols = [[(q, row[j]) for q, row in enumerate(m_a) if row[j]]
+                  for j in range(m_s)]
+        r = row0[a.name]
+        for i, n_row in enumerate(n_a):
+            n_cells = [(p, y) for p, y in enumerate(n_row) if y]
+            for j, cells in enumerate(m_cols):
+                row = rows[r]
+                r += 1
+                for q, x in cells:
+                    row[c_t + i * m_t + q] += x
+                for p, y in n_cells:
+                    row[c_s + p * m_s + j] -= y
+    p = field.char
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    else:
+        rows = [[x if type(x) is int else canonical(x) for x in row] for row in rows]
     return Matrix(field, rows, ncols)
 
 
 def hom_basis(M: Representation, N: Representation):
     """Canonical basis of the space of morphisms M -> N."""
-    if M.bq is not N.bq:
-        raise QuiverError("hom of representations over different quivers")
     ker = kernel_basis(hom_system(M, N))
     return [VertexCochain.from_vector(M, N, v) for v in ker.vectors]
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
-    return len(hom_basis(M, N))
+    return kernel_basis(hom_system(M, N)).dim
 
 
 def kernel_representation(f: VertexCochain):

@@ -1,10 +1,13 @@
 """Workspaces and seeded module lists shared by the test modules."""
 
 import random
+from fractions import Fraction
 
 from quiverext.dsl import parse_workspace
 from quiverext.fields import QQ, PrimeField
 from quiverext.fixtures import load_fixture
+from quiverext.geometry import gl_action
+from quiverext.linalg import Matrix
 from quiverext.suites import random_module
 
 F101 = PrimeField(101)
@@ -49,4 +52,22 @@ def case_modules(name, field, seed, max_summands=2):
     return [ws.modules[n] for n in names] + randoms
 
 
-CASES = [(name, field) for name in ("f1", "f2", "f3", "loops") for field in (QQ, F101)]
+def with_rational_conjugates(mods):
+    """Over Q, add each seeded module conjugated by 1 + N/2 at every vertex,
+    N the shift matrix, so that entries (the diagonal ones too) are
+    non-integral Fractions and sums of them can come out integral."""
+    if mods[0].field.char:
+        return mods
+    half = Fraction(1, 2)
+    out = list(mods)
+    for M in mods[-3:]:
+        g = {x: Matrix(QQ, [[1 if i == j else half if j == i + 1 else 0
+                             for j in range(d)] for i in range(d)], d)
+             for x, d in M.dims.items()}
+        out.append(gl_action(g, M))
+    return out
+
+
+NAMES = ("f1", "f2", "f3", "loops")
+CASES = [(name, field) for name in NAMES for field in (QQ, F101)]
+CASES_WITH_F2 = [(name, field) for name in NAMES for field in (QQ, F101, F2)]

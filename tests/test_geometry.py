@@ -1,11 +1,21 @@
 import dataclasses
+import importlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from quiverext import geometry, iso
 from quiverext.ext1 import ArrowCochain, ExtSpace1, b_space, ext1, middle_term, z_space
-from quiverext.ext2 import Ext2Model, compose_cocycles, ext2_small_model, ext2_via_omega
+from quiverext.ext2 import (
+    Ext2Model,
+    HypothesisError,
+    compose_cocycles,
+    ext2_small_model,
+    ext2_via_omega,
+    gldim_le2_check,
+    yoneda_matrices,
+)
 from quiverext.fields import QQ, PrimeField
 from quiverext.fixtures import load_fixture
 from quiverext.geometry import (
@@ -27,11 +37,30 @@ from quiverext.geometry import (
     tangent_module_variety,
 )
 from quiverext.iso import IsoCertificate, iso_test
-from quiverext.linalg import Matrix, QuotientSpace, SubspaceBasis, linear_map_matrix
-from quiverext.quiver import QuiverError, a_of_d
-from quiverext.rep import Cochain, Representation, direct_sum, hom_basis
+from quiverext.linalg import (
+    Matrix,
+    QuotientSpace,
+    SubspaceBasis,
+    kernel_basis,
+    linear_map_matrix,
+    row_space_basis,
+)
+from quiverext.quiver import QuiverError, a_of_d, is_acyclic
+from quiverext.rep import (
+    Cochain,
+    RelationCochain,
+    Representation,
+    VertexCochain,
+    direct_sum,
+    hom_basis,
+    hom_dim,
+)
+from quiverext.suites import random_cocycle
+
+from cases import CASES_WITH_F2, case_modules, with_rational_conjugates
 
 F101 = PrimeField(101)
+ext2_module = importlib.import_module("quiverext.ext2")
 
 
 @pytest.fixture(scope="module")
@@ -381,3 +410,224 @@ def test_regularity_certificate_rejects_a_mismatched_witness(f2, ses1_witness):
     m = f2.modules
     with pytest.raises(QuiverError):
         regularity_certificate(m["M"], m["S2"], m["W"], ses1_witness)
+
+
+# -- whole-matrix Yoneda systems against the per-pair bodies they replaced --
+
+def typed(rows):
+    """Entries with their types, so 1 and Fraction(1) differ."""
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+def compose_by_units(Zxi):
+    """The composition matrices built column by column with compose_cocycles."""
+    V, U = Zxi.source, Zxi.target
+    field = U.field
+
+    def units(source, target):
+        n = ArrowCochain.space_dim(source, target)
+        for j in range(n):
+            e = [field.zero] * n
+            e[j] = field.one
+            yield ArrowCochain.from_vector(source, target, e)
+
+    rows = RelationCochain.space_dim(V, U)
+    left = [compose_cocycles(Z, Zxi).to_vector() for Z in units(U, U)]
+    right = [compose_cocycles(Zxi, Z).to_vector() for Z in units(V, V)]
+    return (Matrix.from_columns(field, rows, left), Matrix.from_columns(field, rows, right))
+
+
+def ext_tangent_pairs_per_pair(U, V):
+    field = U.field
+    hpairs = hom_tangent_pairs(U, V)
+    model = ext2_small_model(V, U)
+    zvu = z_space(V, U)
+    if zvu.dim == 0 or hpairs.dim == 0:
+        return hpairs
+    xi_cochains = [ArrowCochain.from_vector(V, U, v) for v in zvu.vectors]
+    cols = []
+    for vec in hpairs.basis.vectors:
+        Zp, Zpp = hpairs.pair_from_coords(vec)
+        col = []
+        for Zxi in xi_cochains:
+            total = compose_cocycles(Zp, Zxi).add(compose_cocycles(Zxi, Zpp))
+            col.extend(model.quotient.reduce(total.to_vector()))
+        cols.append(col)
+    codom = len(xi_cochains) * model.ambient_dim
+    inner = kernel_basis(Matrix.from_columns(field, codom, cols))
+    lifted = [hpairs.basis.combine(v) for v in inner.vectors]
+    rows = Matrix(field, lifted, hpairs.basis.ambient_dim)
+    return geometry.TangentPairs(U, V, hpairs.zu, hpairs.zv, row_space_basis(rows))
+
+
+def psi_map_per_pair(Zxi, U, V):
+    field = U.field
+    model = ext2_small_model(V, U)
+    zu = z_space(U, U)
+    zv = z_space(V, V)
+    cols = []
+    for vec in zu.vectors:
+        Zp = ArrowCochain.from_vector(U, U, vec)
+        cols.append(model.quotient.reduce(compose_cocycles(Zp, Zxi).to_vector()))
+    for vec in zv.vectors:
+        Zpp = ArrowCochain.from_vector(V, V, vec)
+        cols.append(model.quotient.reduce(compose_cocycles(Zxi, Zpp).to_vector()))
+    mat = Matrix.from_columns(field, model.ambient_dim, cols)
+    return geometry.PsiMap(U, V, Zxi, model, mat, zu.dim + zv.dim, mat.rank())
+
+
+def left_comp_per_pair(Zxi, U, V):
+    model = ext2_small_model(V, U)
+    space = ext1(V, V)
+    cols = []
+    for i in space.quotient.free_coordinates():
+        Zp = ArrowCochain.from_vector(V, V, space.z.vectors[i])
+        cols.append(model.quotient.reduce(compose_cocycles(Zxi, Zp).to_vector()))
+    mat = Matrix.from_columns(U.field, model.ambient_dim, cols)
+    return geometry.LeftCompReport(space.dim, model.dim, mat.rank())
+
+
+@pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
+def test_composition_matrices_equal_compose_cocycles_on_units(name, field):
+    """Column j of each composition matrix is compose_cocycles on unit cochain j."""
+    mods = with_rational_conjugates(case_modules(name, field, seed=31, max_summands=1))
+    rng = random.Random(31)
+    for V in mods:
+        for U in mods:
+            n = ArrowCochain.space_dim(V, U)
+            # any cochain will do: compose_cocycles is bilinear on all of them
+            Zxi = ArrowCochain.from_vector(V, U, [field.of(rng.randint(-3, 3))
+                                                  for _ in range(n)])
+            got = yoneda_matrices(Zxi)
+            want = compose_by_units(Zxi)
+            assert [typed(m.rows) for m in got] == [typed(m.rows) for m in want]
+            assert [m.ncols for m in got] == [m.ncols for m in want]
+
+
+@pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
+def test_pairing_systems_equal_the_per_pair_bodies(name, field):
+    mods = with_rational_conjugates(case_modules(name, field, seed=37, max_summands=2))
+    rng = random.Random(37)
+    bq = mods[0].bq
+    if not is_acyclic(bq) or not gldim_le2_check(bq, field):
+        # the small model is gated out: every route refuses alike
+        U, V = mods[-2:]
+        Zxi = random_cocycle(V, U, rng)
+        for run in (ext_tangent_pairs, ext_tangent_pairs_per_pair):
+            with pytest.raises(HypothesisError):
+                run(U, V)
+        for run in (psi_map, psi_map_per_pair, left_comp_surjectivity, left_comp_per_pair):
+            with pytest.raises(HypothesisError):
+                run(Zxi, U, V)
+        return
+    for U in mods:
+        for V in mods:
+            new, old = ext_tangent_pairs(U, V), ext_tangent_pairs_per_pair(U, V)
+            assert typed(new.basis.vectors) == typed(old.basis.vectors)
+            assert new.basis.leads == old.basis.leads
+            Zxi = random_cocycle(V, U, rng)
+            new, old = psi_map(Zxi, U, V), psi_map_per_pair(Zxi, U, V)
+            assert typed(new.matrix.rows) == typed(old.matrix.rows)
+            assert (new.matrix.ncols, new.domain_dim, new.rank) == \
+                (old.matrix.ncols, old.domain_dim, old.rank)
+            assert left_comp_surjectivity(Zxi, U, V) == left_comp_per_pair(Zxi, U, V)
+
+
+def test_certificate_builds_the_syzygy_of_the_middle_once(monkeypatch):
+    """Ext^2(M, M) and pd M <= 1 share one minimal syzygy of M."""
+    f3 = load_fixture("f3")  # fresh, so the global-dimension check runs inside
+    ses = f3.sequence("XI3")
+    M, U, V = (f3.module(n) for n in (ses.middle, ses.sub, ses.quot))
+    calls = []
+    real_syzygy = ext2_module.syzygy
+
+    def counting_syzygy(N):
+        calls.append(N)
+        return real_syzygy(N)
+
+    monkeypatch.setattr(ext2_module, "syzygy", counting_syzygy)
+    monkeypatch.setattr(geometry, "syzygy", counting_syzygy)
+    witness = degeneration_witness_search(M, U, V)
+    report = regularity_certificate(M, U, V, witness)
+    assert report.verdict == "regular-tangent" and report.flags["pd_m_le1"]
+    assert sum(N == M for N in calls) == 1
+
+
+def iso_test_fingerprints_first(M, N, seed=0, trials=20):
+    """The isomorphism test with the hom fingerprints before any candidate."""
+    if M.dim_vector() != N.dim_vector():
+        return IsoCertificate("no", "dimension vectors differ")
+    if M.total_dim == 0:
+        return IsoCertificate("yes", "both representations are zero",
+                              VertexCochain(M, N, {}))
+    cochains = hom_basis(M, N)
+    fp_m = (hom_dim(M, M), len(cochains))
+    fp_n = (hom_dim(N, N), hom_dim(N, M))
+    if fp_m != fp_n:
+        return IsoCertificate(
+            "no",
+            "hom-space fingerprints differ: "
+            f"(end M, hom M->N) = {fp_m} but (end N, hom N->M) = {fp_n}",
+        )
+    if not cochains:
+        return IsoCertificate("no", "no nonzero morphism exists")
+    field = M.field
+    homs = SubspaceBasis(field, VertexCochain.space_dim(M, N),
+                         [f.to_vector() for f in cochains])
+    ones = [field.one] * len(cochains)
+    candidate = VertexCochain.from_vector(M, N, homs.combine(ones))
+    if iso._vertexwise_invertible(candidate):
+        return IsoCertificate("yes", "invertible morphism found", candidate)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        coeffs = [field.of(rng.randint(-10**6, 10**6)) for _ in cochains]
+        candidate = VertexCochain.from_vector(M, N, homs.combine(coeffs))
+        if iso._vertexwise_invertible(candidate):
+            return IsoCertificate("yes", "invertible morphism found", candidate)
+    symbolic = iso._symbolic_det_is_zero(M, N, cochains)
+    if symbolic is True:
+        return IsoCertificate("no", "every morphism is singular at some vertex")
+    if symbolic is False:
+        for _ in range(200):
+            coeffs = [field.of(rng.randint(-10**6, 10**6)) for _ in cochains]
+            candidate = VertexCochain.from_vector(M, N, homs.combine(coeffs))
+            if iso._vertexwise_invertible(candidate):
+                return IsoCertificate("yes", "invertible morphism found", candidate)
+    return IsoCertificate("unknown", "randomized and symbolic checks were inconclusive")
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "f3"])
+@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+def test_iso_test_tries_the_first_candidate_before_the_fingerprints(name, field,
+                                                                     monkeypatch):
+    """Whole certificates as before; a first-candidate "yes" computes no hom_dim."""
+    mods = load_fixture(name, field=field).modules
+    dims = []
+    real_hom_dim = iso.hom_dim
+
+    def counting_hom_dim(M, N):
+        dims.append((M, N))
+        return real_hom_dim(M, N)
+
+    first_yes = 0
+    for M in mods.values():
+        for N in mods.values():
+            want = iso_test_fingerprints_first(M, N)
+            monkeypatch.setattr(iso, "hom_dim", counting_hom_dim)
+            got = iso_test(M, N)
+            monkeypatch.undo()
+            assert (got.verdict, got.reason) == (want.verdict, want.reason)
+            if want.witness is None:
+                assert got.witness is None
+            else:
+                assert got.witness.mats == want.witness.mats
+            basis = hom_basis(M, N)
+            ones = VertexCochain.from_vector(M, N, SubspaceBasis(
+                field, VertexCochain.space_dim(M, N), [f.to_vector() for f in basis]
+            ).combine([field.one] * len(basis)))
+            early = M.dim_vector() == N.dim_vector() and (
+                M.total_dim == 0 or (basis and iso._vertexwise_invertible(ones)))
+            first_yes += bool(early)
+            assert len(dims) == (0 if early or M.dim_vector() != N.dim_vector() else 3)
+            dims.clear()
+    assert first_yes >= len(mods)  # at least every module against itself

@@ -9,7 +9,6 @@ from quiverext.ext1 import (
     RelationCochain,
     b_space,
     coboundary,
-    coboundary_matrix,
     ext1,
     is_cocycle,
     is_split,
@@ -37,6 +36,7 @@ from quiverext.linalg import (
     SubspaceBasis,
     column_space_basis,
     kernel_basis,
+    kron_add,
     linear_map_matrix,
     row_space_basis,
     solve,
@@ -55,7 +55,14 @@ from quiverext.rep import (
 )
 from quiverext.suites import random_cocycle
 
-from cases import CASES, F101, case_modules, case_workspace
+from cases import (
+    CASES,
+    CASES_WITH_F2,
+    F101,
+    case_modules,
+    case_workspace,
+    with_rational_conjugates,
+)
 
 
 def identity_hom(rep):
@@ -339,7 +346,7 @@ def test_assembled_systems_equal_the_probed_ones(name, field):
     for V in mods:
         for U in mods:
             assert relation_boundary_matrix(V, U) == probe_relation_matrix(V, U)
-            assert coboundary_matrix(V, U) == probe_coboundary_matrix(V, U)
+            assert -hom_system(V, U) == probe_coboundary_matrix(V, U)
             assert hom_system(V, U) == probe_hom_matrix(V, U)
 
 
@@ -625,3 +632,33 @@ def test_ext1_rejects_a_coboundary_outside_the_cocycles(field, monkeypatch):
                         planted_b_space)
     with pytest.raises(QuiverError, match="^coboundary outside the cocycle space$"):
         ext1(X, S)
+
+
+def kron_hom_system(M, N):
+    """The Hom system assembled as two Kronecker blocks per arrow."""
+    field = M.field
+    col0, ncols = VertexCochain.offsets(M, N)
+    row0, nrows = ArrowCochain.offsets(M, N)
+    rows = [[field.zero] * ncols for _ in range(nrows)]
+    minus_one = field.neg(field.one)
+    for a in M.bq.quiver.arrows:
+        eye_t = Matrix.identity(field, N.dims[a.target])
+        eye_s = Matrix.identity(field, M.dims[a.source])
+        kron_add(field, rows, row0[a.name], col0[a.target], field.one, eye_t,
+                 M.mats[a.name])
+        kron_add(field, rows, row0[a.name], col0[a.source], minus_one,
+                 N.mats[a.name], eye_s)
+    return Matrix(field, rows, ncols)
+
+
+@pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
+def test_hom_system_equals_the_kronecker_body(name, field):
+    """Same entries of the same types; B and dim Hom read from it unchanged."""
+    mods = with_rational_conjugates(case_modules(name, field, seed=41))
+    for M in mods:
+        for N in mods:
+            want = kron_hom_system(M, N)
+            assert_same_entries(hom_system(M, N), want)
+            assert hom_dim(M, N) == len(hom_basis(M, N)) == kernel_basis(want).dim
+            old_b = row_space_basis((-want).transpose())
+            assert_same_entries(b_space(M, N).matrix_of_columns(), old_b.matrix_of_columns())
