@@ -23,11 +23,9 @@ from .linalg import (
     SubspaceBasis,
     _product,
     coordinates_in_basis,
-    hstack,
     kernel_basis,
     kron_add,
     row_space_basis,
-    vstack,
 )
 from .quiver import Path, QuiverError, RelationElement
 from .rep import (
@@ -40,17 +38,24 @@ from .rep import (
 
 
 def z_path(Z: ArrowCochain, path: Path) -> Matrix:
-    """Product-rule extension of an arrow cochain to a path."""
+    """Product-rule extension of an arrow cochain to a path.
+
+    The term at the first (last) arrow of the path has an empty head
+    (tail); that identity factor is skipped, not multiplied.
+    """
     V, U = Z.source, Z.target
     if path.length == 0:
         return Matrix.zeros(V.field, U.dims[path.source], V.dims[path.source])
     arrows = path.arrows
+    last = len(arrows) - 1
     quiver = V.bq.quiver
     total = None
     for i, name in enumerate(arrows):
-        head = U.eval_arrow_word(arrows[:i], quiver.arrow_map[name].target)
-        tail = V.eval_arrow_word(arrows[i + 1:], path.source)
-        term = head @ Z.mats[name] @ tail
+        term = Z.mats[name]
+        if i:
+            term = U.eval_arrow_word(arrows[:i], quiver.arrow_map[name].target) @ term
+        if i < last:
+            term = term @ V.eval_arrow_word(arrows[i + 1:], path.source)
         total = term if total is None else total + term
     return total
 
@@ -76,7 +81,10 @@ def relation_boundary_matrix(V: Representation, U: Representation) -> Matrix:
     ``RelationCochain.offsets(V, U)``.  By the product rule, the term
     c*path of a relation sends Z_a, at each position of a in the path, to
     c * H Z_a T, where H is U of the arrows after that position and T
-    is V of the arrows before it; each such term is one Kronecker block.
+    is V of the arrows before it; each such term is one Kronecker block,
+    written straight into the rows by ``kron_add``.  An empty H or T is
+    an identity and is passed as its size, so it is no matrix and adds
+    one entry per row.
     """
     field = V.field
     quiver = V.bq.quiver
@@ -87,11 +95,14 @@ def relation_boundary_matrix(V: Representation, U: Representation) -> Matrix:
         for coeff, path in rel.terms:
             c = field.of_fraction(coeff)
             arrows = path.arrows
+            last = len(arrows) - 1
             for i, name in enumerate(arrows):
-                head = U.eval_arrow_word(arrows[:i], quiver.arrow_map[name].target)
-                tail = V.eval_arrow_word(arrows[i + 1:], path.source)
+                target = quiver.arrow_map[name].target
+                head = U.eval_arrow_word(arrows[:i], target) if i else U.dims[target]
+                tail = (V.eval_arrow_word(arrows[i + 1:], path.source) if i < last
+                        else V.dims[path.source])
                 kron_add(field, rows, row0[rel.name], col0[name], c, head, tail)
-    return Matrix(field, rows, ncols)
+    return Matrix._adopt(field, rows, ncols)
 
 
 def z_space(V: Representation, U: Representation) -> SubspaceBasis:
@@ -189,29 +200,34 @@ def middle_term(Z: ArrowCochain):
 
     Returns (W, incl, proj): W places U in the upper blocks and V in the
     lower, each arrow acting by [[U_a, Z_a], [0, V_a]]; incl embeds U,
-    proj maps onto V, and incl -> W -> proj is exact.
+    proj maps onto V, and incl -> W -> proj is exact.  Every row of
+    these matrices is written once, with no zero or identity block; Z
+    is checked to be a cocycle and W to satisfy the relations.
     """
     V, U = Z.source, Z.target
     if not is_cocycle(Z):
         raise QuiverError("middle_term expects a cocycle (a relation check failed)")
     field = V.field
+    zero, one = field.zero, field.one
     bq = V.bq
     dims = {x: U.dims[x] + V.dims[x] for x in bq.quiver.vertices}
     mats = {}
     for a in bq.quiver.arrows:
-        ua, za, va = U.mats[a.name], Z.mats[a.name], V.mats[a.name]
-        mats[a.name] = vstack(hstack(ua, za),
-                              hstack(Matrix.zeros(field, va.nrows, ua.ncols), va))
+        pad = [zero] * U.dims[a.source]
+        rows = [ur + zr for ur, zr in zip(U.mats[a.name].rows, Z.mats[a.name].rows)]
+        rows += [pad + vr for vr in V.mats[a.name].rows]
+        mats[a.name] = Matrix._adopt(field, rows, dims[a.source])
     W = Representation(bq, field, dims, mats, check=True)
-    incl = VertexCochain(U, W, {
-        x: vstack(Matrix.identity(field, U.dims[x]),
-                  Matrix.zeros(field, V.dims[x], U.dims[x]))
-        for x in bq.quiver.vertices})
-    proj = VertexCochain(W, V, {
-        x: hstack(Matrix.zeros(field, V.dims[x], U.dims[x]),
-                  Matrix.identity(field, V.dims[x]))
-        for x in bq.quiver.vertices})
-    return W, incl, proj
+    incl, proj = {}, {}
+    for x in bq.quiver.vertices:
+        du, dv = U.dims[x], V.dims[x]
+        incl[x] = Matrix._adopt(
+            field, [[one if j == i else zero for j in range(du)] for i in range(du)]
+            + [[zero] * du for _ in range(dv)], du)
+        proj[x] = Matrix._adopt(
+            field, [[zero] * du + [one if j == i else zero for j in range(dv)]
+                    for i in range(dv)], du + dv)
+    return W, VertexCochain(U, W, incl), VertexCochain(W, V, proj)
 
 
 def pushout_class(h: VertexCochain, Z: ArrowCochain,

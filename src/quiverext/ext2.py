@@ -3,7 +3,8 @@
 Second extensions are computed in two ways.  The reference model is
 unconditional: first extensions of a syzygy of N.  ``ext2_via_omega``
 takes the minimal syzygy, the kernel of the projective cover
-(``syzygy``), unless it is handed a presentation.  The standard
+(``_minimal_syzygy``, which ``syzygy`` extends by its inclusion), unless
+it is handed a presentation.  The standard
 presentation (``ProjPresentation``) places at vertex x the span of
 (basis path into x) tensor (coordinate of N); its larger syzygy carries
 the labels that the transport map, the Yoneda oracle and the suites
@@ -18,7 +19,10 @@ the projectivity and global-dimension tests all live here.
 The indecomposable projectives P(x) behind every projective cover are
 the standard presentations of the simples, built and verified once per
 bound quiver, field and vertex and memoised on the bound quiver
-(``indecomposable_projective``).
+(``indecomposable_projective``).  A minimal syzygy is built in one
+pass: the cover evaluates each path on the top generators only, is
+checked to be a morphism once, and one kernel basis per vertex serves
+both the kernel and the surjectivity check.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .linalg import (
     _product,
     column_space_basis,
     hstack,
+    kernel_basis,
     kron_add,
 )
 from .quiver import BoundQuiver, Path, QuiverError, is_acyclic
@@ -45,7 +50,6 @@ from .rep import (
     Representation,
     VertexCochain,
     direct_sum,
-    kernel_representation,
     simple,
     zero_rep,
 )
@@ -202,13 +206,13 @@ def ext2_via_omega(N: Representation, M: Representation,
     """Second extensions of N by M as first extensions of a syzygy of N.
 
     Without a presentation the syzygy is the minimal one, the kernel of
-    the projective cover (``syzygy``); with one, it is that
+    the projective cover (``_minimal_syzygy``); with one, it is that
     presentation's syzygy.  Two syzygies of N differ by projective
     summands (Schanuel's lemma), on which Ext^1 vanishes, so the
     dimension does not depend on the route; the returned space lives on
     the syzygy used.
     """
-    omega = syzygy(N)[0] if presentation is None else presentation.omega
+    omega = _minimal_syzygy(N)[0] if presentation is None else presentation.omega
     return ext1(omega, M)
 
 
@@ -422,7 +426,8 @@ def yoneda_matrices(xi: ArrowCochain):
     term of ``compose_cocycles`` is linear in the free factor, X |-> A X B
     with the other factor folded into A or B, so both matrices are
     assembled from Kronecker blocks (``kron_add``), with no composition of
-    unit cochains.
+    unit cochains.  Empty arrow words are identity factors: they are
+    skipped in the products and passed to ``kron_add`` as their size.
     """
     V, U = xi.source, xi.target
     field = U.field
@@ -437,21 +442,31 @@ def yoneda_matrices(xi: ArrowCochain):
         for coeff, p in rel.terms:
             c = field.of_fraction(coeff)
             arrows = p.arrows
-            for j2 in range(2, len(arrows) + 1):
+            m = len(arrows)
+            for j2 in range(2, m + 1):
                 a2 = quiver.arrow_map[arrows[j2 - 1]]
-                tail = V.eval_arrow_word(arrows[j2:], p.source)
-                xi_tail = xi.mats[a2.name] @ tail
+                if j2 < m:
+                    tail = V.eval_arrow_word(arrows[j2:], p.source)
+                    xi_tail = xi.mats[a2.name] @ tail
+                else:
+                    tail, xi_tail = V.dims[p.source], xi.mats[a2.name]
                 for j1 in range(1, j2):
                     a1 = quiver.arrow_map[arrows[j1 - 1]]
                     word = arrows[j1:j2 - 1]
-                    head = U.eval_arrow_word(arrows[:j1 - 1], a1.target)
+                    if j1 > 1:
+                        head = U.eval_arrow_word(arrows[:j1 - 1], a1.target)
+                        head_xi = head @ xi.mats[a1.name]
+                    else:
+                        head, head_xi = U.dims[a1.target], xi.mats[a1.name]
+                    if word:
+                        u_mid = U.eval_arrow_word(word, a2.target) @ xi_tail
+                        head_xi = head_xi @ V.eval_arrow_word(word, a2.target)
+                    else:
+                        u_mid = xi_tail
                     # Z at a1 with xi at a2, then xi at a1 with Z at a2
-                    kron_add(field, left, r0, col_u[a1.name], c, head,
-                             U.eval_arrow_word(word, a2.target) @ xi_tail)
-                    kron_add(field, right, r0, col_v[a2.name], c,
-                             head @ xi.mats[a1.name] @ V.eval_arrow_word(word, a2.target),
-                             tail)
-    return Matrix(field, left, n_u), Matrix(field, right, n_v)
+                    kron_add(field, left, r0, col_u[a1.name], c, head, u_mid)
+                    kron_add(field, right, r0, col_v[a2.name], c, head_xi, tail)
+    return Matrix._adopt(field, left, n_u), Matrix._adopt(field, right, n_v)
 
 
 def yoneda_left(Z: ArrowCochain, cls: Ext1Class,
@@ -547,19 +562,25 @@ def indecomposable_projective(bq: BoundQuiver, field, x) -> ProjPresentation:
     return cache[key]
 
 
-def projective_cover(M: Representation):
-    """Minimal projective cover built from a transversal of the top.
+def _cover(M: Representation):
+    """The minimal projective cover of M, checked, with its kernel bases.
 
-    Returns (P, cover) with P a direct sum of vertex projectives, one
-    per top coordinate, and cover: P -> M surjective.  The vertex
-    projectives come from ``indecomposable_projective``, so they are
-    built once per bound quiver and field, and each path of M is
-    evaluated once per call.
+    Returns (P, cover, kernels): P is a direct sum of vertex projectives,
+    one P(x) per top coordinate of M at x, from
+    ``indecomposable_projective``; cover: P -> M sends the summand of the
+    generator e_i of M_x, at its label of the path sigma: x -> z, to
+    M_sigma e_i; kernels[z] is the ``kernel_basis`` of cover_z.  Paths
+    are evaluated on the generator columns only: the trivial path gives
+    the e_i themselves, and a path a*tau is M_a applied to the value of
+    tau, computed once per call.  The cover is
+    checked to be a morphism once, and onto at every vertex by
+    dim P_z - dim ker = d_z(M), which reads the kernel's elimination.
     """
     bq, field = M.bq, M.field
     quiver = bq.quiver
+    zero, one = field.zero, field.one
     summands = []
-    cover_cols = {z: [] for z in quiver.vertices}
+    cover_rows = {z: [[] for _ in range(M.dims[z])] for z in quiver.vertices}
     for x in quiver.vertices:
         rad = radical_subspace(M, x)
         # the coordinates off the pivots of the radical span the top
@@ -568,32 +589,85 @@ def projective_cover(M: Representation):
         if not free:
             continue
         proj = indecomposable_projective(bq, field, x)
-        # the presentation of the simple at x lists the paths x -> z
-        evals = {z: [M.eval_path(sigma) for _, sigma in proj.paths[z]]
-                 for z in quiver.vertices}
-        for i in free:  # the generator e_i of M_x
-            summands.append(proj.P)
-            for z in quiver.vertices:
-                cover_cols[z].extend(m.col(i) for m in evals[z])
-    if not summands:
-        P = zero_rep(bq, field)
-        return P, VertexCochain(P, M, {})
-    P = direct_sum(*summands)
-    mats = {z: Matrix.from_columns(field, M.dims[z], cover_cols[z])
-            for z in quiver.vertices}
-    cover = VertexCochain(P, M, mats)
+        summands.extend([proj.P] * len(free))
+        # rows of M_sigma restricted to the columns e_i, by arrow word
+        # (arrows[0] acts last)
+        images = {(): [[one if r == i else zero for i in free]
+                       for r in range(M.dims[x])]}
+
+        def image(arrows):
+            out = images.get(arrows)
+            if out is None:
+                out = images[arrows] = _product(
+                    field, M.mats[arrows[0]].rows, image(arrows[1:]), len(free))
+            return out
+
+        gens = range(len(free))
+        for z in quiver.vertices:
+            evals = [image(sigma.arrows) for _, sigma in proj.paths[z]]
+            if evals:
+                for r, row in enumerate(cover_rows[z]):
+                    at_r = [e[r] for e in evals]
+                    row.extend([e[k] for k in gens for e in at_r])
+    P = direct_sum(*summands) if summands else zero_rep(bq, field)
+    cover = VertexCochain(P, M, {z: Matrix._adopt(field, rows, P.dims[z])
+                                 for z, rows in cover_rows.items()})
     if not cover.is_morphism():
         raise QuiverError("projective cover construction failed to be a morphism")
+    kernels = {z: kernel_basis(cover.mats[z]) for z in quiver.vertices}
     for z in quiver.vertices:
-        if cover.mats[z].rank() != M.dims[z]:
+        if P.dims[z] - kernels[z].dim != M.dims[z]:
             raise QuiverError("projective cover failed to be surjective")
+    return P, cover, kernels
+
+
+def projective_cover(M: Representation):
+    """Minimal projective cover built from a transversal of the top.
+
+    Returns (P, cover) with P a direct sum of vertex projectives, one
+    per top coordinate, and cover: P -> M surjective.  The vertex
+    projectives come from ``indecomposable_projective``, so they are
+    built once per bound quiver and field; the cover is checked to be a
+    morphism and onto (see ``_cover``).
+    """
+    P, cover, _ = _cover(M)
     return P, cover
 
 
+def _minimal_syzygy(M: Representation):
+    """The kernel of the minimal projective cover, with no inclusion built.
+
+    Returns (omega, P, kernels), with P and kernels as in ``_cover``.
+    The arrow matrix of omega at a: s -> t is one product, P_a applied
+    to the kernel basis at s, read at the lead columns of the kernel
+    basis at t and checked by one recombination; these are the
+    coordinates ``kernel_representation`` reads vector by vector.
+    """
+    P, _, kernels = _cover(M)
+    field = M.field
+    mats = {}
+    for a in M.bq.quiver.arrows:
+        src, tgt = kernels[a.source], kernels[a.target]
+        images = _product(field, src.vectors, P.mats[a.name].transpose().rows,
+                          tgt.ambient_dim)
+        coords = [[v[j] for j in tgt.leads] for v in images]
+        if _product(field, coords, tgt.vectors, tgt.ambient_dim) != images:
+            raise QuiverError("arrow does not preserve the kernel (not a morphism?)")
+        mats[a.name] = Matrix._adopt(
+            field, [[c[t] for c in coords] for t in range(tgt.dim)], src.dim)
+    dims = {x: kernels[x].dim for x in M.bq.quiver.vertices}
+    return Representation(M.bq, field, dims, mats, check=False), P, kernels
+
+
 def syzygy(M: Representation):
-    """Kernel of the minimal projective cover, with its inclusion."""
-    P, cover = projective_cover(M)
-    return kernel_representation(cover)
+    """Kernel of the minimal projective cover, with its inclusion.
+
+    The kernel comes from ``_minimal_syzygy``; the inclusion's matrix at
+    x has the kernel basis at x as its columns.
+    """
+    omega, P, kernels = _minimal_syzygy(M)
+    return omega, VertexCochain(omega, P, {x: kernels[x].matrix_of_columns()
+                                           for x in M.bq.quiver.vertices})
 
 
 def is_projective(M: Representation) -> bool:
@@ -615,8 +689,8 @@ def gldim_le2_check(bq: BoundQuiver, field) -> bool:
         return cache[field.name]
     verdict = True
     for x in bq.quiver.vertices:
-        first, _ = syzygy(simple(bq, field, x))
-        second, _ = syzygy(first)
+        first = _minimal_syzygy(simple(bq, field, x))[0]
+        second = _minimal_syzygy(first)[0]
         if not is_projective(second):
             verdict = False
             break

@@ -27,9 +27,10 @@ from .ext1 import (
 )
 from .ext2 import (
     Ext2Model,
+    _minimal_syzygy,
     ext2_small_model,
     ext2_via_omega,
-    syzygy,
+    is_projective,
     yoneda_matrices,
 )
 from .iso import IsoCertificate, iso_test
@@ -55,7 +56,6 @@ from .rep import (
     direct_sum,
     hom_basis,
     hom_dim,
-    simple,
 )
 
 
@@ -338,18 +338,14 @@ def opposite_rep(M: Representation) -> Representation:
     return Representation(opp, M.field, dict(M.dims), mats, check=True)
 
 
-def _pd_le1_on(M: Representation, K: Representation) -> bool:
-    """pd M <= 1 read on a minimal syzygy K of M: Ext^1(K, S) = 0 for each simple."""
-    return all(ext1(K, simple(M.bq, M.field, x)).dim == 0
-               for x in M.bq.quiver.vertices)
-
-
 def pd_le1(M: Representation) -> bool:
-    """Projective dimension at most one: no second extensions into simples.
+    """Projective dimension at most one: the minimal syzygy is projective.
 
-    Ext^2(M, S) is Ext^1 of the minimal syzygy of M, built once.
+    The syzygy comes from ``ext2._minimal_syzygy``, and ``is_projective``
+    decides it from dimension vectors; this is the same as Ext^2(M, S)
+    = 0 for every simple S, which the tests keep as the oracle.
     """
-    return _pd_le1_on(M, syzygy(M)[0])
+    return is_projective(_minimal_syzygy(M)[0])
 
 
 def id_le1(M: Representation) -> bool:
@@ -433,11 +429,15 @@ def degeneration_witness_search(M: Representation, U: Representation,
     """Look for a cocycle whose middle term is isomorphic to M.
 
     Exhaustive over small integer coefficient grids in low cocycle
-    dimension, then seeded random sampling.  Returns a verified witness
-    or None; None is conclusive only in the forced-split case (every
-    cocycle a coboundary) where it means the split sum misses M.  In that
-    case an ``unknown`` isomorphism verdict raises ``InconclusiveSearch``
-    instead, since None would read as a conclusive miss.
+    dimension, then seeded random sampling.  The rank of each arrow map
+    is an isomorphism invariant, so a middle term whose arrow ranks
+    differ from M's (computed once per search) is skipped before
+    ``iso_test``.  Returns a verified witness or None; None is conclusive
+    only in the forced-split case (every cocycle a coboundary) where it
+    means the split sum misses M.  In that case an ``unknown``
+    isomorphism verdict raises ``InconclusiveSearch`` instead, since None
+    would read as a conclusive miss; a split sum refuted by its ranks
+    never reaches ``iso_test``, so its None is conclusive.
     """
     field = M.field
     dsum = {x: U.dims[x] + V.dims[x] for x in M.bq.quiver.vertices}
@@ -445,11 +445,14 @@ def degeneration_witness_search(M: Representation, U: Representation,
         raise QuiverError("dimension vectors of the ends do not sum to the middle")
     zs = z_space(V, U)
     split_only = zs.dim == b_space(V, U).dim
+    ranks = {name: m.rank() for name, m in M.mats.items()}
 
     def try_coeffs(coeffs):
         vec = zs.combine(coeffs)
         Z = ArrowCochain.from_vector(V, U, vec)
         W, _, _ = middle_term(Z)
+        if any(W.mats[name].rank() != r for name, r in ranks.items()):
+            return None
         cert = iso_test(W, M, seed=seed)
         if cert.verdict == "yes":
             return SesWitness(M, U, V, Z, W, cert)
@@ -521,7 +524,9 @@ def regularity_certificate(M: Representation, U: Representation,
     All the quantities of the dimension count are computed
     independently and reported; the verdict is "regular-tangent"
     exactly when the tangent dimension at U + V equals the expected
-    component dimension and every hypothesis flag holds.
+    component dimension and every hypothesis flag holds.  The minimal
+    syzygy of M is built once, with no inclusion: Ext^2(M, M) is Ext^1
+    of it, and the flag pd M <= 1 asks whether it is projective.
     """
     if witness.M != M or witness.U != U or witness.V != V:
         raise QuiverError("witness does not match the given triple")
@@ -535,7 +540,7 @@ def regularity_certificate(M: Representation, U: Representation,
 
     ext1_mm = ext1(M, M).dim
     # the minimal syzygy of M serves both Ext^2(M, M) and pd M <= 1
-    omega_m, _ = syzygy(M)
+    omega_m = _minimal_syzygy(M)[0]
     ext2_mm = ext1(omega_m, M).dim
     hom_vu = hom_dim(V, U)
     space_vu = ext1(V, U)
@@ -558,7 +563,7 @@ def regularity_certificate(M: Representation, U: Representation,
         "hom_vu_vanishes": hom_vu == 0,
         "ext1_uv_vanishes": ext1_uv == 0,
         "ext2_uv_vanishes": ext2_uv == 0,
-        "pd_m_le1": _pd_le1_on(M, omega_m),
+        "pd_m_le1": is_projective(omega_m),
     }
     verdict = "inconclusive"
     if all(flags.values()) and z_nn == a_of_d(bq, d):

@@ -60,15 +60,20 @@ assembled block by block with ``kron_add`` (the relation system of the
 cocycles, and the Yoneda composition matrices ``ext2.yoneda_matrices``),
 the Hom system ``rep.hom_system`` by writing its two blocks f_t M_a and
 -N_a f_s straight into its rows, and the other systems from the images
-of basis vectors (``Matrix.from_columns``).  Pushing unit vectors
+of basis vectors (``Matrix.from_columns``).  An empty arrow word is an
+identity factor: callers skip it in products and hand ``kron_add`` its
+size instead of a matrix.  Pushing unit vectors
 through a closure (``linear_map_matrix``) is kept only for the
 dual-number oracle: it must reach its counts by a route that shares no
 system assembly with the tangent-pair computations it checks.
 
-Block matrices (direct sums, middle terms [[U, Z], [0, V]] with their
-inclusions and projections, block scalings) are assembled only with
-``block_diag``, ``hstack`` and ``vstack`` from ``Matrix.zeros`` and
-``Matrix.identity`` blocks, never by writing rows by hand elsewhere.
+Block matrices on the hot paths write each row once, with no zero or
+identity block: ``block_diag`` (direct sums, so the projective covers),
+the middle terms [[U, Z], [0, V]] with their inclusions and projections
+(``ext1.middle_term``), and a syzygy's arrows, read from one product per
+arrow (``ext2._minimal_syzygy``).  The other block matrices (block
+scalings, the dual-number operator) are stacked with ``block_diag``,
+``hstack`` and ``vstack`` from ``Matrix.zeros`` and ``Matrix.identity``.
 """
 
 from __future__ import annotations
@@ -281,16 +286,17 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
 
 
 def block_diag(field, blocks) -> Matrix:
-    nr = sum(b.nrows for b in blocks)
     nc = sum(b.ncols for b in blocks)
-    out = Matrix.zeros(field, nr, nc)
-    r0 = c0 = 0
+    zero = field.zero
+    rows, c0 = [], 0
     for b in blocks:
-        for i, row in enumerate(b.rows):
-            out.rows[r0 + i][c0:c0 + b.ncols] = list(row)
-        r0 += b.nrows
-        c0 += b.ncols
-    return out
+        c1 = c0 + b.ncols
+        for row in b.rows:
+            out = [zero] * nc
+            out[c0:c1] = row
+            rows.append(out)
+        c0 = c1
+    return Matrix._adopt(field, rows, nc)
 
 
 # -- elimination ------------------------------------------------------
@@ -539,26 +545,33 @@ def coordinates_in_basis(basis: SubspaceBasis, vec) -> Optional[list]:
     return coords
 
 
-def kron_add(field, rows, row0: int, col0: int, coeff, A: Matrix, B: Matrix) -> None:
+def kron_add(field, rows, row0: int, col0: int, coeff, A, B) -> None:
     """Add coeff * (A kron B^T) into the row lists at offset (row0, col0).
 
     This is the block of X |-> coeff * A X B in row-major coordinates:
     entry (p, q) of X sends coeff * A[i][p] * B[q][j] to entry (i, j) of
     the image, i.e. to row row0 + i * B.ncols + j and column
     col0 + p * B.nrows + q.  Each touched entry gets one term, so over
-    F_p it is reduced once.
+    F_p it is reduced once.  A or B may be an ``int`` n standing for the
+    n x n identity (an empty arrow word): no identity matrix is built,
+    and each of its rows contributes its one entry.
     """
-    nq, nj = B.nrows, B.ncols
-    p = field.char
-    cols = [[(q, brow[j]) for q, brow in enumerate(B.rows) if brow[j]] for j in range(nj)]
-    support = [(j, cells) for j, cells in enumerate(cols) if cells]
+    one, p = field.one, field.char
+    if type(B) is int:
+        nq = nj = B
+        support = [(j, ((j, one),)) for j in range(B)]
+    else:
+        nq, nj = B.nrows, B.ncols
+        cols = [[(q, brow[j]) for q, brow in enumerate(B.rows) if brow[j]]
+                for j in range(nj)]
+        support = [(j, cells) for j, cells in enumerate(cols) if cells]
     if not support:
         return
-    for i, arow in enumerate(A.rows):
+    a_cells = ([((i, one),) for i in range(A)] if type(A) is int else
+               [[(k, a) for k, a in enumerate(arow) if a] for arow in A.rows])
+    for i, cells_a in enumerate(a_cells):
         base = row0 + i * nj
-        for k, a in enumerate(arow):
-            if not a:
-                continue
+        for k, a in cells_a:
             ca = coeff * a
             c0 = col0 + k * nq
             for j, cells in support:

@@ -68,7 +68,12 @@ class Representation:
         return out
 
     def eval_arrow_word(self, arrow_names, source_vertex) -> Matrix:
-        """Evaluate a (possibly empty) arrow word; empty words need a vertex."""
+        """Evaluate a (possibly empty) arrow word; empty words need a vertex.
+
+        An empty word gives a new identity matrix; the relation system,
+        ``z_path`` and ``yoneda_matrices`` skip empty words instead of
+        asking for one.
+        """
         if not arrow_names:
             return Matrix.identity(self.field, self.dims[source_vertex])
         out = self.mats[arrow_names[0]]

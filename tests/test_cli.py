@@ -136,15 +136,16 @@ def test_witness_search_outcomes(capsys, f2_path):
 
 def test_an_unknown_isomorphism_verdict_is_not_a_conclusive_miss(
         capsys, tmp_path, monkeypatch):
-    """Only the split sum S2 + W is a middle term of M; when testing it
-    against M comes back unknown, neither command may report a miss."""
+    """Only the split sum S2 + W is a middle term of N, and its arrow ranks
+    are N's; when testing it against N comes back unknown, neither command
+    may report a miss."""
     monkeypatch.setattr(
         "quiverext.geometry.iso_test",
         lambda W, M, seed=0: IsoCertificate("unknown", "forced by the test"))
     path = tmp_path / "f2.qv"
-    path.write_text(fixture_source("f2") + "ses SPLIT : S2 -> M -> W\n",
+    path.write_text(fixture_source("f2") + "ses SPLIT : S2 -> N -> W\n",
                     encoding="utf-8")
-    code, payload = run_json(capsys, ["witness", str(path), "M", "S2", "W"])
+    code, payload = run_json(capsys, ["witness", str(path), "N", "S2", "W"])
     assert code == 1
     task = payload["tasks"][0]
     assert task["result"] == {"found": False, "conclusive": False}
@@ -156,6 +157,11 @@ def test_an_unknown_isomorphism_verdict_is_not_a_conclusive_miss(
     task = payload["tasks"][0]
     assert task["result"] is None
     assert "inconclusive" in task["warnings"][0]
+    # the split sum S2 + W has a zero arrow a where M has rank one, so it
+    # is refuted before any isomorphism test: a conclusive miss
+    code, payload = run_json(capsys, ["witness", str(path), "M", "S2", "W"])
+    assert code == 0
+    assert payload["tasks"][0]["result"] == {"found": False, "conclusive": True}
 
 
 def test_certify_the_declared_sequences(capsys, f2_path, f3_path):

@@ -28,15 +28,22 @@ from quiverext.ext2 import (
     yoneda_left,
     yoneda_left_omega,
 )
+from quiverext.cli import main
 from quiverext.fields import QQ
-from quiverext.fixtures import load_fixture
-from quiverext.geometry import id_le1, opposite_rep, pd_le1
+from quiverext.fixtures import fixture_source, load_fixture
+from quiverext.geometry import (
+    degeneration_witness_search,
+    id_le1,
+    opposite_rep,
+    pd_le1,
+    regularity_certificate,
+)
 from quiverext.iso import iso_test
 from quiverext.linalg import kernel_basis, linear_map_matrix
 from quiverext.quiver import is_acyclic, validate_bound_quiver
 from quiverext.rep import direct_sum, simple, zero_rep
 
-from cases import F2, F101, case_modules
+from cases import F2, F101, case_modules, with_rational_conjugates
 
 
 def combine(field, basis, coeffs):
@@ -287,3 +294,55 @@ def test_projectives_are_built_once_per_vertex(monkeypatch):
     built.clear()
     assert ext2_via_omega(m["S4"], m["S1"]).dim == 1
     assert built == []
+
+
+def _pd_le1_on(M, K):
+    """pd M <= 1 by the Ext route on a minimal syzygy K of M: Ext^1(K, S) = 0
+    for every simple S."""
+    return all(ext1(K, simple(M.bq, M.field, x)).dim == 0
+               for x in M.bq.quiver.vertices)
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=str)
+@pytest.mark.parametrize("name", ["f1", "f2", "f3", "loops"])
+def test_pd_le1_and_the_certificate_flag_equal_the_ext_route(name, field):
+    """is_projective of the minimal syzygy against Ext^2 into every simple.
+
+    The flag is read from the certificate of the split sequence
+    0 -> M -> M, where the small model is available."""
+    mods = with_rational_conjugates(case_modules(name, field, seed=53))
+    bq = mods[0].bq
+    gated = not is_acyclic(bq) or not gldim_le2_check(bq, field)
+    zero = zero_rep(bq, field)
+    for M in mods:
+        want = _pd_le1_on(M, syzygy(M)[0])
+        assert pd_le1(M) == want
+        assert id_le1(M) == _pd_le1_on(opposite_rep(M), syzygy(opposite_rep(M))[0])
+        if not gated:
+            witness = degeneration_witness_search(M, zero, M)
+            report = regularity_certificate(M, zero, M, witness)
+            assert report.flags["pd_m_le1"] == want
+
+
+def test_certify_reads_pd_without_first_extensions(tmp_path, monkeypatch, capsys):
+    """certify f3.qv XI3 builds six Ext^1 spaces; the Ext route of
+    pd M <= 1 would add one per vertex of the square, four."""
+    ext1_module = importlib.import_module("quiverext.ext1")
+    real_init = ext1_module.ExtSpace1.__init__
+    built = []
+
+    def counting_init(self, V, U):
+        built.append((V, U))
+        real_init(self, V, U)
+
+    path = tmp_path / "f3.qv"
+    path.write_text(fixture_source("f3"), encoding="utf-8")
+    monkeypatch.setattr(ext1_module.ExtSpace1, "__init__", counting_init)
+    assert main(["certify", str(path), "XI3"]) == 0
+    assert "regular-tangent" in capsys.readouterr().out
+    assert len(built) == 6
+    built.clear()
+    f3 = load_fixture("f3")
+    M = f3.module(f3.sequence("XI3").middle)
+    assert _pd_le1_on(M, syzygy(M)[0])
+    assert len(built) == 4

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -54,10 +55,11 @@ from quiverext.rep import (
     direct_sum,
     hom_basis,
     hom_dim,
+    zero_rep,
 )
-from quiverext.suites import random_cocycle
+from quiverext.suites import random_cocycle, random_invertible
 
-from cases import CASES_WITH_F2, case_modules, with_rational_conjugates
+from cases import CASES_WITH_F2, case_modules, case_workspace, with_rational_conjugates
 
 F101 = PrimeField(101)
 ext2_module = importlib.import_module("quiverext.ext2")
@@ -320,8 +322,11 @@ def test_witness_search_does_not_turn_unknown_into_a_miss(f2, monkeypatch):
     m = f2.modules
     monkeypatch.setattr(geometry, "iso_test",
                         lambda W, M, seed=0: IsoCertificate("unknown", "forced"))
+    # the split sum S2 + W has N's arrow ranks, so only iso_test can decide
     with pytest.raises(InconclusiveSearch):
-        degeneration_witness_search(m["M"], m["S2"], m["W"])
+        degeneration_witness_search(m["N"], m["S2"], m["W"])
+    # its arrow a is zero where M's has rank one: refuted without iso_test
+    assert degeneration_witness_search(m["M"], m["S2"], m["W"]) is None
     # with nonsplit cocycles to try, unknown verdicts only exhaust the search
     assert degeneration_witness_search(m["M"], m["S1"], m["V"]) is None
 
@@ -539,14 +544,14 @@ def test_certificate_builds_the_syzygy_of_the_middle_once(monkeypatch):
     ses = f3.sequence("XI3")
     M, U, V = (f3.module(n) for n in (ses.middle, ses.sub, ses.quot))
     calls = []
-    real_syzygy = ext2_module.syzygy
+    real_syzygy = ext2_module._minimal_syzygy
 
     def counting_syzygy(N):
         calls.append(N)
         return real_syzygy(N)
 
-    monkeypatch.setattr(ext2_module, "syzygy", counting_syzygy)
-    monkeypatch.setattr(geometry, "syzygy", counting_syzygy)
+    monkeypatch.setattr(ext2_module, "_minimal_syzygy", counting_syzygy)
+    monkeypatch.setattr(geometry, "_minimal_syzygy", counting_syzygy)
     witness = degeneration_witness_search(M, U, V)
     report = regularity_certificate(M, U, V, witness)
     assert report.verdict == "regular-tangent" and report.flags["pd_m_le1"]
@@ -631,3 +636,111 @@ def test_iso_test_tries_the_first_candidate_before_the_fingerprints(name, field,
             assert len(dims) == (0 if early or M.dim_vector() != N.dim_vector() else 3)
             dims.clear()
     assert first_yes >= len(mods)  # at least every module against itself
+
+
+# -- the witness search against the body that tested every candidate ------
+
+
+def iso_on_every_candidate_search(M, U, V, seed=0):
+    """The witness search with no rank filter: each middle term goes to iso_test."""
+    field = M.field
+    dsum = {x: U.dims[x] + V.dims[x] for x in M.bq.quiver.vertices}
+    if dsum != M.dim_vector():
+        raise QuiverError("dimension vectors of the ends do not sum to the middle")
+    zs = z_space(V, U)
+    split_only = zs.dim == b_space(V, U).dim
+
+    def try_coeffs(coeffs):
+        vec = zs.combine(coeffs)
+        Z = ArrowCochain.from_vector(V, U, vec)
+        W, _, _ = middle_term(Z)
+        cert = iso_test(W, M, seed=seed)
+        if cert.verdict == "yes":
+            return geometry.SesWitness(M, U, V, Z, W, cert)
+        if split_only and cert.verdict == "unknown":
+            raise InconclusiveSearch(
+                "only the split sum is a middle term, and testing it "
+                f"against M was inconclusive: {cert.reason}")
+        return None
+
+    if split_only:
+        return try_coeffs([field.zero] * zs.dim)
+    if zs.dim <= 4:
+        for raw in itertools.product((0, 1, -1, 2, -2), repeat=zs.dim):
+            witness = try_coeffs([field.of(c) for c in raw])
+            if witness is not None:
+                return witness
+    rng = random.Random(seed)
+    for _ in range(200):
+        raw = [rng.randint(-9, 9) for _ in range(zs.dim)]
+        witness = try_coeffs([field.of(c) for c in raw])
+        if witness is not None:
+            return witness
+    return None
+
+
+def witness_triples(name, field, seed):
+    """Each declared sequence, then seeded triples: for pairs (U, V) with at
+    most two cocycle dimensions, a conjugated middle term of a seeded cocycle
+    and the conjugated split sum, each with ends (U, V) and (V, U) when the
+    dimension vectors allow; and once, the semisimple module of the first
+    middle term's dimension vector, which is no middle term when U + V has
+    a nonzero arrow."""
+    ws = case_workspace(name, field)
+    triples = [(ws.module(s.middle), ws.module(s.sub), ws.module(s.quot))
+               for s in ws.sequences.values()]
+    mods = with_rational_conjugates(case_modules(name, field, seed, max_summands=1))
+    rng = random.Random(seed)
+    for U in mods:
+        for V in mods:
+            if not 1 <= z_space(V, U).dim <= 2 or rng.random() < 0.7:
+                continue
+            for W in (middle_term(random_cocycle(V, U, rng))[0], direct_sum(U, V)):
+                g = {x: random_invertible(field, d, rng) for x, d in W.dims.items()}
+                M = gl_action(g, W)
+                triples.append((M, U, V))
+                if U.dims == V.dims:
+                    triples.append((M, V, U))
+    M, U, V = next(t for t in triples[len(ws.sequences):]
+                   if any(not m.is_zero() for m in direct_sum(t[1], t[2]).mats.values()))
+    triples.append((zero_rep(M.bq, field, M.dims), U, V))
+    return triples
+
+
+def assert_same_witness(new, old):
+    if old is None:
+        assert new is None
+        return
+    assert typed([new.Z.to_vector()]) == typed([old.Z.to_vector()])
+    assert new.middle == old.middle
+    assert (new.certificate.verdict, new.certificate.reason) == \
+        (old.certificate.verdict, old.certificate.reason)
+    for x in old.M.bq.quiver.vertices:
+        assert typed(new.certificate.witness.mats[x].rows) == \
+            typed(old.certificate.witness.mats[x].rows)
+    assert new.verify()
+
+
+def arrow_ranks(R):
+    return {name: m.rank() for name, m in R.mats.items()}
+
+
+@pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
+def test_witness_search_equals_the_iso_on_every_candidate_body(name, field, monkeypatch):
+    """Same witness (Z, middle term, certificate) or the same None, and
+    iso_test runs only on middle terms with M's arrow ranks."""
+    tested = []
+
+    def recording_iso_test(W, M, seed=0):
+        tested.append((W, M))
+        return iso_test(W, M, seed=seed)
+
+    monkeypatch.setattr(geometry, "iso_test", recording_iso_test)
+    outcomes = set()
+    for M, U, V in witness_triples(name, field, seed=59):
+        witness = degeneration_witness_search(M, U, V)
+        assert_same_witness(witness, iso_on_every_candidate_search(M, U, V))
+        outcomes.add(witness is None)
+    assert outcomes == {True, False}
+    assert tested
+    assert all(arrow_ranks(W) == arrow_ranks(M) for W, M in tested)

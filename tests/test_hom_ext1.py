@@ -25,7 +25,7 @@ from quiverext.ext2 import (
     indecomposable_projective,
     projective_cover,
     radical_subspace,
-    top_dims,
+    syzygy,
 )
 from quiverext.fields import QQ
 from quiverext.geometry import _epsilon_matrix, scaling_family
@@ -35,11 +35,13 @@ from quiverext.linalg import (
     QuotientSpace,
     SubspaceBasis,
     column_space_basis,
+    hstack,
     kernel_basis,
     kron_add,
     linear_map_matrix,
     row_space_basis,
     solve,
+    vstack,
 )
 from quiverext.quiver import Path, QuiverError
 from quiverext.rep import (
@@ -58,6 +60,7 @@ from quiverext.suites import random_cocycle
 from cases import (
     CASES,
     CASES_WITH_F2,
+    F2,
     F101,
     case_modules,
     case_workspace,
@@ -570,7 +573,8 @@ def per_generator_cover(M):
 
 @pytest.mark.parametrize("name, field", CASES, ids=str)
 def test_presentation_builders_equal_the_per_label_loops(name, field, monkeypatch):
-    """Presentations and covers evaluate each path of N once, same entries."""
+    """Presentations evaluate each path of N once and covers no whole path
+    matrix of N (only its generator columns); same entries."""
     evaluated = []
     real_eval_path = Representation.eval_path
 
@@ -584,15 +588,13 @@ def test_presentation_builders_equal_the_per_label_loops(name, field, monkeypatc
     for N in mods:
         monkeypatch.setattr(Representation, "eval_path", counting_eval_path)
         pres = ProjPresentation(N)
+        in_pres = sum(rep is N for rep, _ in evaluated)
         P, cover = projective_cover(N)
         monkeypatch.undo()
-        on_n = [path for rep, path in evaluated if rep is N]
+        in_cover = sum(rep is N for rep, _ in evaluated) - in_pres
         evaluated.clear()
-        tops = [x for x in vertices if top_dims(N)[x]]
-        paths = sum(len(pres.paths[x]) for x in vertices)
-        paths += sum(len(indecomposable_projective(N.bq, field, x).paths[z])
-                     for x in tops for z in vertices)
-        assert len(on_n) == paths
+        assert in_pres == sum(len(pres.paths[x]) for x in vertices)
+        assert in_cover == 0
         assert_same_mats(pres.P.mats, per_label_p(pres))
         assert_same_mats(pres.incl.mats, per_label_incl(pres))
         assert_same_mats(pres.proj.mats, per_label_proj(pres))
@@ -662,3 +664,185 @@ def test_hom_system_equals_the_kronecker_body(name, field):
             assert hom_dim(M, N) == len(hom_basis(M, N)) == kernel_basis(want).dim
             old_b = row_space_basis((-want).transpose())
             assert_same_entries(b_space(M, N).matrix_of_columns(), old_b.matrix_of_columns())
+
+
+# -- one-pass builders against the bodies they replaced -------------------
+#
+# Each oracle below is the earlier body: whole path matrices, identity
+# matrices for empty arrow words, zero and identity blocks, and the
+# cover's morphism check and elimination done twice.
+
+
+def whole_path_cover(M):
+    """The minimal cover from whole path matrices and block_diag."""
+    bq, field = M.bq, M.field
+    quiver = bq.quiver
+    summands = []
+    cover_cols = {z: [] for z in quiver.vertices}
+    for x in quiver.vertices:
+        rad = radical_subspace(M, x)
+        leads = set(column_space_basis(rad).leads) if rad is not None else ()
+        free = [i for i in range(M.dims[x]) if i not in leads]
+        if not free:
+            continue
+        proj = indecomposable_projective(bq, field, x)
+        evals = {z: [M.eval_path(sigma) for _, sigma in proj.paths[z]]
+                 for z in quiver.vertices}
+        for i in free:
+            summands.append(proj.P)
+            for z in quiver.vertices:
+                cover_cols[z].extend(m.col(i) for m in evals[z])
+    if not summands:
+        P = zero_rep(bq, field)
+        return P, VertexCochain(P, M, {})
+    P = direct_sum(*summands)
+    mats = {z: Matrix.from_columns(field, M.dims[z], cover_cols[z])
+            for z in quiver.vertices}
+    cover = VertexCochain(P, M, mats)
+    if not cover.is_morphism():
+        raise QuiverError("projective cover construction failed to be a morphism")
+    for z in quiver.vertices:
+        if cover.mats[z].rank() != M.dims[z]:
+            raise QuiverError("projective cover failed to be surjective")
+    return P, cover
+
+
+def whole_path_syzygy(M):
+    return kernel_representation(whole_path_cover(M)[1])
+
+
+def identity_word(R, arrows, vertex):
+    if not arrows:
+        return Matrix.identity(R.field, R.dims[vertex])
+    return R.eval_arrow_word(arrows, vertex)
+
+
+def identity_word_boundary_matrix(V, U):
+    field = V.field
+    quiver = V.bq.quiver
+    col0, ncols = ArrowCochain.offsets(V, U)
+    row0, nrows = RelationCochain.offsets(V, U)
+    rows = [[field.zero] * ncols for _ in range(nrows)]
+    for rel in V.bq.relations:
+        for coeff, path in rel.terms:
+            c = field.of_fraction(coeff)
+            arrows = path.arrows
+            for i, name in enumerate(arrows):
+                head = identity_word(U, arrows[:i], quiver.arrow_map[name].target)
+                tail = identity_word(V, arrows[i + 1:], path.source)
+                kron_add(field, rows, row0[rel.name], col0[name], c, head, tail)
+    return Matrix(field, rows, ncols)
+
+
+def identity_word_z_path(Z, path):
+    V, U = Z.source, Z.target
+    if path.length == 0:
+        return Matrix.zeros(V.field, U.dims[path.source], V.dims[path.source])
+    arrows = path.arrows
+    quiver = V.bq.quiver
+    total = None
+    for i, name in enumerate(arrows):
+        head = identity_word(U, arrows[:i], quiver.arrow_map[name].target)
+        tail = identity_word(V, arrows[i + 1:], path.source)
+        term = head @ Z.mats[name] @ tail
+        total = term if total is None else total + term
+    return total
+
+
+def stacked_middle_term(Z):
+    """The middle term stacked from zero and identity blocks."""
+    V, U = Z.source, Z.target
+    if not is_cocycle(Z):
+        raise QuiverError("middle_term expects a cocycle (a relation check failed)")
+    field = V.field
+    bq = V.bq
+    dims = {x: U.dims[x] + V.dims[x] for x in bq.quiver.vertices}
+    mats = {}
+    for a in bq.quiver.arrows:
+        ua, za, va = U.mats[a.name], Z.mats[a.name], V.mats[a.name]
+        mats[a.name] = vstack(hstack(ua, za),
+                              hstack(Matrix.zeros(field, va.nrows, ua.ncols), va))
+    W = Representation(bq, field, dims, mats, check=True)
+    incl = VertexCochain(U, W, {
+        x: vstack(Matrix.identity(field, U.dims[x]),
+                  Matrix.zeros(field, V.dims[x], U.dims[x]))
+        for x in bq.quiver.vertices})
+    proj = VertexCochain(W, V, {
+        x: hstack(Matrix.zeros(field, V.dims[x], U.dims[x]),
+                  Matrix.identity(field, V.dims[x]))
+        for x in bq.quiver.vertices})
+    return W, incl, proj
+
+
+def one_pass_cases(name, field, seed):
+    mods = with_rational_conjugates(case_modules(name, field, seed=seed))
+    return mods + [zero_rep(mods[0].bq, field)]
+
+
+@pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
+def test_syzygy_equals_the_whole_path_body(name, field):
+    """The cover, Omega and its inclusion, entry for entry and type for type."""
+    for M in one_pass_cases(name, field, seed=43):
+        P, cover = projective_cover(M)
+        old_p, old_cover = whole_path_cover(M)
+        assert P.dims == old_p.dims
+        assert_same_mats(P.mats, old_p.mats)
+        assert_same_mats(cover.mats, old_cover.mats)
+        for N in (M, syzygy(M)[0]):  # the second syzygy runs on a built Omega
+            omega, incl = syzygy(N)
+            old_omega, old_incl = whole_path_syzygy(N)
+            assert omega.dims == old_omega.dims
+            assert_same_mats(omega.mats, old_omega.mats)
+            assert incl.source is omega and incl.target.dims == old_incl.target.dims
+            assert_same_mats(incl.mats, old_incl.mats)
+
+
+def relation_breaking(name, field):
+    """A representation, built unchecked, that breaks a relation."""
+    ws = case_workspace(name, field)
+    M = ws.modules["P4" if name == "f3" else "A"]
+    mats = dict(M.mats)
+    if name == "f3":  # a*b - c*d no longer vanishes
+        mats["d"] = Matrix.zeros(field, 1, 1)
+    else:  # y*x - x*y no longer vanishes
+        mats["y"] = Matrix(field, [[0] * 4, [0] * 4, [1, 0, 0, 0], [0] * 4], 4)
+    bad = Representation(M.bq, field, M.dims, mats, check=False)
+    assert any(not bad.eval_relation(rel).is_zero() for rel in M.bq.relations)
+    return bad
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=str)
+@pytest.mark.parametrize("name", ["f3", "loops"])
+def test_syzygy_raises_as_the_whole_path_body_on_a_non_morphism(name, field):
+    bad = relation_breaking(name, field)
+    with pytest.raises(QuiverError) as new:
+        syzygy(bad)
+    with pytest.raises(QuiverError) as old:
+        whole_path_syzygy(bad)
+    assert str(new.value) == str(old.value) == \
+        "projective cover construction failed to be a morphism"
+
+
+@pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
+def test_boundary_matrix_z_path_and_middle_term_equal_the_identity_bodies(name, field):
+    """No identity or zero block changes an entry or its type."""
+    mods = one_pass_cases(name, field, seed=47)
+    rng = random.Random(47)
+    bq = mods[0].bq
+    paths = [p for rel in bq.relations for _, p in rel.terms]
+    paths += [p for ps in bq.algebra_basis(field).basis.values() for p in ps]
+    for V in mods:
+        for U in mods:
+            assert_same_entries(relation_boundary_matrix(V, U),
+                                identity_word_boundary_matrix(V, U))
+            Z = random_cocycle(V, U, rng)
+            for p in paths:
+                assert_same_entries(z_path(Z, p), identity_word_z_path(Z, p))
+            W, incl, proj = middle_term(Z)
+            old_w, old_incl, old_proj = stacked_middle_term(Z)
+            assert W.dims == old_w.dims
+            assert_same_mats(W.mats, old_w.mats)
+            assert incl.source is U and incl.target is W
+            assert_same_mats(incl.mats, old_incl.mats)
+            assert proj.source is W and proj.target is V
+            assert_same_mats(proj.mats, old_proj.mats)

@@ -597,6 +597,27 @@ def test_kron_add_equals_the_field_method_body(field, kind):
 
 
 @pytest.mark.parametrize("field, kind", _kernel_cases())
+def test_kron_add_takes_an_int_for_the_identity(field, kind):
+    """An int n in place of A or B is the n x n identity, entry for entry."""
+    rng = random.Random(f"kron-identity:{field.name}:{kind}")
+    for _ in range(5):
+        for (ar, ac), (br, bc) in zip(PRODUCT_SHAPES, reversed(PRODUCT_SHAPES)):
+            A = Matrix(field, _kernel_rows(field, rng, ar, ac, kind), ac)
+            B = Matrix(field, _kernel_rows(field, rng, br, bc, kind), bc)
+            coeff = _kernel_entry(field, rng, kind)
+            for left, right in ((ar, B), (A, bc), (ar, bc)):
+                eye_l, eye_r = (Matrix.identity(field, m) if type(m) is int else m
+                                for m in (left, right))
+                start = _kernel_rows(field, rng, eye_l.nrows * eye_r.ncols + 2,
+                                     eye_l.ncols * eye_r.nrows + 1, "sparse")
+                got, expected = _snapshot(start, start)
+                kron_add(field, got, 1, 1, coeff, left, right)
+                _oracle_kron_add(field, expected, 1, 1, coeff, eye_l, eye_r)
+                assert got == expected
+                _assert_field_entries(field, got)
+
+
+@pytest.mark.parametrize("field, kind", _kernel_cases())
 def test_entrywise_arithmetic_equals_the_field_method_bodies(field, kind):
     rng = random.Random(f"entrywise:{field.name}:{kind}")
     for _ in range(15):

@@ -5,8 +5,9 @@ stdout, stderr and exit code are hashed with SHA-256, after the directory
 of the bundled workspaces is stripped from the output, and compared with
 the digests committed in ``report_digests.txt`` next to this file.  The
 commands are ``hom``, ``ext1``, ``ext2`` and ``e-tangent`` on every module
-pair of f1-f3, ``certify`` and ``psi`` on every declared sequence,
-``witness f2 M S1 V`` and ``verify all``, each over Q and F101.
+pair of f1-f3, ``orbit`` and ``tangent`` on every module, ``certify``,
+``psi`` and ``witness`` (on the middle, sub and quotient) on every
+declared sequence, and ``verify all``, each over Q and F101.
 
     python tests/test_report_digests.py           # check, naming each changed command
     python tests/test_report_digests.py --write   # regenerate the digest file
@@ -39,10 +40,15 @@ def commands():
             for command in ("hom", "ext1", "ext2", "e-tangent"):
                 out.extend([command, name, a, b, "--field", field]
                            for a in modules for b in modules)
+            for command in ("orbit", "tangent"):
+                out.extend([command, name, m, "--field", field] for m in modules)
             for command in ("certify", "psi"):
                 out.extend([command, name, ses, "--field", field]
                            for ses in sorted(ws.sequences))
-        out.append(["witness", "f2", "M", "S1", "V", "--field", field])
+            for ses in sorted(ws.sequences):
+                decl = ws.sequences[ses]
+                out.append(["witness", name, decl.middle, decl.sub, decl.quot,
+                            "--field", field])
         out.append(["verify", "all", "--field", field])
     return out
 
