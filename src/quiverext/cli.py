@@ -13,7 +13,7 @@ from .dsl import (
     parse_workspace,
     serialize_report,
 )
-from .ext1 import b_space, ext1, z_space
+from .ext1 import b_dim, ext1, z_dim
 from .ext2 import HypothesisError, ext2_small_model, ext2_via_omega
 from .fields import QQ, field_by_name
 from .geometry import (
@@ -261,7 +261,7 @@ def _task_witness(ws, args):
         return task, 1
     if witness is None:
         # every cocycle a coboundary: the split sum was the only candidate
-        conclusive = z_space(V, U).dim == b_space(V, U).dim
+        conclusive = z_dim(V, U) == b_dim(V, U)
         task["result"] = {"found": False, "conclusive": conclusive}
         if conclusive:
             return task, 0

@@ -16,6 +16,7 @@ middle term: the block upper-triangular representation [[U, Z], [0, V]].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import (
     Matrix,
@@ -25,6 +26,7 @@ from .linalg import (
     coordinates_in_basis,
     kernel_basis,
     kron_add,
+    rank,
     row_space_basis,
 )
 from .quiver import Path, QuiverError, RelationElement
@@ -110,6 +112,12 @@ def z_space(V: Representation, U: Representation) -> SubspaceBasis:
     return kernel_basis(relation_boundary_matrix(V, U))
 
 
+def z_dim(V: Representation, U: Representation) -> int:
+    """dim Z(V, U), the nullity of the relation system, with no basis built."""
+    system = relation_boundary_matrix(V, U)
+    return system.ncols - rank(system)
+
+
 def coboundary(h: VertexCochain) -> ArrowCochain:
     """The cochain a |-> U_a h_src - h_tgt V_a attached to a vertex cochain."""
     V, U = h.source, h.target
@@ -127,6 +135,11 @@ def b_space(V: Representation, U: Representation) -> SubspaceBasis:
     matrix span the coboundaries, and its transpose is reduced as it is.
     """
     return row_space_basis(hom_system(V, U).transpose())
+
+
+def b_dim(V: Representation, U: Representation) -> int:
+    """dim B(V, U), the rank of ``hom_system(V, U)``, with no basis built."""
+    return rank(hom_system(V, U))
 
 
 @dataclass
@@ -150,7 +163,13 @@ class Ext1Class:
 
 
 class ExtSpace1:
-    """Cocycles, coboundaries, and their quotient for a pair (V, U)."""
+    """Cocycles, coboundaries, and their quotient for a pair (V, U).
+
+    Z, B and the check that B lies in Z are built at once.  Once that
+    check passes, the coordinates of B's basis in Z are independent, so
+    dim Ext^1 = dim Z - dim B with no further elimination; the quotient
+    (the coset reducer on Z-coordinates) is built on first use.
+    """
 
     def __init__(self, V: Representation, U: Representation):
         self.source = V
@@ -162,9 +181,13 @@ class ExtSpace1:
         coords = [[bvec[j] for j in self.z.leads] for bvec in self.b.vectors]
         if _product(self.field, coords, self.z.vectors, self.z.ambient_dim) != self.b.vectors:
             raise QuiverError("coboundary outside the cocycle space")
-        self.quotient = QuotientSpace(self.field, self.z.dim,
-                                      SubspaceBasis(self.field, self.z.dim, coords))
-        self.dim = self.quotient.dim
+        self._b_coords = coords
+        self.dim = self.z.dim - self.b.dim
+
+    @cached_property
+    def quotient(self) -> QuotientSpace:
+        return QuotientSpace(self.field, self.z.dim,
+                             SubspaceBasis(self.field, self.z.dim, self._b_coords))
 
     def class_of(self, Z: ArrowCochain) -> Ext1Class:
         vec = Z.to_vector()

@@ -11,10 +11,15 @@ the labels that the transport map, the Yoneda oracle and the suites
 index by, so they keep it.  The small model lives on relation cochains
 -- one matrix per relation element -- and is a faithful quotient only
 over acyclic quivers of global dimension at most two, so it is gated by
-those checks.  The transport map between the models, Yoneda composition
-of cocycle representatives (``compose_cocycles``) and its matrices for a
-fixed cocycle, assembled from Kronecker blocks (``yoneda_matrices``), and
-the projectivity and global-dimension tests all live here.
+those checks; ``Ext2Model`` reads its dimension from one rank and
+builds its coset reducer on first use.  The certificate
+(``geometry.regularity_certificate``) reads its Ext^2 dimensions from the
+small model, which its pairing requires anyway; the syzygy route stays
+the independent model.  The transport map between the models, Yoneda
+composition of cocycle representatives (``compose_cocycles``) and its
+matrices for a fixed cocycle, assembled from Kronecker blocks
+(``yoneda_matrices``), and the projectivity and global-dimension tests
+all live here.
 
 The indecomposable projectives P(x) behind every projective cover are
 the standard presentations of the simples, built and verified once per
@@ -27,6 +32,8 @@ both the kernel and the surjectivity check.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .ext1 import (
     Ext1Class,
     ExtSpace1,
@@ -37,11 +44,13 @@ from .ext1 import (
 from .linalg import (
     Matrix,
     QuotientSpace,
+    SubspaceBasis,
     _product,
     column_space_basis,
     hstack,
     kernel_basis,
     kron_add,
+    rank,
 )
 from .quiver import BoundQuiver, Path, QuiverError, is_acyclic
 from .rep import (
@@ -225,16 +234,29 @@ def b_prime(N: Representation, M: Representation):
 
 
 class Ext2Model:
-    """Relation cochains modulo relation coboundaries for a pair (N, M)."""
+    """Relation cochains modulo relation coboundaries for a pair (N, M).
+
+    The relation coboundaries are the column space of the relation
+    boundary matrix R, so dim = (relation-cochain dimension) - rank R,
+    read at construction; their basis ``bprime`` and the coset reducer
+    ``quotient`` are built from R on first use.
+    """
 
     def __init__(self, N: Representation, M: Representation):
         self.source = N
         self.target = M
         self.field = N.field
         self.ambient_dim = RelationCochain.space_dim(N, M)
-        self.bprime = b_prime(N, M)
-        self.quotient = QuotientSpace(self.field, self.ambient_dim, self.bprime)
-        self.dim = self.quotient.dim
+        self._boundary = relation_boundary_matrix(N, M)
+        self.dim = self.ambient_dim - rank(self._boundary)
+
+    @cached_property
+    def bprime(self) -> SubspaceBasis:
+        return column_space_basis(self._boundary)
+
+    @cached_property
+    def quotient(self) -> QuotientSpace:
+        return QuotientSpace(self.field, self.ambient_dim, self.bprime)
 
     def class_of(self, rc: RelationCochain) -> "Ext2Class":
         return Ext2Class(self, tuple(self.quotient.reduce(rc.to_vector())))

@@ -3,13 +3,17 @@
 Two representations are isomorphic exactly when some morphism between
 them is invertible at every vertex.  The test runs in this order: the
 dimension vectors; the sum of the Hom(M, N) basis, which proves
-isomorphism when it is invertible; the hom-space fingerprints (dim
-End M, dim Hom(M, N), dim End N, dim Hom(N, M)), which refute it when
-they differ and which an invertible first candidate makes unnecessary;
-a seeded randomized search for an invertible morphism; and -- on small
-inputs -- a symbolic determinant that can refute conclusively.  The
-verdict is always one of "yes" (with an invertible witness), "no" (with
-the reason), or "unknown".
+isomorphism when it is invertible; the first sample of a seeded
+randomized search for an invertible morphism; the hom-space
+fingerprints (dim End M, dim Hom(M, N), dim End N, dim Hom(N, M)),
+which refute isomorphism when they differ and which an invertible
+candidate before them makes unnecessary; the rest of the seeded
+samples; and -- on small inputs -- a symbolic determinant that can
+refute conclusively.  The samples are drawn from one
+``random.Random(seed)`` in one sequence, so drawing the first before
+the fingerprints changes no verdict, reason or witness.  The verdict is
+always one of "yes" (with an invertible witness), "no" (with the
+reason), or "unknown".
 """
 
 from __future__ import annotations
@@ -87,6 +91,13 @@ def _symbolic_det_is_zero(M, N, cochains) -> bool | None:
     return all(int(c) % p == 0 for c in sympy.Poly(poly, *ts).coeffs())
 
 
+def _sample(M, N, homs: SubspaceBasis, rng) -> VertexCochain:
+    """A seeded random combination of the Hom(M, N) basis."""
+    field = M.field
+    coeffs = [field.of(rng.randint(-10**6, 10**6)) for _ in homs.vectors]
+    return VertexCochain.from_vector(M, N, homs.combine(coeffs))
+
+
 def iso_test(M: Representation, N: Representation,
              seed: int = 0, trials: int = 20) -> IsoCertificate:
     """Certified isomorphism test; see the module docstring for strategy."""
@@ -99,13 +110,21 @@ def iso_test(M: Representation, N: Representation,
     field = M.field
     homs = SubspaceBasis(field, VertexCochain.space_dim(M, N),
                          [f.to_vector() for f in cochains])
+    rng = random.Random(seed)
+    samples = trials
     if cochains:
         # an invertible candidate proves M and N isomorphic, so the
-        # fingerprints below would agree: try it first
+        # fingerprints below would agree: try the all-ones sum and the
+        # first seeded sample first
         ones = [field.one] * len(cochains)
         candidate = VertexCochain.from_vector(M, N, homs.combine(ones))
         if _vertexwise_invertible(candidate):
             return IsoCertificate("yes", "invertible morphism found", candidate)
+        if samples > 0:
+            samples -= 1
+            candidate = _sample(M, N, homs, rng)
+            if _vertexwise_invertible(candidate):
+                return IsoCertificate("yes", "invertible morphism found", candidate)
     fp_m = (hom_dim(M, M), len(cochains))
     fp_n = (hom_dim(N, N), hom_dim(N, M))
     if fp_m != fp_n:
@@ -117,10 +136,8 @@ def iso_test(M: Representation, N: Representation,
     if not cochains:
         return IsoCertificate("no", "no nonzero morphism exists")
 
-    rng = random.Random(seed)
-    for _ in range(trials):
-        coeffs = [field.of(rng.randint(-10**6, 10**6)) for _ in cochains]
-        candidate = VertexCochain.from_vector(M, N, homs.combine(coeffs))
+    for _ in range(samples):
+        candidate = _sample(M, N, homs, rng)
         if _vertexwise_invertible(candidate):
             return IsoCertificate("yes", "invertible morphism found", candidate)
 
@@ -131,8 +148,7 @@ def iso_test(M: Representation, N: Representation,
         # the determinant polynomial is nonzero, so invertible points are
         # dense; keep sampling until one lands
         for _ in range(200):
-            coeffs = [field.of(rng.randint(-10**6, 10**6)) for _ in cochains]
-            candidate = VertexCochain.from_vector(M, N, homs.combine(coeffs))
+            candidate = _sample(M, N, homs, rng)
             if _vertexwise_invertible(candidate):
                 return IsoCertificate("yes", "invertible morphism found", candidate)
     return IsoCertificate("unknown", "randomized and symbolic checks were inconclusive")

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over Q or F_p.
 
 A linear map X -> Y is stored as a (dim Y) x (dim X) matrix acting on
-column vectors.  Every elimination goes through ``_rref(field, rows)``,
-which picks a kernel by the characteristic and uses the same pivot rule
-(leftmost column first, first nonzero row):
+column vectors.  Every elimination goes through one pivot loop,
+``_echelon``, which picks an eliminate step by the characteristic and
+uses the same pivot rule (leftmost column first, first nonzero row):
 
 * over Q, Gauss-Jordan on integer rows (Bareiss 1968 style): a row of
   ``int``s goes in as it is and the denominators of any other row are
@@ -15,11 +15,15 @@ which picks a kernel by the characteristic and uses the same pivot rule
   scaled once by the inverse of its pivot and only its nonzero columns
   are updated in the other rows.
 
-Neither calls the field's methods per entry.  Both give the reduced row
-echelon form, which is unique for the row space, so echelon forms,
-kernel bases and coset representatives are canonical and reproducible
-run to run, and equal to those of elimination through the field methods
-(the tests keep that elimination as their oracle).
+Neither calls the field's methods per entry.  ``_rref(field, rows)``
+clears each pivot column above and below and then divides by the
+pivots; ``rank`` clears only below each pivot (forward elimination), so
+it finds the same pivots with no back substitution, no division by the
+pivots and no ``Fraction``.  Callers that read only a dimension use
+``rank``.  The reduced row echelon form is unique for the row space, so
+echelon forms, kernel bases and coset representatives are canonical and
+reproducible run to run, and equal to those of elimination through the
+field methods (the tests keep that elimination as their oracle).
 
 Lead columns.  A ``SubspaceBasis`` may record one lead column per
 vector: vector i has a 1 at its own lead column and a 0 at every other
@@ -313,56 +317,10 @@ def _rref(field, rows):
     """
     if not rows or not rows[0]:
         return [], []
-    if field.char == 0:
-        return _rref_rational(rows)
-    return _rref_residues(field.char, rows)
-
-
-def _pivot_loop(m, eliminate):
-    """Apply the pivot rule to the rows m in place; return the pivot columns.
-
-    For each column, left to right, the first row at or below the next
-    pivot position with a nonzero entry is swapped up to it, and
-    ``eliminate(m, r, c)`` clears column c in every other row.
-    """
-    nrows = len(m)
-    pivots = []
-    for c in range(len(m[0])):
-        r = len(pivots)
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        eliminate(m, r, c)
-        pivots.append(c)
-        if len(pivots) == nrows:
-            break
-    return pivots
-
-
-def _rref_rational(rows):
-    m = []
-    for row in rows:
-        if set(map(type, row)) <= {int}:
-            m.append(row)  # eliminate replaces rows, it never writes into one
-            continue
-        d = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (d // x.denominator) for x in row])
-
-    def eliminate(m, r, c):
-        prow = m[r]
-        a = prow[c]
-        for i, row in enumerate(m):
-            b = row[c]
-            if i == r or not b:
-                continue
-            g = gcd(a, b)
-            ag, bg = a // g, b // g
-            new = [ag * x - bg * y for x, y in zip(row, prow)]
-            content = gcd(*new)
-            m[i] = [x // content for x in new] if content > 1 else new
-
-    pivots = _pivot_loop(m, eliminate)
+    p = field.char
+    m, pivots = _echelon(p, rows, full=True)
+    if p:
+        return m[:len(pivots)], pivots
     out = []
     for row, c in zip(m, pivots):
         d = row[c]
@@ -373,26 +331,89 @@ def _rref_rational(rows):
     return out, pivots
 
 
-def _rref_residues(p, rows):
-    m = [[x % p for x in row] for row in rows]
+def _echelon(p, rows, full):
+    """Apply the pivot rule to working copies of rows; return (rows, pivots).
 
-    def eliminate(m, r, c):
-        inv = pow(m[r][c], p - 2, p)
-        prow = m[r] = [x * inv % p for x in m[r]]
-        support = [(j, y) for j, y in enumerate(prow) if y]
-        for i, row in enumerate(m):
-            b = row[c]
-            if i == r or not b:
+    The working rows are ``int``s: residues over F_p (p > 0), and over Q
+    (p = 0) each row with its denominators cleared.  For each column, left
+    to right, the first row at or below the next pivot position with a
+    nonzero entry is swapped up to it, and column c is cleared in the
+    rows below it, and with ``full`` in the rows above it too.  Clearing
+    only below is forward elimination: it finds the same pivots, and so
+    the rank, with no back substitution.
+    """
+    if p:
+        m = [[x % p for x in row] for row in rows]
+        eliminate = _eliminate_residues
+    else:
+        m = []
+        for row in rows:
+            if set(map(type, row)) <= {int}:
+                m.append(row)  # eliminate replaces rows, it never writes into one
                 continue
-            for j, y in support:
-                row[j] = (row[j] - b * y) % p
+            d = lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (d // x.denominator) for x in row])
+        eliminate = _eliminate_integers
+    nrows = len(m)
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        eliminate(p, m, r, c, 0 if full else r + 1)
+        pivots.append(c)
+        if len(pivots) == nrows:
+            break
+    return m, pivots
 
-    pivots = _pivot_loop(m, eliminate)
-    return m[:len(pivots)], pivots
+
+def _eliminate_integers(p, m, r, c, start):
+    """Clear column c of the rows from start on (not r) against row r.
+
+    A row becomes (a/g) row - (b/g) pivot row, g = gcd(a, b), divided by
+    the gcd of its entries; rows are replaced, never written into.
+    """
+    prow = m[r]
+    a = prow[c]
+    for i in range(start, len(m)):
+        row = m[i]
+        b = row[c]
+        if i == r or not b:
+            continue
+        g = gcd(a, b)
+        ag, bg = a // g, b // g
+        new = [ag * x - bg * y for x, y in zip(row, prow)]
+        content = gcd(*new)
+        m[i] = [x // content for x in new] if content > 1 else new
+
+
+def _eliminate_residues(p, m, r, c, start):
+    """Scale row r to a leading 1 and clear column c of the rows from
+    start on (not r), touching only the pivot row's nonzero columns."""
+    inv = pow(m[r][c], p - 2, p)
+    prow = m[r] = [x * inv % p for x in m[r]]
+    support = [(j, y) for j, y in enumerate(prow) if y]
+    for i in range(start, len(m)):
+        row = m[i]
+        b = row[c]
+        if i == r or not b:
+            continue
+        for j, y in support:
+            row[j] = (row[j] - b * y) % p
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref(m.field, m.rows)[1])
+    """The rank of m, by forward elimination under ``_rref``'s pivot rule.
+
+    Only the rows below each pivot are cleared: there is no back
+    substitution, no division by the pivots, and over Q no ``Fraction``
+    is built.  The pivots, and so the rank, are those of ``_rref``.
+    """
+    if not m.rows or not m.ncols:
+        return 0
+    return len(_echelon(m.field.char, m.rows, full=False)[1])
 
 
 @dataclass

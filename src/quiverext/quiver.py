@@ -135,6 +135,10 @@ class BoundQuiver:
         # projectives) by (field name, vertex)
         self._gldim_cache = {}
         self._projective_cache = {}
+        # structural data: the slot list of each cochain kind, by kind
+        # (filled by rep.Cochain.slots), and the is_acyclic verdict
+        self._slot_cache = {}
+        self._acyclic = None
         self._opposite = None
 
     def _check_relation(self, rel: RelationElement):
@@ -208,16 +212,20 @@ def validate_bound_quiver(name, vertices, arrows, relations=(),
 
 
 def is_acyclic(bq: BoundQuiver) -> bool:
-    """True when the arrow digraph has no directed cycle."""
-    graph = {x: set() for x in bq.quiver.vertices}
-    for a in bq.quiver.arrows:
-        graph[a.target].add(a.source)
-    ts = TopologicalSorter(graph)
-    try:
-        ts.prepare()
-    except CycleError:
-        return False
-    return True
+    """True when the arrow digraph has no directed cycle.
+
+    The verdict depends only on the quiver, so it is kept on bq.
+    """
+    if bq._acyclic is None:
+        graph = {x: set() for x in bq.quiver.vertices}
+        for a in bq.quiver.arrows:
+            graph[a.target].add(a.source)
+        try:
+            TopologicalSorter(graph).prepare()
+            bq._acyclic = True
+        except CycleError:
+            bq._acyclic = False
+    return bq._acyclic
 
 
 # -- dimension forms ---------------------------------------------------

@@ -19,6 +19,7 @@ from .linalg import (
     block_diag,
     coordinates_in_basis,
     kernel_basis,
+    rank,
 )
 from .quiver import BoundQuiver, Path, QuiverError, RelationElement
 
@@ -135,7 +136,9 @@ class Cochain:
     d_target x d_source block: d_target from the target representation
     at the slot's target vertex, d_source from the source representation
     at its source vertex.  Coordinates run through the slots in order,
-    each block row-major.  Subclasses only name their slots.
+    each block row-major.  Subclasses only name their slots
+    (``_slot_list``); the list depends only on the bound quiver, so
+    ``slots`` keeps it there, one per cochain kind.
     """
 
     def __init__(self, source: Representation, target: Representation, mats: dict):
@@ -151,6 +154,15 @@ class Cochain:
                 raise QuiverError(f"{self.kind} {key}: cochain block has shape "
                                   f"{m.shape()}, expected {shape}")
             self.mats[key] = m
+
+    @classmethod
+    def slots(cls, bq):
+        """The slots (key, source vertex, target vertex) of this kind on bq."""
+        cache = bq._slot_cache
+        out = cache.get(cls.kind)
+        if out is None:
+            out = cache[cls.kind] = tuple(cls._slot_list(bq))
+        return out
 
     @classmethod
     def offsets(cls, source, target):
@@ -206,7 +218,7 @@ class VertexCochain(Cochain):
     kind = "vertex"
 
     @staticmethod
-    def slots(bq):
+    def _slot_list(bq):
         return [(x, x, x) for x in bq.quiver.vertices]
 
     def is_morphism(self) -> bool:
@@ -232,7 +244,7 @@ class ArrowCochain(Cochain):
     kind = "arrow"
 
     @staticmethod
-    def slots(bq):
+    def _slot_list(bq):
         return [(a.name, a.source, a.target) for a in bq.quiver.arrows]
 
 
@@ -242,7 +254,7 @@ class RelationCochain(Cochain):
     kind = "relation"
 
     @staticmethod
-    def slots(bq):
+    def _slot_list(bq):
         return [(r.name, r.source, r.target) for r in bq.relations]
 
 
@@ -294,7 +306,10 @@ def hom_basis(M: Representation, N: Representation):
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
-    return kernel_basis(hom_system(M, N)).dim
+    """dim Hom(M, N), the nullity of ``hom_system(M, N)``: its column
+    count minus its ``rank``, with no kernel basis built."""
+    system = hom_system(M, N)
+    return system.ncols - rank(system)
 
 
 def kernel_representation(f: VertexCochain):

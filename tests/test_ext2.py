@@ -325,8 +325,9 @@ def test_pd_le1_and_the_certificate_flag_equal_the_ext_route(name, field):
 
 
 def test_certify_reads_pd_without_first_extensions(tmp_path, monkeypatch, capsys):
-    """certify f3.qv XI3 builds six Ext^1 spaces; the Ext route of
-    pd M <= 1 would add one per vertex of the square, four."""
+    """certify f3.qv XI3 builds three Ext^1 spaces, (M, M), (V, U) and
+    (U, V): its Ext^2 dimensions come from the small model.  The Ext
+    route of pd M <= 1 would add one per vertex of the square, four."""
     ext1_module = importlib.import_module("quiverext.ext1")
     real_init = ext1_module.ExtSpace1.__init__
     built = []
@@ -340,7 +341,7 @@ def test_certify_reads_pd_without_first_extensions(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(ext1_module.ExtSpace1, "__init__", counting_init)
     assert main(["certify", str(path), "XI3"]) == 0
     assert "regular-tangent" in capsys.readouterr().out
-    assert len(built) == 6
+    assert len(built) == 3
     built.clear()
     f3 = load_fixture("f3")
     M = f3.module(f3.sequence("XI3").middle)

@@ -57,7 +57,7 @@ from quiverext.rep import (
     hom_dim,
     zero_rep,
 )
-from quiverext.suites import random_cocycle, random_invertible
+from quiverext.suites import random_cocycle, random_invertible, run_suites
 
 from cases import CASES_WITH_F2, case_modules, case_workspace, with_rational_conjugates
 
@@ -744,3 +744,231 @@ def test_witness_search_equals_the_iso_on_every_candidate_body(name, field, monk
     assert outcomes == {True, False}
     assert tested
     assert all(arrow_ranks(W) == arrow_ranks(M) for W, M in tested)
+
+
+# -- the certificate's Ext^2 from the small model --------------------------
+
+
+def regularity_certificate_by_syzygies(M, U, V, witness):
+    """The certificate with its Ext^2 dimensions read from Ext^1 on minimal
+    syzygies and its tangent dimension from a kernel basis."""
+    if witness.M != M or witness.U != U or witness.V != V:
+        raise QuiverError("witness does not match the given triple")
+    if not witness.verify():
+        raise QuiverError("unverified witness")
+    bq = M.bq
+    d = M.dim_vector()
+    ext1_mm = ext1(M, M).dim
+    omega_m = ext2_module._minimal_syzygy(M)[0]
+    ext2_mm = ext1(omega_m, M).dim
+    hom_vu = hom_dim(V, U)
+    space_vu = ext1(V, U)
+    ext2_vu = ext2_via_omega(V, U).dim
+    hom_uv = hom_dim(U, V)
+    space_uv = ext1(U, V)
+    ext2_uv = ext2_via_omega(U, V).dim
+    z_uv, z_vu = space_uv.z.dim, space_vu.z.dim
+    epairs = ext_tangent_pairs(U, V)
+    N = direct_sum(U, V)
+    z_nn = z_space(N, N).dim
+    flags = {
+        "ext1_mm_vanishes": ext1_mm == 0,
+        "ext2_mm_vanishes": ext2_mm == 0,
+        "hom_vu_vanishes": hom_vu == 0,
+        "ext1_uv_vanishes": space_uv.dim == 0,
+        "ext2_uv_vanishes": ext2_uv == 0,
+        "pd_m_le1": ext2_module.is_projective(omega_m),
+    }
+    verdict = "inconclusive"
+    if all(flags.values()) and z_nn == a_of_d(bq, d):
+        verdict = "regular-tangent"
+    return geometry.RegularityReport(
+        M=M, U=U, V=V,
+        a_d_sub=a_of_d(bq, U.dim_vector()), a_d_quot=a_of_d(bq, V.dim_vector()),
+        hom_vu=hom_vu, ext1_vu=space_vu.dim, ext2_vu=ext2_vu,
+        hom_uv=hom_uv, ext1_uv=space_uv.dim, ext2_uv=ext2_uv,
+        z_uv_dim=z_uv, z_vu_dim=z_vu, ext_pairs_dim=epairs.dim, z_nn_dim=z_nn,
+        a_d=a_of_d(bq, d), bound=epairs.dim + z_uv + z_vu,
+        orbit_dim_n=orbit_dim(N).orbit_dim, flags=flags, verdict=verdict)
+
+
+@pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
+def test_certificate_reads_ext2_from_the_small_model(name, field):
+    """On every declared sequence and on seeded triples: the whole report
+    equals the syzygy body's, its Ext^2 fields equal ext2_via_omega on the
+    same pairs, or both raise the same HypothesisError where the small
+    model is gated."""
+    certified = 0
+    for M, U, V in witness_triples(name, field, seed=67):
+        witness = degeneration_witness_search(M, U, V)
+        if witness is None:
+            continue
+        try:
+            want = regularity_certificate_by_syzygies(M, U, V, witness)
+        except HypothesisError as exc:
+            with pytest.raises(HypothesisError) as got:
+                regularity_certificate(M, U, V, witness)
+            assert str(got.value) == str(exc)
+            continue
+        report = regularity_certificate(M, U, V, witness)
+        assert report == want
+        assert report.ext2_vu == ext2_via_omega(V, U).dim
+        assert report.ext2_uv == ext2_via_omega(U, V).dim
+        assert report.flags["ext2_mm_vanishes"] == (ext2_via_omega(M, M).dim == 0)
+        N = direct_sum(U, V)
+        assert report.z_nn_dim == z_space(N, N).dim
+        certified += 1
+    gated = not is_acyclic(M.bq) or not gldim_le2_check(M.bq, field)
+    assert (certified == 0) == gated
+
+
+def test_certificate_builds_no_syzygy_but_the_middle(monkeypatch):
+    """One minimal syzygy per certificate, of M (for pd M <= 1)."""
+    f3 = load_fixture("f3")
+    gldim_le2_check(f3.bound_quiver, QQ)  # its syzygies are kept on the quiver
+    ses = f3.sequence("XI3")
+    M, U, V = (f3.module(n) for n in (ses.middle, ses.sub, ses.quot))
+    witness = degeneration_witness_search(M, U, V)
+    calls = []
+    real_syzygy = ext2_module._minimal_syzygy
+
+    def counting_syzygy(N):
+        calls.append(N)
+        return real_syzygy(N)
+
+    monkeypatch.setattr(ext2_module, "_minimal_syzygy", counting_syzygy)
+    monkeypatch.setattr(geometry, "_minimal_syzygy", counting_syzygy)
+    regularity_certificate(M, U, V, witness)
+    assert calls == [M]
+
+
+# -- iso_test: the first seeded sample before the fingerprints -------------
+
+
+def iso_test_candidate_then_fingerprints(M, N, seed=0, trials=20):
+    """The isomorphism test with the fingerprints right after the all-ones
+    candidate, before any seeded sample."""
+    if M.dim_vector() != N.dim_vector():
+        return IsoCertificate("no", "dimension vectors differ")
+    if M.total_dim == 0:
+        return IsoCertificate("yes", "both representations are zero",
+                              VertexCochain(M, N, {}))
+    cochains = hom_basis(M, N)
+    field = M.field
+    homs = SubspaceBasis(field, VertexCochain.space_dim(M, N),
+                         [f.to_vector() for f in cochains])
+    if cochains:
+        ones = [field.one] * len(cochains)
+        candidate = VertexCochain.from_vector(M, N, homs.combine(ones))
+        if iso._vertexwise_invertible(candidate):
+            return IsoCertificate("yes", "invertible morphism found", candidate)
+    fp_m = (hom_dim(M, M), len(cochains))
+    fp_n = (hom_dim(N, N), hom_dim(N, M))
+    if fp_m != fp_n:
+        return IsoCertificate(
+            "no",
+            "hom-space fingerprints differ: "
+            f"(end M, hom M->N) = {fp_m} but (end N, hom N->M) = {fp_n}",
+        )
+    if not cochains:
+        return IsoCertificate("no", "no nonzero morphism exists")
+    rng = random.Random(seed)
+    for _ in range(trials):
+        coeffs = [field.of(rng.randint(-10**6, 10**6)) for _ in cochains]
+        candidate = VertexCochain.from_vector(M, N, homs.combine(coeffs))
+        if iso._vertexwise_invertible(candidate):
+            return IsoCertificate("yes", "invertible morphism found", candidate)
+    symbolic = iso._symbolic_det_is_zero(M, N, cochains)
+    if symbolic is True:
+        return IsoCertificate("no", "every morphism is singular at some vertex")
+    if symbolic is False:
+        for _ in range(200):
+            coeffs = [field.of(rng.randint(-10**6, 10**6)) for _ in cochains]
+            candidate = VertexCochain.from_vector(M, N, homs.combine(coeffs))
+            if iso._vertexwise_invertible(candidate):
+                return IsoCertificate("yes", "invertible morphism found", candidate)
+    return IsoCertificate("unknown", "randomized and symbolic checks were inconclusive")
+
+
+def assert_same_certificate(got, want):
+    assert (got.verdict, got.reason) == (want.verdict, want.reason)
+    if want.witness is None:
+        assert got.witness is None
+        return
+    for x in want.witness.mats:
+        assert typed(got.witness.mats[x].rows) == typed(want.witness.mats[x].rows)
+
+
+def _ones_invertible(M, N):
+    basis = hom_basis(M, N)
+    if not basis:
+        return False
+    ones = SubspaceBasis(M.field, VertexCochain.space_dim(M, N),
+                         [f.to_vector() for f in basis]).combine([M.field.one] * len(basis))
+    return iso._vertexwise_invertible(VertexCochain.from_vector(M, N, ones))
+
+
+def suite_iso_pairs(field, monkeypatch):
+    """The (W, M) pairs that iso_test sees in a run of every suite."""
+    pairs = []
+
+    def recording(W, M, seed=0):
+        pairs.append((W, M, seed))
+        return iso_test(W, M, seed=seed)
+
+    monkeypatch.setattr(geometry, "iso_test", recording)
+    run_suites("all", field)
+    monkeypatch.undo()
+    return pairs
+
+
+@pytest.mark.parametrize("field", [QQ, F101, PrimeField(2)], ids=str)
+def test_iso_test_equals_the_fingerprints_before_sampling_body(field, monkeypatch):
+    """The same certificate (verdict, reason, witness) as the body that
+    refutes by fingerprints before the first seeded sample, on the fixture
+    pairs, the suites' pairs, seeded isomorphic pairs whose all-ones
+    candidate fails (over Q and F101 also with one trial), and
+    non-isomorphic pairs the fingerprints refute."""
+    pairs = [(M, N, 0) for name in ("f1", "f2", "f3")
+             for mods in [list(load_fixture(name, field=field).modules.values())]
+             for M in mods for N in mods]
+    pairs += suite_iso_pairs(field, monkeypatch)
+    rng = random.Random(f"iso:{field.name}")
+    conjugates, refuted = 0, 0
+    for name in ("f2", "f3", "loops"):
+        mods = with_rational_conjugates(case_modules(name, field, seed=71))
+        for M in mods:
+            for _ in range(3):
+                g = {x: random_invertible(field, d, rng) for x, d in M.dims.items()}
+                N = gl_action(g, M)
+                if not _ones_invertible(M, N):
+                    seed = rng.randrange(100)
+                    pairs.append((M, N, seed))
+                    if field.char != 2:  # over F2 one sample often fails: slow sympy
+                        pairs.append((M, N, seed, 1))
+                    conjugates += 1
+            for N in mods:
+                if N.dims == M.dims and not iso_test_candidate_then_fingerprints(
+                        M, N).reason.startswith("dimension"):
+                    pairs.append((M, N, 0))
+    sampled_first = 0
+    hom_dims = []
+    real_hom_dim = iso.hom_dim
+
+    def counting_hom_dim(M, N):
+        hom_dims.append((M, N))
+        return real_hom_dim(M, N)
+
+    for M, N, seed, *trials in pairs:
+        trials = trials[0] if trials else 20
+        want = iso_test_candidate_then_fingerprints(M, N, seed=seed, trials=trials)
+        monkeypatch.setattr(iso, "hom_dim", counting_hom_dim)
+        got = iso_test(M, N, seed=seed, trials=trials)
+        monkeypatch.undo()
+        assert_same_certificate(got, want)
+        refuted += want.reason.startswith("hom-space fingerprints differ")
+        if got.verdict == "yes" and not hom_dims and not _ones_invertible(M, N) \
+                and M.total_dim:
+            sampled_first += 1
+        hom_dims.clear()
+    assert conjugates and refuted and sampled_first

@@ -7,6 +7,7 @@ import pytest
 from quiverext.ext1 import (
     ArrowCochain,
     RelationCochain,
+    b_dim,
     b_space,
     coboundary,
     ext1,
@@ -16,12 +17,15 @@ from quiverext.ext1 import (
     pullback_class,
     pushout_class,
     relation_boundary_matrix,
+    z_dim,
     z_path,
     z_rho,
     z_space,
 )
 from quiverext.ext2 import (
+    Ext2Model,
     ProjPresentation,
+    b_prime,
     indecomposable_projective,
     projective_cover,
     radical_subspace,
@@ -34,16 +38,18 @@ from quiverext.linalg import (
     Matrix,
     QuotientSpace,
     SubspaceBasis,
+    _rref,
     column_space_basis,
     hstack,
     kernel_basis,
     kron_add,
     linear_map_matrix,
+    rank,
     row_space_basis,
     solve,
     vstack,
 )
-from quiverext.quiver import Path, QuiverError
+from quiverext.quiver import Path, QuiverError, is_acyclic
 from quiverext.rep import (
     Representation,
     VertexCochain,
@@ -277,6 +283,29 @@ def test_cochain_layout_round_trips(name, field):
                 if total:
                     with pytest.raises(ValueError, match=f"{cls.kind} layout"):
                         cls.from_vector(V, U, vec[:-1])
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "f3", "loops"])
+def test_structural_data_is_kept_per_bound_quiver(name, monkeypatch):
+    """Each kind's slot list and the acyclicity verdict are built once per
+    bound quiver and equal a fresh build."""
+    bq = case_workspace(name, QQ).bound_quiver
+    for cls in KINDS:
+        assert cls.slots(bq) is cls.slots(bq)
+        assert list(cls.slots(bq)) == cls._slot_list(bq)
+    quiver_module = importlib.import_module("quiverext.quiver")
+    sorters = []
+    real_sorter = quiver_module.TopologicalSorter
+
+    def counting_sorter(graph):
+        sorters.append(graph)
+        return real_sorter(graph)
+
+    monkeypatch.setattr(quiver_module, "TopologicalSorter", counting_sorter)
+    other = case_workspace(name, QQ).bound_quiver
+    verdicts = {is_acyclic(b) for b in (bq, other, bq, other)}
+    assert len(sorters) == 2 and len(verdicts) == 1
+    assert verdicts == {name != "loops"}
 
 
 @pytest.mark.parametrize("name, field", [("f2", QQ), ("f3", F101), ("loops", QQ)], ids=str)
@@ -846,3 +875,30 @@ def test_boundary_matrix_z_path_and_middle_term_equal_the_identity_bodies(name, 
             assert_same_mats(incl.mats, old_incl.mats)
             assert proj.source is W and proj.target is V
             assert_same_mats(proj.mats, old_proj.mats)
+
+
+# -- dimensions read without the basis or the quotient behind them ----------
+
+
+@pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
+def test_dimension_only_paths_equal_their_bases(name, field):
+    """rank, hom_dim, z_dim, b_dim, ExtSpace1.dim and Ext2Model.dim build
+    no basis or reducer; each equals the count its basis or quotient gives."""
+    mods = with_rational_conjugates(case_modules(name, field, seed=61))
+    for M in mods:
+        for N in mods:
+            system = hom_system(M, N)
+            assert rank(system) == len(_rref(field, system.rows)[1])
+            assert hom_dim(M, N) == kernel_basis(system).dim == len(hom_basis(M, N))
+            space = ext1(M, N)
+            assert "quotient" not in vars(space)
+            assert space.dim == space.quotient.dim
+            boundary = relation_boundary_matrix(M, N)
+            assert rank(boundary) == len(_rref(field, boundary.rows)[1])
+            assert z_dim(M, N) == space.z.dim
+            assert b_dim(M, N) == space.b.dim
+            model = Ext2Model(M, N)
+            assert "quotient" not in vars(model) and "bprime" not in vars(model)
+            assert model.dim == model.quotient.dim == QuotientSpace(
+                field, model.ambient_dim, b_prime(M, N)).dim
+            assert model.bprime == b_prime(M, N)

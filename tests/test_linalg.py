@@ -18,6 +18,7 @@ from quiverext.linalg import (
     kernel_basis,
     kron_add,
     linear_map_matrix,
+    rank,
     row_space_basis,
     solve,
     vstack,
@@ -402,6 +403,30 @@ def test_rref_kernels_equal_the_generic_elimination(field, kind):
                 assert got_pivots == []
             if kind == "deficient" and nrows >= 3:
                 assert len(got_pivots) < nrows
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=["Q", "F101", "F2"])
+@pytest.mark.parametrize("kind", ["sparse", "big", "fraction", "zero", "deficient",
+                                  "unreduced"])
+def test_rank_equals_the_rref_pivot_count(field, kind):
+    """Forward elimination finds as many pivots as the full RREF, on every
+    shape (no rows, no columns too) and on unreduced residues."""
+    rng = random.Random(f"rank:{field.name}:{kind}")
+    for _ in range(25):
+        for nrows, ncols in SHAPES + [(0, 3), (3, 0), (2, 9), (9, 2)]:
+            if kind == "unreduced":
+                # residues outside [0, p); over Q, integral Fractions
+                shift = (lambda x: x + rng.choice((0, field.char, -3 * field.char))
+                         ) if field.char else (lambda x: rng.choice((x, Fraction(x))))
+                rows = [[shift(x) for x in row]
+                        for row in _random_rows(field, rng, nrows, ncols, "sparse")]
+            else:
+                rows = _random_rows(field, rng, nrows, ncols, kind)
+            m = Matrix(field, rows, ncols)
+            before = [list(r) for r in rows]
+            assert rank(m) == m.rank() == len(_rref(field, rows)[1])
+            assert m.rows == before, "rank changed its input"
+            assert rank(m.transpose()) == rank(m)
 
 
 @pytest.mark.parametrize("field", [QQ, F101, F2], ids=["Q", "F101", "F2"])
