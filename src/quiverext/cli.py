@@ -144,11 +144,13 @@ def _task_hom(ws, args):
 def _task_ext1(ws, args):
     V, U = ws.module(args.V), ws.module(args.U)
     space = ext1(V, U)
+    # B is built first, so the dimension reads it rather than a second rank
+    certificate = {"cocycles": space.z.dim, "coboundaries": space.b.dim}
     return {
         "task": "ext1",
         "inputs": {"source": args.V, "target": args.U},
         "result": space.dim,
-        "certificate": {"cocycles": space.z.dim, "coboundaries": space.b.dim},
+        "certificate": certificate,
     }, 0
 
 

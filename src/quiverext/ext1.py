@@ -22,7 +22,11 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     SubspaceBasis,
+    _integer_row,
+    _kernel_of_rref,
     _product,
+    _rref,
+    column_space_basis,
     coordinates_in_basis,
     kernel_basis,
     kron_add,
@@ -165,24 +169,48 @@ class Ext1Class:
 class ExtSpace1:
     """Cocycles, coboundaries, and their quotient for a pair (V, U).
 
-    Z, B and the check that B lies in Z are built at once.  Once that
-    check passes, the coordinates of B's basis in Z are independent, so
-    dim Ext^1 = dim Z - dim B with no further elimination; the quotient
-    (the coset reducer on Z-coordinates) is built on first use.
+    Construction eliminates the relation system R =
+    ``relation_boundary_matrix(V, U)`` once.  Its kernel is Z, and its
+    echelon rows E, which span the row space of R, check that B lies in
+    Z: the columns of H = ``hom_system(V, U)`` span the coboundaries, so
+    E H = 0 says exactly that every coboundary lies in ker R = Z.  The
+    check is exact and runs on every construction.  Once it passes,
+    dim Ext^1 = dim Z - rank H, read from ``rank`` (or from ``b`` when
+    that is built already).  The bases ``z`` and ``b`` (the RREF of H^T),
+    B's coordinates in Z and the quotient (the coset reducer on
+    Z-coordinates) are built on first use.
     """
 
     def __init__(self, V: Representation, U: Representation):
         self.source = V
         self.target = U
-        self.field = V.field
-        self.z = z_space(V, U)
-        self.b = b_space(V, U)
-        # coordinates read at Z's lead columns, checked by one recombination
-        coords = [[bvec[j] for j in self.z.leads] for bvec in self.b.vectors]
-        if _product(self.field, coords, self.z.vectors, self.z.ambient_dim) != self.b.vectors:
+        self.field = field = V.field
+        boundary = relation_boundary_matrix(V, U)
+        self._ncols = boundary.ncols
+        self._rows, self._pivots = _rref(field, boundary.rows)
+        self._hom = hom_system(V, U)
+        # over Q the rows are checked with their denominators cleared
+        echelon = self._rows if field.char else [_integer_row(r) for r in self._rows]
+        if any(map(any, _product(field, echelon, self._hom.rows, self._hom.ncols))):
             raise QuiverError("coboundary outside the cocycle space")
-        self._b_coords = coords
-        self.dim = self.z.dim - self.b.dim
+
+    @cached_property
+    def z(self) -> SubspaceBasis:
+        return _kernel_of_rref(self.field, self._ncols, self._rows, self._pivots)
+
+    @cached_property
+    def b(self) -> SubspaceBasis:
+        return column_space_basis(self._hom)
+
+    @cached_property
+    def dim(self) -> int:
+        b_dim = self.b.dim if "b" in vars(self) else rank(self._hom)
+        return self._ncols - len(self._pivots) - b_dim
+
+    @cached_property
+    def _b_coords(self) -> list:
+        # B lies in Z, so its coordinates are its entries at Z's lead columns
+        return [[bvec[j] for j in self.z.leads] for bvec in self.b.vectors]
 
     @cached_property
     def quotient(self) -> QuotientSpace:

@@ -45,6 +45,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     SubspaceBasis,
+    _forward_pivots,
     _product,
     column_space_basis,
     hstack,
@@ -605,8 +606,8 @@ def _cover(M: Representation):
     cover_rows = {z: [[] for _ in range(M.dims[z])] for z in quiver.vertices}
     for x in quiver.vertices:
         rad = radical_subspace(M, x)
-        # the coordinates off the pivots of the radical span the top
-        leads = set(column_space_basis(rad).leads) if rad is not None else ()
+        # the coordinates off the pivots of the radical's columns span the top
+        leads = set(_forward_pivots(field, rad.transpose().rows)) if rad is not None else ()
         free = [i for i in range(M.dims[x]) if i not in leads]
         if not free:
             continue

@@ -16,8 +16,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 from .ext1 import (
+    ExtSpace1,
     b_dim,
     b_space,
     ext1,
@@ -107,17 +109,26 @@ def orbit_dim(M: Representation) -> OrbitInfo:
 
 @dataclass
 class TangentSpace:
-    base: Representation
-    basis: SubspaceBasis
+    """The tangent space at a point N: its self-cocycles Z(N, N).
 
-    @property
+    The dimension is a nullity read from a rank (``z_dim``); the cocycle
+    basis is built on first read.
+    """
+
+    base: Representation
+
+    @cached_property
     def dim(self) -> int:
-        return self.basis.dim
+        return z_dim(self.base, self.base)
+
+    @cached_property
+    def basis(self) -> SubspaceBasis:
+        return z_space(self.base, self.base)
 
 
 def tangent_module_variety(N: Representation) -> TangentSpace:
     """Tangent vectors at a point are the self-cocycles of the point."""
-    return TangentSpace(N, z_space(N, N))
+    return TangentSpace(N)
 
 
 def tangent_block_decomposition(U: Representation, V: Representation):
@@ -182,13 +193,19 @@ def hom_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
     cocycle Z' of U sends a morphism f to Z'_a f_src, a cocycle Z'' of V
     to -f_tgt Z''_a, each reduced modulo the coboundaries B(V, U).
     """
+    return _hom_tangent_pairs(U, V, b_space(V, U))
+
+
+def _hom_tangent_pairs(U: Representation, V: Representation,
+                       b_vu: SubspaceBasis) -> TangentPairs:
+    """``hom_tangent_pairs`` given the coboundary basis B(V, U)."""
     field = U.field
     arrows = U.bq.quiver.arrows
     zu = z_space(U, U)
     zv = z_space(V, V)
     homs = hom_basis(V, U)
     ambient = ArrowCochain.space_dim(V, U)
-    quot = QuotientSpace(field, ambient, b_space(V, U))
+    quot = QuotientSpace(field, ambient, b_vu)
 
     images = []  # per basis cocycle: its arrow blocks V -> U, one set per morphism
     for vec in zu.vectors:
@@ -233,10 +250,17 @@ def ext_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
     the pair basis combines them, and each column is reduced once
     modulo the relation coboundaries.
     """
-    field = U.field
-    hpairs = hom_tangent_pairs(U, V)
     model = ext2_small_model(V, U)  # raises HypothesisError when gated out
-    zvu = z_space(V, U)
+    return _ext_tangent_pairs(U, V, ext1(V, U), model)
+
+
+def _ext_tangent_pairs(U: Representation, V: Representation,
+                       space_vu: ExtSpace1, model: Ext2Model) -> TangentPairs:
+    """``ext_tangent_pairs`` with Z(V, U) and B(V, U) read from the given
+    Ext^1(V, U) and the pairing reduced in the given small model."""
+    field = U.field
+    hpairs = _hom_tangent_pairs(U, V, space_vu.b)
+    zvu = space_vu.z
     if zvu.dim == 0 or hpairs.dim == 0:
         return hpairs
     cols = [[] for _ in hpairs.basis.vectors]
@@ -534,7 +558,9 @@ def regularity_certificate(M: Representation, U: Representation,
     the suites check it against.  The minimal syzygy of M is built once,
     with no inclusion, for the flag pd M <= 1 (is it projective?).  Hom
     and tangent dimensions are nullities read from ``rank`` (``hom_dim``,
-    ``z_dim``).
+    ``z_dim``).  The Ext^1 space and the small model of (V, U) are built
+    once and handed to the pairing, so Z(V, U), B(V, U) and the model
+    serve both the counts and the pairs.
     """
     if witness.M != M or witness.U != U or witness.V != V:
         raise QuiverError("witness does not match the given triple")
@@ -550,15 +576,17 @@ def regularity_certificate(M: Representation, U: Representation,
     ext2_mm = ext2_small_model(M, M).dim
     hom_vu = hom_dim(V, U)
     space_vu = ext1(V, U)
+    model_vu = ext2_small_model(V, U)
+    # the pairing builds B(V, U), so Ext^1(V, U) reads its dimension from it
+    epairs = _ext_tangent_pairs(U, V, space_vu, model_vu)
     ext1_vu = space_vu.dim
-    ext2_vu = ext2_small_model(V, U).dim
+    ext2_vu = model_vu.dim
     hom_uv = hom_dim(U, V)
     space_uv = ext1(U, V)
     ext1_uv = space_uv.dim
     ext2_uv = ext2_small_model(U, V).dim
     z_uv = space_uv.z.dim
     z_vu = space_vu.z.dim
-    epairs = ext_tangent_pairs(U, V)
     N = direct_sum(U, V)
     z_nn = z_dim(N, N)
     bound = epairs.dim + z_uv + z_vu
@@ -675,4 +703,4 @@ def dual_number_oracle(U: Representation, Mbar: ArrowCochain,
     z_dual = kernel_basis(
         linear_map_matrix(field, z_dom, z_codom, z_constraints)).dim
 
-    return DualNumberProbe(hom_dual, z_dual, hom_dim(V, U), z_space(V, U).dim)
+    return DualNumberProbe(hom_dual, z_dual, hom_dim(V, U), z_dim(V, U))

@@ -9,7 +9,9 @@ fingerprints (dim End M, dim Hom(M, N), dim End N, dim Hom(N, M)),
 which refute isomorphism when they differ and which an invertible
 candidate before them makes unnecessary; the rest of the seeded
 samples; and -- on small inputs -- a symbolic determinant that can
-refute conclusively.  The samples are drawn from one
+refute conclusively.  The Hom(M, N) basis is used as the kernel
+vectors of ``hom_system``; it is turned into morphism cochains only for
+the symbolic determinant.  The samples are drawn from one
 ``random.Random(seed)`` in one sequence, so drawing the first before
 the fingerprints changes no verdict, reason or witness.  The verdict is
 always one of "yes" (with an invertible witness), "no" (with the
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 import sympy
 
 from .fields import RationalField
-from .linalg import SubspaceBasis
-from .rep import Representation, VertexCochain, hom_basis, hom_dim
+from .linalg import SubspaceBasis, kernel_basis
+from .rep import Representation, VertexCochain, hom_dim, hom_system
 
 _SYMBOLIC_DIM_LIMIT = 12
 
@@ -106,17 +108,15 @@ def iso_test(M: Representation, N: Representation,
     if M.total_dim == 0:
         return IsoCertificate("yes", "both representations are zero",
                               VertexCochain(M, N, {}))
-    cochains = hom_basis(M, N)
+    homs = kernel_basis(hom_system(M, N))
     field = M.field
-    homs = SubspaceBasis(field, VertexCochain.space_dim(M, N),
-                         [f.to_vector() for f in cochains])
     rng = random.Random(seed)
     samples = trials
-    if cochains:
+    if homs.dim:
         # an invertible candidate proves M and N isomorphic, so the
         # fingerprints below would agree: try the all-ones sum and the
         # first seeded sample first
-        ones = [field.one] * len(cochains)
+        ones = [field.one] * homs.dim
         candidate = VertexCochain.from_vector(M, N, homs.combine(ones))
         if _vertexwise_invertible(candidate):
             return IsoCertificate("yes", "invertible morphism found", candidate)
@@ -125,7 +125,7 @@ def iso_test(M: Representation, N: Representation,
             candidate = _sample(M, N, homs, rng)
             if _vertexwise_invertible(candidate):
                 return IsoCertificate("yes", "invertible morphism found", candidate)
-    fp_m = (hom_dim(M, M), len(cochains))
+    fp_m = (hom_dim(M, M), homs.dim)
     fp_n = (hom_dim(N, N), hom_dim(N, M))
     if fp_m != fp_n:
         return IsoCertificate(
@@ -133,7 +133,7 @@ def iso_test(M: Representation, N: Representation,
             "hom-space fingerprints differ: "
             f"(end M, hom M->N) = {fp_m} but (end N, hom N->M) = {fp_n}",
         )
-    if not cochains:
+    if not homs.dim:
         return IsoCertificate("no", "no nonzero morphism exists")
 
     for _ in range(samples):
@@ -141,6 +141,7 @@ def iso_test(M: Representation, N: Representation,
         if _vertexwise_invertible(candidate):
             return IsoCertificate("yes", "invertible morphism found", candidate)
 
+    cochains = [VertexCochain.from_vector(M, N, v) for v in homs.vectors]
     symbolic = _symbolic_det_is_zero(M, N, cochains)
     if symbolic is True:
         return IsoCertificate("no", "every morphism is singular at some vertex")

@@ -17,11 +17,12 @@ uses the same pivot rule (leftmost column first, first nonzero row):
 
 Neither calls the field's methods per entry.  ``_rref(field, rows)``
 clears each pivot column above and below and then divides by the
-pivots; ``rank`` clears only below each pivot (forward elimination), so
-it finds the same pivots with no back substitution, no division by the
-pivots and no ``Fraction``.  Callers that read only a dimension use
-``rank``.  The reduced row echelon form is unique for the row space, so
-echelon forms, kernel bases and coset representatives are canonical and
+pivots; ``_forward_pivots``, and so ``rank``, clears only below each
+pivot (forward elimination), so it finds the same pivots with no back
+substitution, no division by the pivots and no ``Fraction``.  Callers
+that read only a dimension or a set of pivot columns use them.  The
+reduced row echelon form is unique for the row space, so echelon
+forms, kernel bases and coset representatives are canonical and
 reproducible run to run, and equal to those of elimination through the
 field methods (the tests keep that elimination as their oracle).
 
@@ -346,20 +347,17 @@ def _echelon(p, rows, full):
         m = [[x % p for x in row] for row in rows]
         eliminate = _eliminate_residues
     else:
-        m = []
-        for row in rows:
-            if set(map(type, row)) <= {int}:
-                m.append(row)  # eliminate replaces rows, it never writes into one
-                continue
-            d = lcm(*(x.denominator for x in row))
-            m.append([x.numerator * (d // x.denominator) for x in row])
+        # eliminate replaces rows, it never writes into one
+        m = [_integer_row(row) for row in rows]
         eliminate = _eliminate_integers
     nrows = len(m)
     pivots = []
     for c in range(len(m[0])):
         r = len(pivots)
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if m[pr][c]:
+                break
+        else:
             continue
         m[r], m[pr] = m[pr], m[r]
         eliminate(p, m, r, c, 0 if full else r + 1)
@@ -367,6 +365,15 @@ def _echelon(p, rows, full):
         if len(pivots) == nrows:
             break
     return m, pivots
+
+
+def _integer_row(row):
+    """A row over Q with its denominators cleared: the row itself when
+    every entry is an ``int``, else a new row scaled by their lcm."""
+    if set(map(type, row)) <= {int}:
+        return row
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def _eliminate_integers(p, m, r, c, start):
@@ -404,16 +411,22 @@ def _eliminate_residues(p, m, r, c, start):
             row[j] = (row[j] - b * y) % p
 
 
-def rank(m: Matrix) -> int:
-    """The rank of m, by forward elimination under ``_rref``'s pivot rule.
+def _forward_pivots(field, rows) -> list:
+    """The pivot columns of rows, by forward elimination under ``_rref``'s
+    pivot rule.
 
     Only the rows below each pivot are cleared: there is no back
     substitution, no division by the pivots, and over Q no ``Fraction``
-    is built.  The pivots, and so the rank, are those of ``_rref``.
+    is built.  The pivots are those of ``_rref``.
     """
-    if not m.rows or not m.ncols:
-        return 0
-    return len(_echelon(m.field.char, m.rows, full=False)[1])
+    if not rows or not rows[0]:
+        return []
+    return _echelon(field.char, rows, full=False)[1]
+
+
+def rank(m: Matrix) -> int:
+    """The rank of m, the number of its ``_forward_pivots``."""
+    return len(_forward_pivots(m.field, m.rows))
 
 
 @dataclass
@@ -473,21 +486,25 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     One vector per free column, in ascending column order, each with a 1
     in its free coordinate.
     """
-    f = m.field
+    return _kernel_of_rref(m.field, m.ncols, *_rref(m.field, m.rows))
+
+
+def _kernel_of_rref(f, ncols: int, rows, pivots) -> SubspaceBasis:
+    """``kernel_basis`` of a matrix with ncols columns, read from the rows
+    and pivots ``_rref`` returned for it."""
     p = f.char
-    rows, pivots = _rref(f, m.rows)
     pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
+    free = [j for j in range(ncols) if j not in pivot_set]
     vectors = []
     for j in free:
-        v = [f.zero] * m.ncols
+        v = [f.zero] * ncols
         v[j] = f.one
         for row, c in zip(rows, pivots):
             x = row[j]
             if x:
                 v[c] = -x % p if p else -x
         vectors.append(v)
-    return SubspaceBasis(f, m.ncols, vectors, free)
+    return SubspaceBasis(f, ncols, vectors, free)
 
 
 def solve(m: Matrix, b) -> Optional[list]:

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -972,3 +973,91 @@ def test_iso_test_equals_the_fingerprints_before_sampling_body(field, monkeypatc
             sampled_first += 1
         hom_dims.clear()
     assert conjugates and refuted and sampled_first
+
+
+# -- one certificate, one set of pair systems ---------------------------------
+
+
+def regularity_certificate_by_public_calls(M, U, V, witness):
+    """The earlier certificate body: each public call (ext1,
+    ext2_small_model, ext_tangent_pairs) builds its own pair systems."""
+    if witness.M != M or witness.U != U or witness.V != V:
+        raise QuiverError("witness does not match the given triple")
+    if not witness.verify():
+        raise QuiverError("unverified witness")
+    bq = M.bq
+    d = M.dim_vector()
+    ext1_mm = ext1(M, M).dim
+    ext2_mm = ext2_small_model(M, M).dim
+    hom_vu = hom_dim(V, U)
+    space_vu = ext1(V, U)
+    ext1_vu = space_vu.dim
+    ext2_vu = ext2_small_model(V, U).dim
+    hom_uv = hom_dim(U, V)
+    space_uv = ext1(U, V)
+    ext1_uv = space_uv.dim
+    ext2_uv = ext2_small_model(U, V).dim
+    z_uv = space_uv.z.dim
+    z_vu = space_vu.z.dim
+    epairs = ext_tangent_pairs(U, V)
+    N = direct_sum(U, V)
+    z_nn = z_space(N, N).dim
+    flags = {
+        "ext1_mm_vanishes": ext1_mm == 0,
+        "ext2_mm_vanishes": ext2_mm == 0,
+        "hom_vu_vanishes": hom_vu == 0,
+        "ext1_uv_vanishes": ext1_uv == 0,
+        "ext2_uv_vanishes": ext2_uv == 0,
+        "pd_m_le1": ext2_module.is_projective(ext2_module._minimal_syzygy(M)[0]),
+    }
+    verdict = "inconclusive"
+    if all(flags.values()) and z_nn == a_of_d(bq, d):
+        verdict = "regular-tangent"
+    return geometry.RegularityReport(
+        M=M, U=U, V=V,
+        a_d_sub=a_of_d(bq, U.dim_vector()), a_d_quot=a_of_d(bq, V.dim_vector()),
+        hom_vu=hom_vu, ext1_vu=ext1_vu, ext2_vu=ext2_vu,
+        hom_uv=hom_uv, ext1_uv=ext1_uv, ext2_uv=ext2_uv,
+        z_uv_dim=z_uv, z_vu_dim=z_vu, ext_pairs_dim=epairs.dim, z_nn_dim=z_nn,
+        a_d=a_of_d(bq, d), bound=epairs.dim + z_uv + z_vu,
+        orbit_dim_n=orbit_dim(N).orbit_dim, flags=flags, verdict=verdict)
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+@pytest.mark.parametrize("padded", [False, True], ids=["XI3", "padded"])
+def test_certificate_builds_each_pair_system_once(padded, field, monkeypatch):
+    """One certificate builds the small model of (V, U) once and the relation
+    system of (V, U) once for Z (in ext1; the other build is the small
+    model's), on XI3 and on XI3 with P2 + P3 + S1 added to its sub and
+    middle terms; its report equals the earlier body's."""
+    f3 = load_fixture("f3", field=field)
+    ses = f3.sequence("XI3")
+    M, U, V = (f3.module(n) for n in (ses.middle, ses.sub, ses.quot))
+    if padded:
+        pad = [f3.module(n) for n in ("P2", "P3", "S1")]
+        M, U = direct_sum(M, *pad), direct_sum(U, *pad)
+    witness = degeneration_witness_search(M, U, V)
+    want = regularity_certificate_by_public_calls(M, U, V, witness)
+    ext1_module = importlib.import_module("quiverext.ext1")
+    rep_module = importlib.import_module("quiverext.rep")
+    builds = Counter()
+
+    def counting(label, fn):
+        def wrapper(*args):
+            builds[(label, id(args[-2]), id(args[-1]))] += 1
+            return fn(*args)
+        return wrapper
+
+    for label, module in (("R for Z", ext1_module), ("R", ext2_module)):
+        monkeypatch.setattr(module, "relation_boundary_matrix",
+                            counting(label, module.relation_boundary_matrix))
+    for module in (rep_module, ext1_module, iso):
+        monkeypatch.setattr(module, "hom_system", counting("H", module.hom_system))
+    monkeypatch.setattr(Ext2Model, "__init__", counting("model", Ext2Model.__init__))
+    report = regularity_certificate(M, U, V, witness)
+    vu = (id(V), id(U))
+    assert builds[("model",) + vu] == 1
+    assert builds[("R for Z",) + vu] == 1
+    assert builds[("R",) + vu] == 1  # the small model's
+    assert builds[("H",) + vu] == 3  # hom_dim, the Ext^1 space and hom_basis
+    assert report == want

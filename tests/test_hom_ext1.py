@@ -32,14 +32,16 @@ from quiverext.ext2 import (
     syzygy,
 )
 from quiverext.fields import QQ
-from quiverext.geometry import _epsilon_matrix, scaling_family
+from quiverext.geometry import _epsilon_matrix, scaling_family, tangent_module_variety
 from quiverext.iso import iso_test
 from quiverext.linalg import (
     Matrix,
     QuotientSpace,
     SubspaceBasis,
+    _product,
     _rref,
     column_space_basis,
+    coordinates_in_basis,
     hstack,
     kernel_basis,
     kron_add,
@@ -646,21 +648,21 @@ def test_class_of_rejects_a_non_cocycle(field):
         assert space.class_of(cls.representative()) == cls
 
 
-@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=str)
 def test_ext1_rejects_a_coboundary_outside_the_cocycles(field, monkeypatch):
     ws = case_workspace("loops", field)
     X, S = ws.modules["X"], ws.modules["S"]
-    true_b = b_space(X, S)
+    true_h = hom_system(X, S)
     # the non-cocycle of test_class_of_rejects_a_non_cocycle
     outside = [field.zero] * 3 + [field.one]
     assert not is_cocycle(ArrowCochain.from_vector(X, S, outside))
 
-    def planted_b_space(V, U):
-        return SubspaceBasis(field, true_b.ambient_dim, true_b.vectors + [outside])
+    def planted_hom_system(V, U):
+        return hstack(true_h, Matrix.from_columns(field, true_h.nrows, [outside]))
 
     # the package attribute quiverext.ext1 is the function, not the module
-    monkeypatch.setattr(importlib.import_module("quiverext.ext1"), "b_space",
-                        planted_b_space)
+    monkeypatch.setattr(importlib.import_module("quiverext.ext1"), "hom_system",
+                        planted_hom_system)
     with pytest.raises(QuiverError, match="^coboundary outside the cocycle space$"):
         ext1(X, S)
 
@@ -902,3 +904,71 @@ def test_dimension_only_paths_equal_their_bases(name, field):
             assert model.dim == model.quotient.dim == QuotientSpace(
                 field, model.ambient_dim, b_prime(M, N)).dim
             assert model.bprime == b_prime(M, N)
+
+
+# -- Ext^1 and tangent spaces with their bases built on first use -----------
+
+
+class EagerExtSpace1:
+    """The earlier ExtSpace1 body: Z, B and the recombination check of B's
+    coordinates in Z, all at construction."""
+
+    def __init__(self, V, U):
+        self.field = V.field
+        self.z = z_space(V, U)
+        self.b = b_space(V, U)
+        coords = [[bvec[j] for j in self.z.leads] for bvec in self.b.vectors]
+        if _product(self.field, coords, self.z.vectors, self.z.ambient_dim) != self.b.vectors:
+            raise QuiverError("coboundary outside the cocycle space")
+        self._b_coords = coords
+        self.dim = self.z.dim - self.b.dim
+        self.quotient = QuotientSpace(self.field, self.z.dim,
+                                      SubspaceBasis(self.field, self.z.dim, coords))
+
+    def class_coords(self, Z):
+        coords = coordinates_in_basis(self.z, Z.to_vector())
+        if coords is None:
+            raise QuiverError("cochain is not a cocycle for this pair")
+        return tuple(self.quotient.reduce(coords))
+
+
+def typed_rows(rows):
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
+def test_lazy_ext1_and_tangent_spaces_equal_the_eager_body(name, field):
+    """Z, B, B's coordinates in Z, the reducer and class_of as the eager
+    body builds them, entry and type; the dimension is the same whether it
+    is read before the bases or after them; the tangent dimension equals
+    its basis and z_space."""
+    mods = with_rational_conjugates(case_modules(name, field, seed=73))
+    rng = random.Random(73)
+    for V in mods:
+        for U in mods:
+            old = EagerExtSpace1(V, U)
+            first = ext1(V, U)
+            dim_before = first.dim
+            assert not {"z", "b", "_b_coords", "quotient"} & set(vars(first))
+            after = ext1(V, U)
+            z, b = after.z, after.b
+            assert dim_before == after.dim == old.dim == first.dim
+            assert typed_rows(z.vectors) == typed_rows(old.z.vectors)
+            assert z.leads == old.z.leads
+            assert typed_rows(b.vectors) == typed_rows(old.b.vectors)
+            assert b.leads == old.b.leads
+            assert typed_rows(after._b_coords) == typed_rows(old._b_coords)
+            for _ in range(3):
+                coords = [field.of(rng.randint(-5, 5)) for _ in range(z.dim)]
+                assert typed_rows([after.quotient.reduce(coords)]) == \
+                    typed_rows([old.quotient.reduce(coords)])
+                Z = random_cocycle(V, U, rng)
+                assert typed_rows([first.class_of(Z).coords]) == \
+                    typed_rows([old.class_coords(Z)])
+        tangent = tangent_module_variety(V)
+        assert "basis" not in vars(tangent)
+        dim = tangent.dim
+        assert "basis" not in vars(tangent)
+        want = z_space(V, V)
+        assert dim == tangent.basis.dim == want.dim
+        assert typed_rows(tangent.basis.vectors) == typed_rows(want.vectors)
