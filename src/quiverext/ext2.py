@@ -310,8 +310,9 @@ def phi(N: Representation, M: Representation, Z: ArrowCochain,
     """Transport a syzygy cochain to relation cochains.
 
     For each relation term c * a_1...a_m and each position j < m, the
-    term contributes  c * M(a_1..a_{j-1}) Z_{a_j}(tail_j tensor -) with
-    tail_j = a_{j+1}..a_m expanded in the path basis of the syzygy.
+    term contributes  c * M(a_1..a_{j-1}) Z_{a_j} T_j, where column n of
+    T_j is tail_j tensor n, tail_j = a_{j+1}..a_m, expanded in the path
+    basis of the syzygy.
     """
     pres = presentation or ProjPresentation(N)
     if Z.source != pres.omega:
@@ -328,18 +329,13 @@ def phi(N: Representation, M: Representation, Z: ArrowCochain,
                 aj = quiver.arrow_map[arrows[j - 1]]
                 head = M.eval_arrow_word(arrows[:j - 1], aj.target)
                 tail_path = Path(p.source, aj.source, arrows[j:])
-                reduced = pres.basis.reduce_terms(
-                    aj.source, p.source, [(field.one, tail_path)])
-                block = Matrix.zeros(field, M.dims[aj.target], N.dims[rel.source])
-                for c, tau in reduced:
-                    zmat = Z.mats[aj.name]
+                index = pres.omega_index[aj.source]
+                tail = Matrix.zeros(field, pres.omega.dims[aj.source], N.dims[rel.source])
+                for c, tau in pres.basis.reduce_terms(
+                        aj.source, p.source, [(field.one, tail_path)]):
                     for jn in range(N.dims[rel.source]):
-                        pos = pres.omega_index[aj.source][(rel.source, tau.arrows, jn)]
-                        for r in range(M.dims[aj.target]):
-                            block.rows[r][jn] = field.add(
-                                block.rows[r][jn],
-                                field.mul(c, zmat.rows[r][pos]))
-                out = out + (head @ block).scale(field.of_fraction(coeff))
+                        tail.rows[index[(rel.source, tau.arrows, jn)]][jn] = c
+                out = out + (head @ Z.mats[aj.name] @ tail).scale(field.of_fraction(coeff))
         mats[rel.name] = out
     return RelationCochain(N, M, mats)
 

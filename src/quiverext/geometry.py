@@ -299,11 +299,6 @@ class PsiMap:
     def surjective(self) -> bool:
         return self.rank == self.model.dim
 
-    def kernel_contains(self, vec) -> bool:
-        """Membership of a concatenated-coordinate pair vector in Ker."""
-        image = self.matrix.apply(vec)
-        return all(self.model.field.is_zero(c) for c in image)
-
 
 def psi_map(Zxi: ArrowCochain, U: Representation, V: Representation) -> PsiMap:
     """Matrix of (Z', Z'') -> [Z' o xi] + [xi o Z''] into Ext2(V, U).

@@ -50,13 +50,6 @@ def trivial_path(x: str) -> Path:
     return Path(x, x, ())
 
 
-def compose_paths(p: Path, q: Path) -> Path:
-    """The product p*q (apply q first); requires source(p) == target(q)."""
-    if p.source != q.target:
-        raise QuiverError(f"paths {p} and {q} do not compose")
-    return Path(q.source, p.target, p.arrows + q.arrows)
-
-
 @dataclass(frozen=True)
 class RelationElement:
     """A linear combination of parallel paths of length >= 2."""

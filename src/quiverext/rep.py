@@ -61,12 +61,7 @@ class Representation:
         return dict(self.dims)
 
     def eval_path(self, path: Path) -> Matrix:
-        if path.length == 0:
-            return Matrix.identity(self.field, self.dims[path.source])
-        out = self.mats[path.arrows[0]]
-        for name in path.arrows[1:]:
-            out = out @ self.mats[name]
-        return out
+        return self.eval_arrow_word(path.arrows, path.source)
 
     def eval_arrow_word(self, arrow_names, source_vertex) -> Matrix:
         """Evaluate a (possibly empty) arrow word; empty words need a vertex.

@@ -68,6 +68,11 @@ def with_rational_conjugates(mods):
     return out
 
 
+def typed(rows):
+    """Entries with their types, so 2 and Fraction(2) differ."""
+    return [[(type(x), x) for x in row] for row in rows]
+
+
 NAMES = ("f1", "f2", "f3", "loops")
 CASES = [(name, field) for name in NAMES for field in (QQ, F101)]
 CASES_WITH_F2 = [(name, field) for name in NAMES for field in (QQ, F101, F2)]

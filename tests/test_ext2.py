@@ -252,7 +252,10 @@ def pd_le1_by_presentation(M):
 @pytest.mark.parametrize("field", [QQ, F101, F2], ids=str)
 @pytest.mark.parametrize("name", ["f1", "f2", "f3", "loops"])
 def test_minimal_syzygy_route_agrees_with_the_other_models(name, field):
-    """Ext^2 on the minimal syzygy against the standard one and the small model."""
+    """Ext^2 on the minimal syzygy against the standard one and the small model.
+
+    Over Q on the loops modules most of the time is the elimination inside
+    ext1(Omega, M) on their large syzygies, the route under test."""
     mods = case_modules(name, field, seed=23)
     bq = mods[0].bq
     gated = not is_acyclic(bq) or not gldim_le2_check(bq, field)

@@ -60,7 +60,7 @@ from quiverext.rep import (
 )
 from quiverext.suites import random_cocycle, random_invertible, run_suites
 
-from cases import CASES_WITH_F2, case_modules, case_workspace, with_rational_conjugates
+from cases import CASES_WITH_F2, case_modules, case_workspace, typed, with_rational_conjugates
 
 F101 = PrimeField(101)
 ext2_module = importlib.import_module("quiverext.ext2")
@@ -420,11 +420,6 @@ def test_regularity_certificate_rejects_a_mismatched_witness(f2, ses1_witness):
 
 # -- whole-matrix Yoneda systems against the per-pair bodies they replaced --
 
-def typed(rows):
-    """Entries with their types, so 1 and Fraction(1) differ."""
-    return [[(type(x), x) for x in row] for row in rows]
-
-
 def compose_by_units(Zxi):
     """The composition matrices built column by column with compose_cocycles."""
     V, U = Zxi.source, Zxi.target
@@ -495,7 +490,9 @@ def left_comp_per_pair(Zxi, U, V):
 
 @pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
 def test_composition_matrices_equal_compose_cocycles_on_units(name, field):
-    """Column j of each composition matrix is compose_cocycles on unit cochain j."""
+    """Column j of each composition matrix is compose_cocycles on unit cochain j.
+
+    Most of the time is the oracle: one compose_cocycles per unit cochain."""
     mods = with_rational_conjugates(case_modules(name, field, seed=31, max_summands=1))
     rng = random.Random(31)
     for V in mods:
@@ -512,6 +509,8 @@ def test_composition_matrices_equal_compose_cocycles_on_units(name, field):
 
 @pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
 def test_pairing_systems_equal_the_per_pair_bodies(name, field):
+    """Most of the time is the oracle: compose_cocycles on every pair of
+    basis cocycles in ext_tangent_pairs_per_pair."""
     mods = with_rational_conjugates(case_modules(name, field, seed=37, max_summands=2))
     rng = random.Random(37)
     bq = mods[0].bq

@@ -72,6 +72,7 @@ from cases import (
     F101,
     case_modules,
     case_workspace,
+    typed,
     with_rational_conjugates,
 )
 
@@ -376,12 +377,12 @@ def probe_hom_matrix(M, N):
 
 @pytest.mark.parametrize("name, field", CASES, ids=str)
 def test_assembled_systems_equal_the_probed_ones(name, field):
-    mods = case_modules(name, field, seed=11)
+    mods = with_rational_conjugates(case_modules(name, field, seed=11))
     for V in mods:
         for U in mods:
-            assert relation_boundary_matrix(V, U) == probe_relation_matrix(V, U)
-            assert -hom_system(V, U) == probe_coboundary_matrix(V, U)
-            assert hom_system(V, U) == probe_hom_matrix(V, U)
+            assert_same_entries(relation_boundary_matrix(V, U), probe_relation_matrix(V, U))
+            assert_same_entries(-hom_system(V, U), probe_coboundary_matrix(V, U))
+            assert_same_entries(hom_system(V, U), probe_hom_matrix(V, U))
 
 
 @pytest.mark.parametrize("name, field", CASES, ids=str)
@@ -500,8 +501,7 @@ def rows_epsilon(field, d):
 def assert_same_entries(new, old):
     """Equal shapes, entries and entry types (2 and Fraction(2) differ)."""
     assert new.shape() == old.shape()
-    assert [[(type(x), x) for x in r] for r in new.rows] == \
-        [[(type(x), x) for x in r] for r in old.rows]
+    assert typed(new.rows) == typed(old.rows)
 
 
 def assert_same_mats(new, old):
@@ -512,7 +512,7 @@ def assert_same_mats(new, old):
 
 @pytest.mark.parametrize("name, field", CASES, ids=str)
 def test_block_builders_equal_the_row_loops(name, field):
-    mods = case_modules(name, field, seed=13)
+    mods = with_rational_conjugates(case_modules(name, field, seed=13))
     mods.append(zero_rep(mods[0].bq, field))  # dimension 0 at every vertex
     rng = random.Random(17)
     for V in mods:
@@ -613,7 +613,7 @@ def test_presentation_builders_equal_the_per_label_loops(name, field, monkeypatc
         evaluated.append((rep, path))
         return real_eval_path(rep, path)
 
-    mods = case_modules(name, field, seed=19)
+    mods = with_rational_conjugates(case_modules(name, field, seed=19))
     mods.append(zero_rep(mods[0].bq, field))
     vertices = mods[0].bq.quiver.vertices
     for N in mods:
@@ -932,16 +932,14 @@ class EagerExtSpace1:
         return tuple(self.quotient.reduce(coords))
 
 
-def typed_rows(rows):
-    return [[(type(x), x) for x in row] for row in rows]
-
-
 @pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
 def test_lazy_ext1_and_tangent_spaces_equal_the_eager_body(name, field):
     """Z, B, B's coordinates in Z, the reducer and class_of as the eager
     body builds them, entry and type; the dimension is the same whether it
     is read before the bases or after them; the tangent dimension equals
-    its basis and z_space."""
+    its basis and z_space.  Over Q on the loops modules most of the time is
+    eliminating the relation systems, once each for the eager body, ext1
+    and the z_space of the random cocycles."""
     mods = with_rational_conjugates(case_modules(name, field, seed=73))
     rng = random.Random(73)
     for V in mods:
@@ -953,22 +951,22 @@ def test_lazy_ext1_and_tangent_spaces_equal_the_eager_body(name, field):
             after = ext1(V, U)
             z, b = after.z, after.b
             assert dim_before == after.dim == old.dim == first.dim
-            assert typed_rows(z.vectors) == typed_rows(old.z.vectors)
+            assert typed(z.vectors) == typed(old.z.vectors)
             assert z.leads == old.z.leads
-            assert typed_rows(b.vectors) == typed_rows(old.b.vectors)
+            assert typed(b.vectors) == typed(old.b.vectors)
             assert b.leads == old.b.leads
-            assert typed_rows(after._b_coords) == typed_rows(old._b_coords)
+            assert typed(after._b_coords) == typed(old._b_coords)
             for _ in range(3):
                 coords = [field.of(rng.randint(-5, 5)) for _ in range(z.dim)]
-                assert typed_rows([after.quotient.reduce(coords)]) == \
-                    typed_rows([old.quotient.reduce(coords)])
+                assert typed([after.quotient.reduce(coords)]) == \
+                    typed([old.quotient.reduce(coords)])
                 Z = random_cocycle(V, U, rng)
-                assert typed_rows([first.class_of(Z).coords]) == \
-                    typed_rows([old.class_coords(Z)])
+                assert typed([first.class_of(Z).coords]) == \
+                    typed([old.class_coords(Z)])
         tangent = tangent_module_variety(V)
         assert "basis" not in vars(tangent)
         dim = tangent.dim
         assert "basis" not in vars(tangent)
         want = z_space(V, V)
         assert dim == tangent.basis.dim == want.dim
-        assert typed_rows(tangent.basis.vectors) == typed_rows(want.vectors)
+        assert typed(tangent.basis.vectors) == typed(want.vectors)
