@@ -112,7 +112,7 @@ class AlgebraBasis:
             v[i] = self.field.add(v[i], coeff)
         red = quot.reduce(v)
         out = []
-        for p in sorted(self.basis[key], key=lambda p: (p.length, p.arrows)):
+        for p in self.basis[key]:
             c = red[index[p.arrows]]
             if not self.field.is_zero(c):
                 out.append((c, p))
@@ -157,12 +157,13 @@ def _relation_products(bq, field, by_length, window, strict_only):
     return out
 
 
-def admissibility_check(bq: BoundQuiver, field, cap: int | None = None):
-    """Smallest level L <= cap with every length-L path in the ideal span.
+def admissibility_check(bq: BoundQuiver, field):
+    """Smallest level L <= cap = ``bq.truncation_cap`` with every length-L
+    path in the ideal span.
 
     Returns the level, or None when the cap is exhausted.
     """
-    cap = bq.truncation_cap if cap is None else cap
+    cap = bq.truncation_cap
     by_length = _paths_up_to(bq, cap)
     for level in range(1, cap + 1):
         frontier = by_length[level]
@@ -199,13 +200,13 @@ def _pair_paths(by_length, window, pair):
                 yield p
 
 
-def algebra_basis(bq: BoundQuiver, field, cap: int | None = None) -> AlgebraBasis:
+def algebra_basis(bq: BoundQuiver, field) -> AlgebraBasis:
     """Truncated basis of the quotient algebra, per ordered vertex pair."""
-    cap = bq.truncation_cap if cap is None else cap
-    level = admissibility_check(bq, field, cap)
+    level = admissibility_check(bq, field)
     if level is None:
         raise AdmissibilityError(
-            f"admissibility bound exceeded: no level <= {cap} closes the ideal"
+            f"admissibility bound exceeded: no level <= {bq.truncation_cap} "
+            "closes the ideal"
         )
     by_length = _paths_up_to(bq, level)
     products = _relation_products(bq, field, by_length, level, strict_only=False)
@@ -225,20 +226,19 @@ def algebra_basis(bq: BoundQuiver, field, cap: int | None = None) -> AlgebraBasi
     return AlgebraBasis(bq, field, level, reducers)
 
 
-def minimality_check(bq: BoundQuiver, field, cap: int | None = None):
+def minimality_check(bq: BoundQuiver, field):
     """Names of relations generated by the others (empty tuple = minimal).
 
     Each candidate is reduced against the ideal of the remaining
     relations, computed at that subideal's own admissibility level.
     Raises AdmissibilityError when a subideal has no level within the cap.
     """
-    cap = bq.truncation_cap if cap is None else cap
     redundant = []
     for rel in bq.relations:
         others = [r for r in bq.relations if r.name != rel.name]
-        sub = BoundQuiver(bq.quiver, others, truncation_cap=cap)
+        sub = BoundQuiver(bq.quiver, others, truncation_cap=bq.truncation_cap)
         try:
-            sub_basis = algebra_basis(sub, field, cap)
+            sub_basis = algebra_basis(sub, field)
         except AdmissibilityError as exc:
             raise AdmissibilityError(
                 f"admissibility bound exceeded on the subideal without {rel.name}: {exc}"

@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 
+from .algebra import AdmissibilityError
 from .dsl import (
     ParseError,
     cast_workspace,
@@ -387,8 +388,8 @@ def main(argv=None) -> int:
                 "truncation": ws.bound_quiver.truncation_cap}
         _emit(args, [task], meta)
         return code
-    except (ParseError, QuiverError, HypothesisError, InconclusiveSearch,
-            OSError, ValueError) as exc:
+    except (ParseError, QuiverError, AdmissibilityError, HypothesisError,
+            InconclusiveSearch, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

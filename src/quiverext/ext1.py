@@ -169,25 +169,25 @@ class Ext1Class:
 class ExtSpace1:
     """Cocycles, coboundaries, and their quotient for a pair (V, U).
 
-    Construction eliminates the relation system R =
-    ``relation_boundary_matrix(V, U)`` once.  Its kernel is Z, and its
-    echelon rows E, which span the row space of R, check that B lies in
-    Z: the columns of H = ``hom_system(V, U)`` span the coboundaries, so
-    E H = 0 says exactly that every coboundary lies in ker R = Z.  The
-    check is exact and runs on every construction.  Once it passes,
-    dim Ext^1 = dim Z - rank H, read from ``rank`` (or from ``b`` when
-    that is built already).  The bases ``z`` and ``b`` (the RREF of H^T),
-    B's coordinates in Z and the quotient (the coset reducer on
-    Z-coordinates) are built on first use.
+    Construction builds the pair's two systems once each, R =
+    ``relation_boundary_matrix(V, U)`` and H = ``hom_system(V, U)``, and
+    eliminates R once.  Its kernel is Z, and its echelon rows E, which
+    span the row space of R, check that B lies in Z: the columns of H
+    span the coboundaries, so E H = 0 says exactly that every coboundary
+    lies in ker R = Z.  The check is exact and runs on every
+    construction.  Once it passes, dim Ext^1 = dim Z - rank H, read from
+    ``rank`` (or from ``b`` when built).  The bases ``z``, ``b`` (the
+    RREF of H^T) and ``homs`` (the kernel of H), B's coordinates in Z,
+    the quotient (the coset reducer on Z-coordinates) and the small
+    Ext^2 model on R and its pivot count are built on first use.
     """
 
     def __init__(self, V: Representation, U: Representation):
         self.source = V
         self.target = U
         self.field = field = V.field
-        boundary = relation_boundary_matrix(V, U)
-        self._ncols = boundary.ncols
-        self._rows, self._pivots = _rref(field, boundary.rows)
+        self._boundary = relation_boundary_matrix(V, U)
+        self._rows, self._pivots = _rref(field, self._boundary.rows)
         self._hom = hom_system(V, U)
         # over Q the rows are checked with their denominators cleared
         echelon = self._rows if field.char else [_integer_row(r) for r in self._rows]
@@ -196,16 +196,29 @@ class ExtSpace1:
 
     @cached_property
     def z(self) -> SubspaceBasis:
-        return _kernel_of_rref(self.field, self._ncols, self._rows, self._pivots)
+        return _kernel_of_rref(self.field, self._boundary.ncols, self._rows, self._pivots)
 
     @cached_property
     def b(self) -> SubspaceBasis:
         return column_space_basis(self._hom)
 
     @cached_property
+    def homs(self) -> list:
+        """The canonical basis of Hom(V, U), as ``hom_basis`` builds it."""
+        return [VertexCochain.from_vector(self.source, self.target, v)
+                for v in kernel_basis(self._hom).vectors]
+
+    @cached_property
     def dim(self) -> int:
         b_dim = self.b.dim if "b" in vars(self) else rank(self._hom)
-        return self._ncols - len(self._pivots) - b_dim
+        return self._boundary.ncols - len(self._pivots) - b_dim
+
+    @cached_property
+    def small_model(self):
+        """``ext2_small_model(V, U)``, gated as it is, on R."""
+        from .ext2 import Ext2Model  # local import to avoid a cycle
+
+        return Ext2Model._gated(self.source, self.target, self._boundary, len(self._pivots))
 
     @cached_property
     def _b_coords(self) -> list:

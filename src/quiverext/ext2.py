@@ -14,12 +14,12 @@ over acyclic quivers of global dimension at most two, so it is gated by
 those checks; ``Ext2Model`` reads its dimension from one rank and
 builds its coset reducer on first use.  The certificate
 (``geometry.regularity_certificate``) reads its Ext^2 dimensions from the
-small model, which its pairing requires anyway; the syzygy route stays
-the independent model.  The transport map between the models, Yoneda
-composition of cocycle representatives (``compose_cocycles``) and its
-matrices for a fixed cocycle, assembled from Kronecker blocks
-(``yoneda_matrices``), and the projectivity and global-dimension tests
-all live here.
+small models of its ``ExtSpace1`` spaces, each on the relation system
+its space eliminated; the syzygy route stays the independent model.  The
+transport map between the models, Yoneda composition of cocycle
+representatives (``compose_cocycles``) and its matrices for a fixed
+cocycle, assembled from Kronecker blocks (``yoneda_matrices``), and the
+projectivity and global-dimension tests all live here.
 
 The indecomposable projectives P(x) behind every projective cover are
 the standard presentations of the simples, built and verified once per
@@ -244,12 +244,23 @@ class Ext2Model:
     """
 
     def __init__(self, N: Representation, M: Representation):
-        self.source = N
-        self.target = M
-        self.field = N.field
+        boundary = relation_boundary_matrix(N, M)
+        self._adopt(N, M, boundary, rank(boundary))
+
+    @classmethod
+    def _gated(cls, N, M, boundary: Matrix, rank_r: int) -> "Ext2Model":
+        """The gated model of (N, M) on an R already eliminated, as by
+        ``ExtSpace1``, to ``rank_r`` pivots."""
+        _check_hypotheses(N)
+        model = cls.__new__(cls)
+        model._adopt(N, M, boundary, rank_r)
+        return model
+
+    def _adopt(self, N, M, boundary, rank_r):
+        self.source, self.target, self.field = N, M, N.field
         self.ambient_dim = RelationCochain.space_dim(N, M)
-        self._boundary = relation_boundary_matrix(N, M)
-        self.dim = self.ambient_dim - rank(self._boundary)
+        self._boundary = boundary
+        self.dim = self.ambient_dim - rank_r
 
     @cached_property
     def bprime(self) -> SubspaceBasis:
@@ -291,15 +302,19 @@ class Ext2Class:
 
 def ext2_small_model(N: Representation, M: Representation) -> Ext2Model:
     """The gated small model; raises when its hypotheses fail."""
-    bq = N.bq
+    _check_hypotheses(N)
+    return Ext2Model(N, M)
+
+
+def _check_hypotheses(N: Representation):
+    """The gate: raise ``HypothesisError`` unless the model is faithful."""
     problems = []
-    if not is_acyclic(bq):
+    if not is_acyclic(N.bq):
         problems.append("the quiver has an oriented cycle")
-    if not gldim_le2_check(bq, N.field):
+    if not gldim_le2_check(N.bq, N.field):
         problems.append("global dimension exceeds two")
     if problems:
         raise HypothesisError("hypotheses not satisfied: " + "; ".join(problems))
-    return Ext2Model(N, M)
 
 
 # -- the transport map between the models -------------------------------

@@ -16,10 +16,9 @@ def fixture_source(name: str) -> str:
     return (resources.files("quiverext") / "data" / f"{name}.qv").read_text()
 
 
-def load_fixture(name: str, field=None,
-                 truncation_cap: int | None = None) -> Workspace:
+def load_fixture(name: str, field=None) -> Workspace:
     """Parse a bundled workspace, optionally recast over another field."""
-    ws = parse_workspace(fixture_source(name), truncation_cap=truncation_cap)
+    ws = parse_workspace(fixture_source(name))
     if field is not None:
         ws = cast_workspace(ws, field)
     return ws

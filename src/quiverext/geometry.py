@@ -21,7 +21,6 @@ from functools import cached_property
 from .ext1 import (
     ExtSpace1,
     b_dim,
-    b_space,
     ext1,
     is_cocycle,
     middle_term,
@@ -36,7 +35,7 @@ from .ext2 import (
     is_projective,
     yoneda_matrices,
 )
-from .iso import IsoCertificate, iso_test
+from .iso import IsoCertificate, _vertexwise_invertible, iso_test
 from .linalg import (
     Matrix,
     QuotientSpace,
@@ -57,7 +56,6 @@ from .rep import (
     Representation,
     VertexCochain,
     direct_sum,
-    hom_basis,
     hom_dim,
 )
 
@@ -157,7 +155,8 @@ class TangentPairs:
 
     Vectors are coordinates in the concatenated cocycle bases: the
     first block are coefficients against the basis of Z(U,U), the
-    second against the basis of Z(V,V).
+    second against the basis of Z(V,V).  ``space`` is the pairing's
+    Ext^1(V, U), kept for its counts.
     """
 
     U: Representation
@@ -165,6 +164,7 @@ class TangentPairs:
     zu: SubspaceBasis
     zv: SubspaceBasis
     basis: SubspaceBasis
+    space: ExtSpace1 | None = dataclass_field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
@@ -191,21 +191,17 @@ def hom_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
 
     Column j of the system is the image of the j-th basis cocycle: a
     cocycle Z' of U sends a morphism f to Z'_a f_src, a cocycle Z'' of V
-    to -f_tgt Z''_a, each reduced modulo the coboundaries B(V, U).
+    to -f_tgt Z''_a, each reduced modulo the coboundaries B(V, U); both
+    come from one ``ext1(V, U)``.
     """
-    return _hom_tangent_pairs(U, V, b_space(V, U))
-
-
-def _hom_tangent_pairs(U: Representation, V: Representation,
-                       b_vu: SubspaceBasis) -> TangentPairs:
-    """``hom_tangent_pairs`` given the coboundary basis B(V, U)."""
     field = U.field
     arrows = U.bq.quiver.arrows
+    space = ext1(V, U)
     zu = z_space(U, U)
     zv = z_space(V, V)
-    homs = hom_basis(V, U)
+    homs = space.homs
     ambient = ArrowCochain.space_dim(V, U)
-    quot = QuotientSpace(field, ambient, b_vu)
+    quot = QuotientSpace(field, ambient, space.b)
 
     images = []  # per basis cocycle: its arrow blocks V -> U, one set per morphism
     for vec in zu.vectors:
@@ -220,7 +216,7 @@ def _hom_tangent_pairs(U: Representation, V: Representation,
              for x in quot.reduce(ArrowCochain(V, U, mats).to_vector())]
             for image in images]
     system = Matrix.from_columns(field, len(homs) * ambient, cols)
-    return TangentPairs(U, V, zu, zv, kernel_basis(system))
+    return TangentPairs(U, V, zu, zv, kernel_basis(system), space)
 
 
 def _images(matrix: Matrix, vectors) -> list:
@@ -248,19 +244,13 @@ def ext_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
     basis cocycle xi, the composition matrices of ``yoneda_matrices``
     applied to the cocycle bases give the image of every basis cocycle,
     the pair basis combines them, and each column is reduced once
-    modulo the relation coboundaries.
+    modulo the relation coboundaries of the small model of the
+    hom-tangent pairs' Ext^1(V, U).
     """
-    model = ext2_small_model(V, U)  # raises HypothesisError when gated out
-    return _ext_tangent_pairs(U, V, ext1(V, U), model)
-
-
-def _ext_tangent_pairs(U: Representation, V: Representation,
-                       space_vu: ExtSpace1, model: Ext2Model) -> TangentPairs:
-    """``ext_tangent_pairs`` with Z(V, U) and B(V, U) read from the given
-    Ext^1(V, U) and the pairing reduced in the given small model."""
     field = U.field
-    hpairs = _hom_tangent_pairs(U, V, space_vu.b)
-    zvu = space_vu.z
+    hpairs = hom_tangent_pairs(U, V)
+    model = hpairs.space.small_model  # raises HypothesisError when gated out
+    zvu = hpairs.space.z
     if zvu.dim == 0 or hpairs.dim == 0:
         return hpairs
     cols = [[] for _ in hpairs.basis.vectors]
@@ -273,7 +263,7 @@ def _ext_tangent_pairs(U: Representation, V: Representation,
     inner = kernel_basis(Matrix.from_columns(field, codom, cols))
     lifted = [hpairs.basis.combine(v) for v in inner.vectors]
     rows = Matrix(field, lifted, hpairs.basis.ambient_dim)
-    return TangentPairs(U, V, hpairs.zu, hpairs.zv, row_space_basis(rows))
+    return TangentPairs(U, V, hpairs.zu, hpairs.zv, row_space_basis(rows), hpairs.space)
 
 
 # -- the pairing into second extensions ---------------------------------
@@ -431,12 +421,8 @@ class SesWitness:
         w = self.certificate.witness
         if w.source != self.middle or w.target != self.M:
             return False
-        if not w.is_morphism():
+        if not w.is_morphism() or not _vertexwise_invertible(w):
             return False
-        for x in self.M.bq.quiver.vertices:
-            m = w.mats[x]
-            if m.nrows != m.ncols or (m.nrows and m.rank() != m.nrows):
-                return False
         rebuilt, _, _ = middle_term(self.Z)
         return rebuilt == self.middle
 
@@ -545,17 +531,16 @@ def regularity_certificate(M: Representation, U: Representation,
     All the quantities of the dimension count are computed
     independently and reported; the verdict is "regular-tangent"
     exactly when the tangent dimension at U + V equals the expected
-    component dimension and every hypothesis flag holds.  The pairing
-    (``ext_tangent_pairs``) needs the small Ext^2 model, so the three
-    Ext^2 dimensions are read from it (``ext2_small_model``), whose
-    gate raises ``HypothesisError`` where the pairing would; the syzygy
+    component dimension and every hypothesis flag holds.  Each Hom,
+    Ext^1, Ext^2 and mixed cocycle count is read from one Ext^1 space
+    per pair, (M, M), (U, V) and the (V, U) that the pairing
+    (``ext_tangent_pairs``) kept, so each pair's relation and Hom systems
+    are built once.  Ext^2 is read from each space's small model, whose
+    gate raises ``HypothesisError`` before the pairing runs; the syzygy
     route (``ext2_via_omega``) stays the independent model the tests and
     the suites check it against.  The minimal syzygy of M is built once,
-    with no inclusion, for the flag pd M <= 1 (is it projective?).  Hom
-    and tangent dimensions are nullities read from ``rank`` (``hom_dim``,
-    ``z_dim``).  The Ext^1 space and the small model of (V, U) are built
-    once and handed to the pairing, so Z(V, U), B(V, U) and the model
-    serve both the counts and the pairs.
+    with no inclusion, for the flag pd M <= 1 (is it projective?).  The
+    tangent dimension at U + V is a nullity read from ``rank``.
     """
     if witness.M != M or witness.U != U or witness.V != V:
         raise QuiverError("witness does not match the given triple")
@@ -563,35 +548,21 @@ def regularity_certificate(M: Representation, U: Representation,
         raise QuiverError("unverified witness")
 
     bq = M.bq
-    d_sub = U.dim_vector()
-    d_quot = V.dim_vector()
     d = M.dim_vector()
-
-    ext1_mm = ext1(M, M).dim
-    ext2_mm = ext2_small_model(M, M).dim
-    hom_vu = hom_dim(V, U)
-    space_vu = ext1(V, U)
-    model_vu = ext2_small_model(V, U)
-    # the pairing builds B(V, U), so Ext^1(V, U) reads its dimension from it
-    epairs = _ext_tangent_pairs(U, V, space_vu, model_vu)
-    ext1_vu = space_vu.dim
-    ext2_vu = model_vu.dim
-    hom_uv = hom_dim(U, V)
-    space_uv = ext1(U, V)
-    ext1_uv = space_uv.dim
-    ext2_uv = ext2_small_model(U, V).dim
-    z_uv = space_uv.z.dim
-    z_vu = space_vu.z.dim
+    space_mm = ext1(M, M)
+    ext2_mm = space_mm.small_model.dim  # a gated model raises here
+    epairs = ext_tangent_pairs(U, V)
+    space_vu, space_uv = epairs.space, ext1(U, V)
+    z_uv, z_vu = space_uv.z.dim, space_vu.z.dim
     N = direct_sum(U, V)
     z_nn = z_dim(N, N)
-    bound = epairs.dim + z_uv + z_vu
 
     flags = {
-        "ext1_mm_vanishes": ext1_mm == 0,
+        "ext1_mm_vanishes": space_mm.dim == 0,
         "ext2_mm_vanishes": ext2_mm == 0,
-        "hom_vu_vanishes": hom_vu == 0,
-        "ext1_uv_vanishes": ext1_uv == 0,
-        "ext2_uv_vanishes": ext2_uv == 0,
+        "hom_vu_vanishes": not space_vu.homs,
+        "ext1_uv_vanishes": space_uv.dim == 0,
+        "ext2_uv_vanishes": space_uv.small_model.dim == 0,
         "pd_m_le1": is_projective(_minimal_syzygy(M)[0]),
     }
     verdict = "inconclusive"
@@ -600,15 +571,17 @@ def regularity_certificate(M: Representation, U: Representation,
 
     return RegularityReport(
         M=M, U=U, V=V,
-        a_d_sub=a_of_d(bq, d_sub),
-        a_d_quot=a_of_d(bq, d_quot),
-        hom_vu=hom_vu, ext1_vu=ext1_vu, ext2_vu=ext2_vu,
-        hom_uv=hom_uv, ext1_uv=ext1_uv, ext2_uv=ext2_uv,
+        a_d_sub=a_of_d(bq, U.dim_vector()),
+        a_d_quot=a_of_d(bq, V.dim_vector()),
+        hom_vu=len(space_vu.homs), ext1_vu=space_vu.dim,
+        ext2_vu=space_vu.small_model.dim,
+        hom_uv=len(space_uv.homs), ext1_uv=space_uv.dim,
+        ext2_uv=space_uv.small_model.dim,
         z_uv_dim=z_uv, z_vu_dim=z_vu,
         ext_pairs_dim=epairs.dim,
         z_nn_dim=z_nn,
         a_d=a_of_d(bq, d),
-        bound=bound,
+        bound=epairs.dim + z_uv + z_vu,
         orbit_dim_n=orbit_dim(N).orbit_dim,
         flags=flags,
         verdict=verdict,

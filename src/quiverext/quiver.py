@@ -155,15 +155,13 @@ class BoundQuiver:
                 )
 
     # The truncated algebra basis is field-dependent (relation coefficients
-    # may degenerate mod p), so the cache is keyed by field and cap.
-    def algebra_basis(self, field, cap: int | None = None):
+    # may degenerate mod p), so the cache is keyed by field.
+    def algebra_basis(self, field):
         from . import algebra  # local import to avoid a cycle
 
-        cap = self.truncation_cap if cap is None else cap
-        key = (field.name, cap)
-        if key not in self._algebra_cache:
-            self._algebra_cache[key] = algebra.algebra_basis(self, field, cap)
-        return self._algebra_cache[key]
+        if field.name not in self._algebra_cache:
+            self._algebra_cache[field.name] = algebra.algebra_basis(self, field)
+        return self._algebra_cache[field.name]
 
     def opposite(self) -> "BoundQuiver":
         """The opposite bound quiver: arrows reversed, relation paths reversed."""

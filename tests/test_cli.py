@@ -76,6 +76,18 @@ def test_ext2_on_a_cyclic_quiver_answers_with_the_syzygy_model(capsys, tmp_path)
     assert "oriented cycle" in cert["small_model"]
 
 
+@pytest.mark.parametrize("command", ["ext2", "e-tangent"])
+def test_an_unbounded_ideal_exits_with_usage_error(capsys, tmp_path, command):
+    """One loop and no relations: no truncation window closes the ideal."""
+    ws = tmp_path / "loop.qv"
+    ws.write_text("quiver LOOP\nvertex 1\narrow x : 1 -> 1\nmodule S : dim 1\n",
+                  encoding="utf-8")
+    code = main([command, str(ws), "S", "S"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: admissibility bound exceeded: ")
+
+
 def test_euler_form_of_dimension_vectors(capsys, f2_path):
     code, payload = run_json(capsys, ["euler", f2_path, "1,2,1", "1,2,1"])
     assert code == 0

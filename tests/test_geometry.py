@@ -1025,10 +1025,10 @@ def regularity_certificate_by_public_calls(M, U, V, witness):
 @pytest.mark.parametrize("field", [QQ, F101], ids=str)
 @pytest.mark.parametrize("padded", [False, True], ids=["XI3", "padded"])
 def test_certificate_builds_each_pair_system_once(padded, field, monkeypatch):
-    """One certificate builds the small model of (V, U) once and the relation
-    system of (V, U) once for Z (in ext1; the other build is the small
-    model's), on XI3 and on XI3 with P2 + P3 + S1 added to its sub and
-    middle terms; its report equals the earlier body's."""
+    """One certificate builds the relation system R and the Hom system H of
+    each of (M, M), (V, U) and (U, V) exactly once, on XI3 and on XI3 with
+    P2 + P3 + S1 added to its sub and middle terms; its report equals the
+    public-calls body's."""
     f3 = load_fixture("f3", field=field)
     ses = f3.sequence("XI3")
     M, U, V = (f3.module(n) for n in (ses.middle, ses.sub, ses.quot))
@@ -1047,16 +1047,14 @@ def test_certificate_builds_each_pair_system_once(padded, field, monkeypatch):
             return fn(*args)
         return wrapper
 
-    for label, module in (("R for Z", ext1_module), ("R", ext2_module)):
+    for module in (ext1_module, ext2_module):
         monkeypatch.setattr(module, "relation_boundary_matrix",
-                            counting(label, module.relation_boundary_matrix))
+                            counting("R", module.relation_boundary_matrix))
     for module in (rep_module, ext1_module, iso):
         monkeypatch.setattr(module, "hom_system", counting("H", module.hom_system))
-    monkeypatch.setattr(Ext2Model, "__init__", counting("model", Ext2Model.__init__))
     report = regularity_certificate(M, U, V, witness)
-    vu = (id(V), id(U))
-    assert builds[("model",) + vu] == 1
-    assert builds[("R for Z",) + vu] == 1
-    assert builds[("R",) + vu] == 1  # the small model's
-    assert builds[("H",) + vu] == 3  # hom_dim, the Ext^1 space and hom_basis
+    pairs = {"(M, M)": (M, M), "(V, U)": (V, U), "(U, V)": (U, V)}
+    got = {(label, name): builds[(label, id(source), id(target))]
+           for name, (source, target) in pairs.items() for label in ("R", "H")}
+    assert got == dict.fromkeys(got, 1)
     assert report == want
