@@ -215,8 +215,8 @@ def _task_tangent(ws, args):
 
 def _task_e_tangent(ws, args):
     U, V = ws.module(args.U), ws.module(args.V)
-    pairs = ext_tangent_pairs(U, V)
-    hpairs = hom_tangent_pairs(U, V)
+    hpairs = hom_tangent_pairs(ext1(V, U))
+    pairs = ext_tangent_pairs(hpairs)
     blocks = tangent_block_decomposition(U, V)
     return {
         "task": "e-tangent",

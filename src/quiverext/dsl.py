@@ -147,6 +147,21 @@ def _parse_matrix_rhs(rhs, lineno, line):
     return rows
 
 
+def _check_coefficients(rel, field):
+    """The rule "no zero coefficient" over the field: a coefficient of the
+    relation may be neither undefined (a denominator divisible by p) nor
+    zero (a numerator divisible by p) there."""
+    for coeff, _ in rel.terms:
+        try:
+            value = field.of_fraction(coeff)
+        except ZeroDivisionError:
+            raise QuiverError(f"relation {rel.name}: coefficient {coeff} "
+                              f"is undefined over {field.name}") from None
+        if field.is_zero(value):
+            raise QuiverError(f"relation {rel.name}: coefficient {coeff} "
+                              f"is zero over {field.name}")
+
+
 class _Parser:
     def __init__(self, text: str, truncation_cap: int | None):
         self.lines = text.splitlines()
@@ -318,6 +333,11 @@ class _Parser:
         bq = validate_bound_quiver(
             self.quiver_name, self.vertices, self.arrows,
             [(name, terms) for name, terms, _, _ in self.relations], **cap_kw)
+        for rel, (_, _, lineno, text) in zip(bq.relations, self.relations):
+            try:
+                _check_coefficients(rel, field)
+            except QuiverError as exc:
+                self.fail(lineno, 1, str(exc), text)
         modules = {}
         for name, dims, raw_mats, lineno in self.modules:
             mats = {}
@@ -371,13 +391,17 @@ def parse_workspace(text: str, truncation_cap: int | None = None) -> Workspace:
 def cast_workspace(ws: Workspace, field) -> Workspace:
     """Rebuild a rational workspace over another field.
 
-    Every module is re-checked against the relations after coercion, so a
-    module that only satisfies a relation rationally is rejected here.
+    Every relation coefficient must be defined and nonzero over the new
+    field, and every module is re-checked against the relations after
+    coercion, so a module that only satisfies a relation rationally is
+    rejected here.
     """
     if field == ws.field:
         return ws
     if ws.field.name != "Q":
         raise QuiverError("only rational workspaces can change field")
+    for rel in ws.bound_quiver.relations:
+        _check_coefficients(rel, field)
     modules = {}
     for name, rep in ws.modules.items():
         mats = {

@@ -229,11 +229,6 @@ def ext2_via_omega(N: Representation, M: Representation,
 # -- the small model on relation cochains ------------------------------
 
 
-def b_prime(N: Representation, M: Representation):
-    """Basis of the relation-coboundary subspace inside the relation cochains."""
-    return column_space_basis(relation_boundary_matrix(N, M))
-
-
 class Ext2Model:
     """Relation cochains modulo relation coboundaries for a pair (N, M).
 

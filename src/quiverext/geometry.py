@@ -20,7 +20,6 @@ from functools import cached_property
 
 from .ext1 import (
     ExtSpace1,
-    b_dim,
     ext1,
     is_cocycle,
     middle_term,
@@ -155,8 +154,8 @@ class TangentPairs:
 
     Vectors are coordinates in the concatenated cocycle bases: the
     first block are coefficients against the basis of Z(U,U), the
-    second against the basis of Z(V,V).  ``space`` is the pairing's
-    Ext^1(V, U), kept for its counts.
+    second against the basis of Z(V,V).  ``space`` is the Ext^1(V, U)
+    the pairs were built on, handed on with them for its counts.
     """
 
     U: Representation
@@ -164,7 +163,7 @@ class TangentPairs:
     zu: SubspaceBasis
     zv: SubspaceBasis
     basis: SubspaceBasis
-    space: ExtSpace1 | None = dataclass_field(default=None, compare=False)
+    space: ExtSpace1 = dataclass_field(compare=False)
 
     @property
     def dim(self) -> int:
@@ -186,17 +185,17 @@ class TangentPairs:
         return quot.contains(list(cu) + list(cv))
 
 
-def hom_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
+def hom_tangent_pairs(space: ExtSpace1) -> TangentPairs:
     """Pairs whose two sides agree on every morphism V -> U up to boundaries.
 
     Column j of the system is the image of the j-th basis cocycle: a
     cocycle Z' of U sends a morphism f to Z'_a f_src, a cocycle Z'' of V
-    to -f_tgt Z''_a, each reduced modulo the coboundaries B(V, U); both
-    come from one ``ext1(V, U)``.
+    to -f_tgt Z''_a, each reduced modulo the coboundaries B(V, U); the
+    morphisms and B are read from ``space``, which is Ext^1(V, U).
     """
+    V, U = space.source, space.target
     field = U.field
     arrows = U.bq.quiver.arrows
-    space = ext1(V, U)
     zu = z_space(U, U)
     zv = z_space(V, V)
     homs = space.homs
@@ -234,21 +233,20 @@ def _pairing_images(Zxi: ArrowCochain, zu: SubspaceBasis, zv: SubspaceBasis) -> 
     return _images(left, zu.vectors) + _images(right, zv.vectors)
 
 
-def ext_tangent_pairs(U: Representation, V: Representation) -> TangentPairs:
-    """Hom-tangent pairs that also act trivially on second extensions.
+def ext_tangent_pairs(hpairs: TangentPairs) -> TangentPairs:
+    """The given hom-tangent pairs that also act trivially on second extensions.
 
     The extra condition composes each pair against every cocycle
     V -> U and asks for a relation coboundary; it is tested in the
     small model, so its hypotheses are enforced.  Column j of the
-    system is the image of the j-th hom-tangent basis pair: for each
+    system is the image of the j-th basis pair of ``hpairs``: for each
     basis cocycle xi, the composition matrices of ``yoneda_matrices``
     applied to the cocycle bases give the image of every basis cocycle,
     the pair basis combines them, and each column is reduced once
-    modulo the relation coboundaries of the small model of the
-    hom-tangent pairs' Ext^1(V, U).
+    modulo the relation coboundaries.  The cocycles xi and the small
+    model both come from ``hpairs.space``.
     """
-    field = U.field
-    hpairs = hom_tangent_pairs(U, V)
+    U, V, field = hpairs.U, hpairs.V, hpairs.U.field
     model = hpairs.space.small_model  # raises HypothesisError when gated out
     zvu = hpairs.space.z
     if zvu.dim == 0 or hpairs.dim == 0:
@@ -414,8 +412,11 @@ class SesWitness:
     Z: ArrowCochain
     middle: Representation
     certificate: IsoCertificate
+    space: ExtSpace1 = dataclass_field(compare=False)  # Z's Ext^1(V, U)
 
     def verify(self) -> bool:
+        if (self.space.source, self.space.target) != (self.V, self.U):
+            return False
         if self.certificate.verdict != "yes" or self.certificate.witness is None:
             return False
         w = self.certificate.witness
@@ -439,19 +440,20 @@ def degeneration_witness_search(M: Representation, U: Representation,
     dimension, then seeded random sampling.  The rank of each arrow map
     is an isomorphism invariant, so a middle term whose arrow ranks
     differ from M's (computed once per search) is skipped before
-    ``iso_test``.  Returns a verified witness or None; None is conclusive
-    only in the forced-split case (every cocycle a coboundary) where it
-    means the split sum misses M.  In that case an ``unknown``
-    isomorphism verdict raises ``InconclusiveSearch`` instead, since None
-    would read as a conclusive miss; a split sum refuted by its ranks
-    never reaches ``iso_test``, so its None is conclusive.
+    ``iso_test``.  Returns a verified witness, carrying the ``ext1(V, U)``
+    its cocycle came from, or None; None is conclusive only in the
+    forced-split case (Ext^1(V, U) = 0) where it means the split sum
+    misses M.  In that case an ``unknown`` isomorphism verdict raises
+    ``InconclusiveSearch`` instead, since None would read as a conclusive
+    miss; a split sum refuted by its ranks never reaches ``iso_test``, so
+    its None is conclusive.
     """
     field = M.field
     dsum = {x: U.dims[x] + V.dims[x] for x in M.bq.quiver.vertices}
     if dsum != M.dim_vector():
         raise QuiverError("dimension vectors of the ends do not sum to the middle")
-    zs = z_space(V, U)
-    split_only = zs.dim == b_dim(V, U)
+    space = ext1(V, U)
+    zs, split_only = space.z, space.dim == 0
     ranks = {name: m.rank() for name, m in M.mats.items()}
 
     def try_coeffs(coeffs):
@@ -462,7 +464,7 @@ def degeneration_witness_search(M: Representation, U: Representation,
             return None
         cert = iso_test(W, M, seed=seed)
         if cert.verdict == "yes":
-            return SesWitness(M, U, V, Z, W, cert)
+            return SesWitness(M, U, V, Z, W, cert, space)
         if split_only and cert.verdict == "unknown":
             raise InconclusiveSearch(
                 "only the split sum is a middle term, and testing it "
@@ -533,14 +535,15 @@ def regularity_certificate(M: Representation, U: Representation,
     exactly when the tangent dimension at U + V equals the expected
     component dimension and every hypothesis flag holds.  Each Hom,
     Ext^1, Ext^2 and mixed cocycle count is read from one Ext^1 space
-    per pair, (M, M), (U, V) and the (V, U) that the pairing
-    (``ext_tangent_pairs``) kept, so each pair's relation and Hom systems
-    are built once.  Ext^2 is read from each space's small model, whose
-    gate raises ``HypothesisError`` before the pairing runs; the syzygy
-    route (``ext2_via_omega``) stays the independent model the tests and
-    the suites check it against.  The minimal syzygy of M is built once,
-    with no inclusion, for the flag pd M <= 1 (is it projective?).  The
-    tangent dimension at U + V is a nullity read from ``rank``.
+    per pair: (M, M), (U, V), and the witness's (V, U), on which the
+    pairing is built too, so a witness search plus its certificate build
+    each pair's relation and Hom systems once.  Ext^2 is read from each
+    space's small model, whose gate raises ``HypothesisError`` before
+    the pairing runs; the syzygy route (``ext2_via_omega``) stays the
+    independent model the tests and the suites check it against.  The
+    minimal syzygy of M is built once, with no inclusion, for the flag
+    pd M <= 1 (is it projective?).  The tangent dimension at U + V is a
+    nullity read from ``rank``.
     """
     if witness.M != M or witness.U != U or witness.V != V:
         raise QuiverError("witness does not match the given triple")
@@ -551,8 +554,8 @@ def regularity_certificate(M: Representation, U: Representation,
     d = M.dim_vector()
     space_mm = ext1(M, M)
     ext2_mm = space_mm.small_model.dim  # a gated model raises here
-    epairs = ext_tangent_pairs(U, V)
-    space_vu, space_uv = epairs.space, ext1(U, V)
+    space_vu, space_uv = witness.space, ext1(U, V)
+    epairs = ext_tangent_pairs(hom_tangent_pairs(space_vu))
     z_uv, z_vu = space_uv.z.dim, space_vu.z.dim
     N = direct_sum(U, V)
     z_nn = z_dim(N, N)

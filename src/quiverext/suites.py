@@ -289,9 +289,9 @@ def suite_schemeext(field, seed: int) -> SuiteResult:
     for wsname, ses in (("f2", "SES1"), ("f3", "XI3")):
         ws = load_fixture(wsname, field=field)
         U, V = _ses_ends(ws, ses)
-        pairs = ext_tangent_pairs(U, V)
-        hpairs = hom_tangent_pairs(U, V)
-        zu, zv = z_space(U, U), z_space(V, V)
+        hpairs = hom_tangent_pairs(ext1(V, U))
+        pairs = ext_tangent_pairs(hpairs)
+        zu, zv = hpairs.zu, hpairs.zv
         zero_u = ArrowCochain.zero(U, U)
         zero_v = ArrowCochain.zero(V, V)
 
@@ -319,10 +319,9 @@ def suite_schemeext(field, seed: int) -> SuiteResult:
     f3 = load_fixture("f3", field=field)
     U = f3.module("S1")
     V = direct_sum(f3.module("S1"), f3.module("S2"))
-    hpairs = hom_tangent_pairs(U, V)
+    hpairs = hom_tangent_pairs(ext1(V, U))
     rec.equal("f3:S1|S1+S2:dim", hpairs.dim, 0)
-    zv = z_space(V, V)
-    Zpp = ArrowCochain.from_vector(V, V, zv.vectors[0])
+    Zpp = ArrowCochain.from_vector(V, V, hpairs.zv.vectors[0])
     probe = dual_number_oracle(U, ArrowCochain.zero(U, U), V, Zpp)
     rec.equal("f3:S1|S1+S2:cut", probe.hom_member, False)
     probe0 = dual_number_oracle(U, ArrowCochain.zero(U, U), V,

@@ -23,6 +23,7 @@ from quiverext.fixtures import load_fixture
 from quiverext.geometry import (
     degeneration_witness_search,
     ext_tangent_pairs,
+    hom_tangent_pairs,
     orbit_dim,
     psi_map,
     scaling_family,
@@ -160,7 +161,7 @@ def profile_dimensions(field):
         psi = psi_map(witness.Z, U, V)
         out[f"{name}:psi"] = (psi.domain_dim, psi.rank, psi.kernel_dim,
                               psi.model.dim)
-        out[f"{name}:pairs"] = ext_tangent_pairs(U, V).dim
+        out[f"{name}:pairs"] = ext_tangent_pairs(hom_tangent_pairs(witness.space)).dim
         total = direct_sum(U, V)
         out[f"{name}:tangent"] = (z_space(total, total).dim,
                                   a_of_d(bq, total.dim_vector()),

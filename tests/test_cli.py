@@ -88,6 +88,29 @@ def test_an_unbounded_ideal_exits_with_usage_error(capsys, tmp_path, command):
     assert err.startswith("error: admissibility bound exceeded: ")
 
 
+SQUARE_HALF = ("quiver SQ\nvertex 1 2 3 4\narrow a : 1 -> 2\narrow b : 2 -> 4\n"
+               "arrow c : 1 -> 3\narrow d : 3 -> 4\nrelation r : b*a - 1/2*d*c\n"
+               "module S1 : dim 1 0 0 0\nmodule S4 : dim 0 0 0 1\n")
+LINE_TWO = ("quiver L\nvertex 1 2 3\narrow a : 2 -> 1\narrow b : 3 -> 2\n"
+            "relation r : 2*a*b\nmodule S1 : dim 1 0 0\nmodule S3 : dim 0 0 1\n")
+
+
+@pytest.mark.parametrize("text, argv", [
+    (SQUARE_HALF + "field F2\n", ["ext2", "S4", "S1"]),
+    (SQUARE_HALF, ["ext2", "S4", "S1", "--field", "F2"]),
+    (LINE_TWO + "field F2\n", ["ext2", "S3", "S1"]),
+    (LINE_TWO, ["ext2", "S3", "S1", "--field", "F2"]),
+], ids=["undefined", "undefined-cast", "zero", "zero-cast"])
+def test_a_relation_coefficient_undefined_or_zero_over_the_field_exits_2(
+        capsys, tmp_path, text, argv):
+    ws = tmp_path / "ws.qv"
+    ws.write_text(text, encoding="utf-8")
+    code = main([argv[0], str(ws), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "relation r: coefficient" in captured.err
+
+
 def test_euler_form_of_dimension_vectors(capsys, f2_path):
     code, payload = run_json(capsys, ["euler", f2_path, "1,2,1", "1,2,1"])
     assert code == 0

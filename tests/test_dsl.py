@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 from quiverext.dsl import (
     ParseError,
+    cast_workspace,
     parse_workspace,
     print_workspace,
     serialize_report,
 )
+from quiverext.fields import field_by_name
 from quiverext.fixtures import FIXTURE_NAMES, fixture_source
+from quiverext.quiver import QuiverError
 
 F2_HEADER = (
     "quiver F2\n"
@@ -100,6 +103,30 @@ def test_rationals_are_exact_and_decimals_rejected():
     assert rel.terms[0][0] == 0.5 and str(rel.terms[0][0]) == "1/2"
     with pytest.raises(ParseError):
         parse_workspace(F2_HEADER + "module X : dim 1 1 0\n  a = [ 0.5 ]\n")
+
+
+# relation r sits on line 7 of the square and on line 5 of F2_HEADER
+BAD_OVER_F2 = [
+    ("quiver SQ\nvertex 1 2 3 4\narrow a : 1 -> 2\narrow b : 2 -> 4\n"
+     "arrow c : 1 -> 3\narrow d : 3 -> 4\nrelation r : b*a - 1/2*d*c\n",
+     7, "coefficient -1/2 is undefined over F2"),
+    (F2_HEADER.replace("relation r : a*b", "relation r : 2*a*b"),
+     5, "coefficient 2 is zero over F2"),
+]
+
+
+@pytest.mark.parametrize("src, line, message", BAD_OVER_F2, ids=["undefined", "zero"])
+def test_relation_coefficients_must_be_nonzero_over_the_field(src, line, message):
+    """The rational rule "no zero coefficient", applied over F_p, at parse
+    time and when a rational workspace changes field."""
+    with pytest.raises(ParseError) as err:
+        parse_workspace(src + "field F2\n")
+    assert err.value.line == line
+    assert err.value.message == f"relation r: {message}"
+    ws = parse_workspace(src)
+    with pytest.raises(QuiverError, match=f"^relation r: {message}$"):
+        cast_workspace(ws, field_by_name("F2"))
+    assert cast_workspace(ws, field_by_name("F3")).field.char == 3
 
 
 def test_comments_and_blank_lines_are_ignored():

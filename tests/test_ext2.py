@@ -11,8 +11,8 @@ from quiverext.ext1 import (
     z_space,
 )
 from quiverext.ext2 import (
+    Ext2Model,
     HypothesisError,
-    b_prime,
     compose_cocycles,
     exhibit_phi_kernel_boundary,
     ext2_small_model,
@@ -91,10 +91,10 @@ def test_the_two_models_agree(f2, f3):
 def test_relation_cochain_spaces(f2):
     m = f2.modules
     assert RelationCochain.space_dim(m["S3"], m["S1"]) == 1
-    assert b_prime(m["S3"], m["S1"]).dim == 0
+    assert Ext2Model(m["S3"], m["S1"]).bprime.dim == 0
     # for (P3, S1) the boundaries fill the whole ambient space
     full = RelationCochain.space_dim(m["P3"], m["S1"])
-    assert b_prime(m["P3"], m["S1"]).dim == full == 1
+    assert Ext2Model(m["P3"], m["S1"]).bprime.dim == full == 1
 
 
 def test_transport_sends_the_generator_to_a_generator(f2):

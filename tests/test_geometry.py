@@ -2,7 +2,6 @@ import dataclasses
 import importlib
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,8 @@ from quiverext.ext2 import (
     yoneda_matrices,
 )
 from quiverext.fields import QQ, PrimeField
-from quiverext.fixtures import load_fixture
+from quiverext.cli import main
+from quiverext.fixtures import fixture_source, load_fixture
 from quiverext.geometry import (
     InconclusiveSearch,
     degeneration_witness_search,
@@ -119,8 +119,8 @@ def test_tangent_blocks_at_the_split_point(f2, f3):
 
 def test_tangent_pairs_of_the_certified_sequence(f2):
     m = f2.modules
-    hpairs = hom_tangent_pairs(m["S1"], m["V"])
-    epairs = ext_tangent_pairs(m["S1"], m["V"])
+    hpairs = hom_tangent_pairs(ext1(m["V"], m["S1"]))
+    epairs = ext_tangent_pairs(hpairs)
     assert hpairs.dim == 2
     assert epairs.dim == 2
     Zp, Zpp = epairs.pair_from_coords(epairs.basis.vectors[0])
@@ -133,9 +133,9 @@ def test_pair_conditions_can_cut_to_zero(f3):
     U = m["S1"]
     V = direct_sum(m["S1"], m["S2"])
     assert z_space(V, V).dim == 1
-    hpairs = hom_tangent_pairs(U, V)
+    hpairs = hom_tangent_pairs(ext1(V, U))
     assert hpairs.dim == 0
-    assert ext_tangent_pairs(U, V).dim == 0
+    assert ext_tangent_pairs(hpairs).dim == 0
 
 
 # The probe closures below are the reference for the tangent-pair
@@ -198,14 +198,12 @@ def test_tangent_pair_systems_equal_the_probed_ones(monkeypatch, name, sub, quot
         return kernel_basis(matrix)
 
     monkeypatch.setattr(geometry, "kernel_basis", spy)
-    hpairs = hom_tangent_pairs(U, V)
+    hpairs = hom_tangent_pairs(ext1(V, U))
     assert systems == [probe_hom_pairs_matrix(U, V)]
     systems.clear()
-    ext_tangent_pairs(U, V)
-    assert len(systems) == 2  # the hom-pair system again, then the Ext2 one
-    assert systems[0] == probe_hom_pairs_matrix(U, V)
-    assert systems[1] == probe_ext_pairs_matrix(U, V, hpairs)
-    assert systems[1].ncols == hpairs.dim > 0
+    ext_tangent_pairs(hpairs)  # refines the pairs it is handed: one system
+    assert systems == [probe_ext_pairs_matrix(U, V, hpairs)]
+    assert systems[0].ncols == hpairs.dim > 0
 
 
 @pytest.mark.parametrize("field", [QQ, F101], ids=str)
@@ -230,7 +228,7 @@ def test_dual_number_probe_detects_the_cut(f3):
 def test_dual_number_probe_confirms_members(f2):
     m = f2.modules
     U, V = m["S1"], m["V"]
-    epairs = ext_tangent_pairs(U, V)
+    epairs = ext_tangent_pairs(hom_tangent_pairs(ext1(V, U)))
     for vec in epairs.basis.vectors:
         Zp, Zpp = epairs.pair_from_coords(vec)
         probe = dual_number_oracle(U, Zp, V, Zpp)
@@ -438,27 +436,18 @@ def compose_by_units(Zxi):
     return (Matrix.from_columns(field, rows, left), Matrix.from_columns(field, rows, right))
 
 
-def ext_tangent_pairs_per_pair(U, V):
-    field = U.field
-    hpairs = hom_tangent_pairs(U, V)
-    model = ext2_small_model(V, U)
-    zvu = z_space(V, U)
-    if zvu.dim == 0 or hpairs.dim == 0:
+def ext_tangent_pairs_per_pair(hpairs):
+    """The pairing with its system read from probe_ext_pairs_matrix, whose
+    column j is compose_cocycles on the j-th basis pair against every xi."""
+    U, V = hpairs.U, hpairs.V
+    system = probe_ext_pairs_matrix(U, V, hpairs)  # gated like the pairing
+    if z_space(V, U).dim == 0 or hpairs.dim == 0:
         return hpairs
-    xi_cochains = [ArrowCochain.from_vector(V, U, v) for v in zvu.vectors]
-    cols = []
-    for vec in hpairs.basis.vectors:
-        Zp, Zpp = hpairs.pair_from_coords(vec)
-        col = []
-        for Zxi in xi_cochains:
-            total = compose_cocycles(Zp, Zxi).add(compose_cocycles(Zxi, Zpp))
-            col.extend(model.quotient.reduce(total.to_vector()))
-        cols.append(col)
-    codom = len(xi_cochains) * model.ambient_dim
-    inner = kernel_basis(Matrix.from_columns(field, codom, cols))
+    inner = kernel_basis(system)
     lifted = [hpairs.basis.combine(v) for v in inner.vectors]
-    rows = Matrix(field, lifted, hpairs.basis.ambient_dim)
-    return geometry.TangentPairs(U, V, hpairs.zu, hpairs.zv, row_space_basis(rows))
+    rows = Matrix(U.field, lifted, hpairs.basis.ambient_dim)
+    return geometry.TangentPairs(U, V, hpairs.zu, hpairs.zv, row_space_basis(rows),
+                                 hpairs.space)
 
 
 def psi_map_per_pair(Zxi, U, V):
@@ -520,14 +509,15 @@ def test_pairing_systems_equal_the_per_pair_bodies(name, field):
         Zxi = random_cocycle(V, U, rng)
         for run in (ext_tangent_pairs, ext_tangent_pairs_per_pair):
             with pytest.raises(HypothesisError):
-                run(U, V)
+                run(hom_tangent_pairs(ext1(V, U)))
         for run in (psi_map, psi_map_per_pair, left_comp_surjectivity, left_comp_per_pair):
             with pytest.raises(HypothesisError):
                 run(Zxi, U, V)
         return
     for U in mods:
         for V in mods:
-            new, old = ext_tangent_pairs(U, V), ext_tangent_pairs_per_pair(U, V)
+            hpairs = hom_tangent_pairs(ext1(V, U))
+            new, old = ext_tangent_pairs(hpairs), ext_tangent_pairs_per_pair(hpairs)
             assert typed(new.basis.vectors) == typed(old.basis.vectors)
             assert new.basis.leads == old.basis.leads
             Zxi = random_cocycle(V, U, rng)
@@ -656,7 +646,7 @@ def iso_on_every_candidate_search(M, U, V, seed=0):
         W, _, _ = middle_term(Z)
         cert = iso_test(W, M, seed=seed)
         if cert.verdict == "yes":
-            return geometry.SesWitness(M, U, V, Z, W, cert)
+            return geometry.SesWitness(M, U, V, Z, W, cert, ext1(V, U))
         if split_only and cert.verdict == "unknown":
             raise InconclusiveSearch(
                 "only the split sum is a middle term, and testing it "
@@ -749,9 +739,11 @@ def test_witness_search_equals_the_iso_on_every_candidate_body(name, field, monk
 # -- the certificate's Ext^2 from the small model --------------------------
 
 
-def regularity_certificate_by_syzygies(M, U, V, witness):
-    """The certificate with its Ext^2 dimensions read from Ext^1 on minimal
-    syzygies and its tangent dimension from a kernel basis."""
+def regularity_certificate_by_public_calls(M, U, V, witness, ext2_dim):
+    """The certificate with each count from its own public call (ext1,
+    hom_dim, the pairing on a fresh ext1(V, U), z_space), so each builds
+    its own pair systems, its Ext^2 dimensions from ext2_dim(N, M) and its
+    tangent dimension from a kernel basis."""
     if witness.M != M or witness.U != U or witness.V != V:
         raise QuiverError("witness does not match the given triple")
     if not witness.verify():
@@ -759,16 +751,15 @@ def regularity_certificate_by_syzygies(M, U, V, witness):
     bq = M.bq
     d = M.dim_vector()
     ext1_mm = ext1(M, M).dim
-    omega_m = ext2_module._minimal_syzygy(M)[0]
-    ext2_mm = ext1(omega_m, M).dim
+    ext2_mm = ext2_dim(M, M)
     hom_vu = hom_dim(V, U)
     space_vu = ext1(V, U)
-    ext2_vu = ext2_via_omega(V, U).dim
+    ext2_vu = ext2_dim(V, U)
     hom_uv = hom_dim(U, V)
     space_uv = ext1(U, V)
-    ext2_uv = ext2_via_omega(U, V).dim
+    ext2_uv = ext2_dim(U, V)
     z_uv, z_vu = space_uv.z.dim, space_vu.z.dim
-    epairs = ext_tangent_pairs(U, V)
+    epairs = ext_tangent_pairs(hom_tangent_pairs(ext1(V, U)))
     N = direct_sum(U, V)
     z_nn = z_space(N, N).dim
     flags = {
@@ -777,7 +768,7 @@ def regularity_certificate_by_syzygies(M, U, V, witness):
         "hom_vu_vanishes": hom_vu == 0,
         "ext1_uv_vanishes": space_uv.dim == 0,
         "ext2_uv_vanishes": ext2_uv == 0,
-        "pd_m_le1": ext2_module.is_projective(omega_m),
+        "pd_m_le1": ext2_module.is_projective(ext2_module._minimal_syzygy(M)[0]),
     }
     verdict = "inconclusive"
     if all(flags.values()) and z_nn == a_of_d(bq, d):
@@ -795,16 +786,17 @@ def regularity_certificate_by_syzygies(M, U, V, witness):
 @pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
 def test_certificate_reads_ext2_from_the_small_model(name, field):
     """On every declared sequence and on seeded triples: the whole report
-    equals the syzygy body's, its Ext^2 fields equal ext2_via_omega on the
-    same pairs, or both raise the same HypothesisError where the small
-    model is gated."""
+    equals the public-calls body's with Ext^2 through syzygies, its Ext^2
+    fields equal ext2_via_omega on the same pairs, or both raise the same
+    HypothesisError where the small model is gated."""
     certified = 0
     for M, U, V in witness_triples(name, field, seed=67):
         witness = degeneration_witness_search(M, U, V)
         if witness is None:
             continue
         try:
-            want = regularity_certificate_by_syzygies(M, U, V, witness)
+            want = regularity_certificate_by_public_calls(
+                M, U, V, witness, lambda N, M: ext2_via_omega(N, M).dim)
         except HypothesisError as exc:
             with pytest.raises(HypothesisError) as got:
                 regularity_certificate(M, U, V, witness)
@@ -977,84 +969,71 @@ def test_iso_test_equals_the_fingerprints_before_sampling_body(field, monkeypatc
 # -- one certificate, one set of pair systems ---------------------------------
 
 
-def regularity_certificate_by_public_calls(M, U, V, witness):
-    """The earlier certificate body: each public call (ext1,
-    ext2_small_model, ext_tangent_pairs) builds its own pair systems."""
-    if witness.M != M or witness.U != U or witness.V != V:
-        raise QuiverError("witness does not match the given triple")
-    if not witness.verify():
-        raise QuiverError("unverified witness")
-    bq = M.bq
-    d = M.dim_vector()
-    ext1_mm = ext1(M, M).dim
-    ext2_mm = ext2_small_model(M, M).dim
-    hom_vu = hom_dim(V, U)
-    space_vu = ext1(V, U)
-    ext1_vu = space_vu.dim
-    ext2_vu = ext2_small_model(V, U).dim
-    hom_uv = hom_dim(U, V)
-    space_uv = ext1(U, V)
-    ext1_uv = space_uv.dim
-    ext2_uv = ext2_small_model(U, V).dim
-    z_uv = space_uv.z.dim
-    z_vu = space_vu.z.dim
-    epairs = ext_tangent_pairs(U, V)
-    N = direct_sum(U, V)
-    z_nn = z_space(N, N).dim
-    flags = {
-        "ext1_mm_vanishes": ext1_mm == 0,
-        "ext2_mm_vanishes": ext2_mm == 0,
-        "hom_vu_vanishes": hom_vu == 0,
-        "ext1_uv_vanishes": ext1_uv == 0,
-        "ext2_uv_vanishes": ext2_uv == 0,
-        "pd_m_le1": ext2_module.is_projective(ext2_module._minimal_syzygy(M)[0]),
-    }
-    verdict = "inconclusive"
-    if all(flags.values()) and z_nn == a_of_d(bq, d):
-        verdict = "regular-tangent"
-    return geometry.RegularityReport(
-        M=M, U=U, V=V,
-        a_d_sub=a_of_d(bq, U.dim_vector()), a_d_quot=a_of_d(bq, V.dim_vector()),
-        hom_vu=hom_vu, ext1_vu=ext1_vu, ext2_vu=ext2_vu,
-        hom_uv=hom_uv, ext1_uv=ext1_uv, ext2_uv=ext2_uv,
-        z_uv_dim=z_uv, z_vu_dim=z_vu, ext_pairs_dim=epairs.dim, z_nn_dim=z_nn,
-        a_d=a_of_d(bq, d), bound=epairs.dim + z_uv + z_vu,
-        orbit_dim_n=orbit_dim(N).orbit_dim, flags=flags, verdict=verdict)
+def record_pair_builds(monkeypatch):
+    """The list of (label, source, target) of every relation system R
+    (relation_boundary_matrix) and Hom system H (hom_system) built from
+    here on, in every module that builds one."""
+    ext1_module = importlib.import_module("quiverext.ext1")
+    rep_module = importlib.import_module("quiverext.rep")
+    builds = []
+
+    def recording(label, fn):
+        def wrapper(*args):
+            builds.append((label, *args[-2:]))
+            return fn(*args)
+        return wrapper
+
+    for module in (ext1_module, ext2_module):
+        monkeypatch.setattr(module, "relation_boundary_matrix",
+                            recording("R", module.relation_boundary_matrix))
+    for module in (rep_module, ext1_module, iso):
+        monkeypatch.setattr(module, "hom_system", recording("H", module.hom_system))
+    return builds
 
 
 @pytest.mark.parametrize("field", [QQ, F101], ids=str)
 @pytest.mark.parametrize("padded", [False, True], ids=["XI3", "padded"])
 def test_certificate_builds_each_pair_system_once(padded, field, monkeypatch):
-    """One certificate builds the relation system R and the Hom system H of
-    each of (M, M), (V, U) and (U, V) exactly once, on XI3 and on XI3 with
-    P2 + P3 + S1 added to its sub and middle terms; its report equals the
-    public-calls body's."""
+    """One witness search plus its certificate build the relation system R
+    and the Hom system H of each of (M, M), (V, U) and (U, V) exactly once,
+    on XI3 and on XI3 with P2 + P3 + S1 added to its sub and middle terms;
+    the report equals the public-calls body's."""
     f3 = load_fixture("f3", field=field)
     ses = f3.sequence("XI3")
     M, U, V = (f3.module(n) for n in (ses.middle, ses.sub, ses.quot))
     if padded:
         pad = [f3.module(n) for n in ("P2", "P3", "S1")]
         M, U = direct_sum(M, *pad), direct_sum(U, *pad)
+    builds = record_pair_builds(monkeypatch)
     witness = degeneration_witness_search(M, U, V)
-    want = regularity_certificate_by_public_calls(M, U, V, witness)
-    ext1_module = importlib.import_module("quiverext.ext1")
-    rep_module = importlib.import_module("quiverext.rep")
-    builds = Counter()
-
-    def counting(label, fn):
-        def wrapper(*args):
-            builds[(label, id(args[-2]), id(args[-1]))] += 1
-            return fn(*args)
-        return wrapper
-
-    for module in (ext1_module, ext2_module):
-        monkeypatch.setattr(module, "relation_boundary_matrix",
-                            counting("R", module.relation_boundary_matrix))
-    for module in (rep_module, ext1_module, iso):
-        monkeypatch.setattr(module, "hom_system", counting("H", module.hom_system))
     report = regularity_certificate(M, U, V, witness)
+    monkeypatch.undo()
     pairs = {"(M, M)": (M, M), "(V, U)": (V, U), "(U, V)": (U, V)}
-    got = {(label, name): builds[(label, id(source), id(target))]
+    got = {(label, name): sum(b[0] == label and b[1] is source and b[2] is target
+                              for b in builds)
            for name, (source, target) in pairs.items() for label in ("R", "H")}
     assert got == dict.fromkeys(got, 1)
-    assert report == want
+    assert report == regularity_certificate_by_public_calls(
+        M, U, V, witness, lambda N, M: ext2_small_model(N, M).dim)
+
+
+def test_e_tangent_builds_the_hom_system_of_the_pair_once(monkeypatch, tmp_path, capsys):
+    """The report's hom pairs are the ones its Ext^2 pairs refine."""
+    path = tmp_path / "f3.qv"
+    path.write_text(fixture_source("f3"), encoding="utf-8")
+    builds = record_pair_builds(monkeypatch)
+    assert main(["e-tangent", str(path), "R4", "S4"]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    vu = [b for b in builds if (b[1].name, b[2].name) == ("S4", "R4")]
+    assert [b[0] for b in vu].count("H") == 1
+
+
+def test_a_witness_with_another_pairs_space_is_unverified(f2, ses1_witness):
+    """The certificate reads the counts of (V, U) from the witness's space."""
+    m = f2.modules
+    other = dataclasses.replace(ses1_witness, space=ext1(m["W"], m["S2"]))
+    assert other == ses1_witness  # the space is left out of equality
+    assert not other.verify()
+    with pytest.raises(QuiverError, match="unverified witness"):
+        regularity_certificate(m["M"], m["S1"], m["V"], other)
