@@ -27,15 +27,13 @@ class AdmissibilityError(RuntimeError):
 
 
 def _paths_up_to(bq: BoundQuiver, max_len: int):
-    """All paths of length <= max_len, grouped by length."""
+    """All paths of length <= max_len, grouped by length, up to the first
+    empty length (every longer one is empty too)."""
     by_length = [[trivial_path(x) for x in bq.quiver.vertices]]
-    for length in range(1, max_len + 1):
-        layer = []
-        for p in by_length[length - 1]:
-            for a in bq.quiver.arrows:
-                if a.source == p.target:
-                    layer.append(Path(p.source, a.target, (a.name,) + p.arrows))
-        by_length.append(layer)
+    while len(by_length) <= max_len and by_length[-1]:
+        by_length.append([Path(p.source, a.target, (a.name,) + p.arrows)
+                          for p in by_length[-1] for a in bq.quiver.arrows
+                          if a.source == p.target])
     return by_length
 
 
@@ -166,7 +164,7 @@ def admissibility_check(bq: BoundQuiver, field):
     cap = bq.truncation_cap
     by_length = _paths_up_to(bq, cap)
     for level in range(1, cap + 1):
-        frontier = by_length[level]
+        frontier = by_length[level] if level < len(by_length) else ()
         if not frontier:
             return level
         products = _relation_products(bq, field, by_length, level, strict_only=True)

@@ -236,7 +236,7 @@ def _task_psi(ws, args):
         task["result"] = None
         task["warnings"] = ["no extension cocycle found for the sequence"]
         return task, 1
-    psi = psi_map(witness.Z, U, V)
+    psi = psi_map(witness.space, witness.Z)
     task["result"] = {
         "domain_dim": psi.domain_dim,
         "rank": psi.rank,

@@ -216,9 +216,10 @@ class ExtSpace1:
     @cached_property
     def small_model(self):
         """``ext2_small_model(V, U)``, gated as it is, on R."""
-        from .ext2 import Ext2Model  # local import to avoid a cycle
+        from .ext2 import Ext2Model, _check_hypotheses  # local import to avoid a cycle
 
-        return Ext2Model._gated(self.source, self.target, self._boundary, len(self._pivots))
+        _check_hypotheses(self.source)
+        return Ext2Model(self.source, self.target, self._boundary, len(self._pivots))
 
     @cached_property
     def _b_coords(self) -> list:

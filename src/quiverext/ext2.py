@@ -3,20 +3,20 @@
 Second extensions are computed in two ways.  The reference model is
 unconditional: first extensions of a syzygy of N.  ``ext2_via_omega``
 takes the minimal syzygy, the kernel of the projective cover
-(``_minimal_syzygy``, which ``syzygy`` extends by its inclusion), unless
-it is handed a presentation.  The standard
-presentation (``ProjPresentation``) places at vertex x the span of
-(basis path into x) tensor (coordinate of N); its larger syzygy carries
-the labels that the transport map, the Yoneda oracle and the suites
-index by, so they keep it.  The small model lives on relation cochains
--- one matrix per relation element -- and is a faithful quotient only
-over acyclic quivers of global dimension at most two, so it is gated by
-those checks; ``Ext2Model`` reads its dimension from one rank and
-builds its coset reducer on first use.  The certificate
-(``geometry.regularity_certificate``) reads its Ext^2 dimensions from the
-small models of its ``ExtSpace1`` spaces, each on the relation system
-its space eliminated; the syzygy route stays the independent model.  The
-transport map between the models, Yoneda composition of cocycle
+(``_minimal_syzygy``, which ``syzygy`` extends by its inclusion).  The
+standard presentation (``ProjPresentation``) places at vertex x the span
+of (basis path into x) tensor (coordinate of N); its larger syzygy
+carries the labels that the transport map, the Yoneda oracle and the
+suites index by, so they take the presentation itself.  The small model
+lives on relation cochains -- one matrix per relation element -- and is
+a faithful quotient only over acyclic quivers of global dimension at
+most two, so it is gated by those checks.  ``Ext2Model`` is handed R
+and its rank by whoever eliminated R, ``ext2_small_model`` or an
+``ExtSpace1`` space, and builds its coset reducer on first use.  The
+certificate (``geometry.regularity_certificate``) and the pairing
+(``geometry.psi_map``) read their Ext^2 from the small models of
+``ExtSpace1`` spaces; the syzygy route stays the independent model.
+The transport map between the models, Yoneda composition of cocycle
 representatives (``compose_cocycles``) and its matrices for a fixed
 cocycle, assembled from Kronecker blocks (``yoneda_matrices``), and the
 projectivity and global-dimension tests all live here.
@@ -78,10 +78,10 @@ class ProjPresentation:
     explicit label lists so cochains on them can be indexed by path
     decompositions.  The presentation is deliberately non-minimal: its
     shape depends only on dimension data, never on choices.  It is the
-    route of ``phi``, the Yoneda oracle and every caller that passes a
-    presentation; ``ext2_via_omega`` without one uses the smaller
-    minimal syzygy instead.  For a simple at x, P is the indecomposable
-    projective P(x), which ``indecomposable_projective`` memoises.
+    route of ``phi``, the Yoneda oracle and the suites that index by its
+    labels; ``ext2_via_omega`` uses the smaller minimal syzygy instead.
+    For a simple at x, P is the indecomposable projective P(x), which
+    ``indecomposable_projective`` memoises.
 
     The inclusion sends a syzygy label (y, sigma, j) to the same label of
     P minus N_sigma e_j placed on the labels of the trivial path at x.
@@ -207,23 +207,16 @@ class ProjPresentation:
                 raise QuiverError("presentation dimension count is off")
 
 
-def proj_presentation(N: Representation) -> ProjPresentation:
-    return ProjPresentation(N)
+def ext2_via_omega(N: Representation, M: Representation) -> ExtSpace1:
+    """Second extensions of N by M as first extensions of the minimal
+    syzygy of N, the kernel of the projective cover (``_minimal_syzygy``).
 
-
-def ext2_via_omega(N: Representation, M: Representation,
-                   presentation: ProjPresentation | None = None) -> ExtSpace1:
-    """Second extensions of N by M as first extensions of a syzygy of N.
-
-    Without a presentation the syzygy is the minimal one, the kernel of
-    the projective cover (``_minimal_syzygy``); with one, it is that
-    presentation's syzygy.  Two syzygies of N differ by projective
-    summands (Schanuel's lemma), on which Ext^1 vanishes, so the
-    dimension does not depend on the route; the returned space lives on
-    the syzygy used.
+    Two syzygies of N differ by projective summands (Schanuel's lemma),
+    on which Ext^1 vanishes, so ``ext1(pres.omega, M)`` on a standard
+    presentation has the same dimension; the returned space lives on the
+    minimal syzygy.
     """
-    omega = _minimal_syzygy(N)[0] if presentation is None else presentation.omega
-    return ext1(omega, M)
+    return ext1(_minimal_syzygy(N)[0], M)
 
 
 # -- the small model on relation cochains ------------------------------
@@ -233,25 +226,13 @@ class Ext2Model:
     """Relation cochains modulo relation coboundaries for a pair (N, M).
 
     The relation coboundaries are the column space of the relation
-    boundary matrix R, so dim = (relation-cochain dimension) - rank R,
-    read at construction; their basis ``bprime`` and the coset reducer
-    ``quotient`` are built from R on first use.
+    boundary matrix R, which the caller gates, builds and eliminates, so
+    dim = (relation-cochain dimension) - rank R; their basis ``bprime``
+    and the coset reducer ``quotient`` are built from R on first use.
     """
 
-    def __init__(self, N: Representation, M: Representation):
-        boundary = relation_boundary_matrix(N, M)
-        self._adopt(N, M, boundary, rank(boundary))
-
-    @classmethod
-    def _gated(cls, N, M, boundary: Matrix, rank_r: int) -> "Ext2Model":
-        """The gated model of (N, M) on an R already eliminated, as by
-        ``ExtSpace1``, to ``rank_r`` pivots."""
-        _check_hypotheses(N)
-        model = cls.__new__(cls)
-        model._adopt(N, M, boundary, rank_r)
-        return model
-
-    def _adopt(self, N, M, boundary, rank_r):
+    def __init__(self, N: Representation, M: Representation, boundary: Matrix,
+                 rank_r: int):
         self.source, self.target, self.field = N, M, N.field
         self.ambient_dim = RelationCochain.space_dim(N, M)
         self._boundary = boundary
@@ -298,7 +279,8 @@ class Ext2Class:
 def ext2_small_model(N: Representation, M: Representation) -> Ext2Model:
     """The gated small model; raises when its hypotheses fail."""
     _check_hypotheses(N)
-    return Ext2Model(N, M)
+    boundary = relation_boundary_matrix(N, M)
+    return Ext2Model(N, M, boundary, rank(boundary))
 
 
 def _check_hypotheses(N: Representation):
@@ -315,18 +297,18 @@ def _check_hypotheses(N: Representation):
 # -- the transport map between the models -------------------------------
 
 
-def phi(N: Representation, M: Representation, Z: ArrowCochain,
-        presentation: ProjPresentation | None = None) -> RelationCochain:
-    """Transport a syzygy cochain to relation cochains.
+def phi(pres: ProjPresentation, M: Representation, Z: ArrowCochain) -> RelationCochain:
+    """Transport a cochain on the syzygy of ``pres`` to relation cochains
+    N -> M, with N = ``pres.N``.
 
     For each relation term c * a_1...a_m and each position j < m, the
     term contributes  c * M(a_1..a_{j-1}) Z_{a_j} T_j, where column n of
     T_j is tail_j tensor n, tail_j = a_{j+1}..a_m, expanded in the path
     basis of the syzygy.
     """
-    pres = presentation or ProjPresentation(N)
     if Z.source != pres.omega:
         raise QuiverError("cochain does not live on the given presentation's syzygy")
+    N = pres.N
     field = N.field
     quiver = N.bq.quiver
     mats = {}
@@ -350,23 +332,21 @@ def phi(N: Representation, M: Representation, Z: ArrowCochain,
     return RelationCochain(N, M, mats)
 
 
-def exhibit_phi_kernel_boundary(N: Representation, M: Representation,
-                                Z: ArrowCochain,
-                                presentation: ProjPresentation | None = None,
-                                ) -> VertexCochain:
+def exhibit_phi_kernel_boundary(pres: ProjPresentation, M: Representation,
+                                Z: ArrowCochain) -> VertexCochain:
     """Vertex cochain h whose coboundary recovers a transport-kernel cocycle.
 
-    Built by peeling the last-acting arrow off each syzygy basis label:
-    h vanishes on length-one labels, and on a longer label (a sigma
-    tensor n) it takes the value M_a h(sigma tensor n) - Z_a(sigma
-    tensor n), with sigma expanded in the path basis.  When Z is a
+    Z runs from the syzygy of ``pres`` to M.  Built by peeling the
+    last-acting arrow off each syzygy basis label: h vanishes on
+    length-one labels, and on a longer label (a sigma tensor n) it takes
+    the value M_a h(sigma tensor n) - Z_a(sigma tensor n), with sigma
+    expanded in the path basis.  When Z is a
     cocycle killed by the transport map, the coboundary of h equals Z;
     callers re-derive Z from h to certify.
     """
-    pres = presentation or ProjPresentation(N)
-    field = N.field
+    field = M.field
     omega = pres.omega
-    arrow_map = N.bq.quiver.arrow_map
+    arrow_map = omega.bq.quiver.arrow_map
     memo = {}
 
     def column(x, label):
@@ -397,7 +377,7 @@ def exhibit_phi_kernel_boundary(N: Representation, M: Representation,
         return val
 
     hmats = {}
-    for x in N.bq.quiver.vertices:
+    for x in omega.bq.quiver.vertices:
         cols = [column(x, lab) for lab in pres.omega_labels[x]]
         hmats[x] = Matrix.from_columns(field, M.dims[x], cols)
     return VertexCochain(omega, M, hmats)
@@ -498,41 +478,29 @@ def yoneda_matrices(xi: ArrowCochain):
     return Matrix._adopt(field, left, n_u), Matrix._adopt(field, right, n_v)
 
 
-def yoneda_left(Z: ArrowCochain, cls: Ext1Class,
-                model: Ext2Model | None = None) -> Ext2Class:
+def yoneda_left(Z: ArrowCochain, cls: Ext1Class) -> Ext2Class:
     """Compose a fixed cocycle with a first-extension class on the right.
 
     Z runs U -> M and cls extends V by U; the result is the class of
     compose_cocycles(Z, representative) among second extensions of V
-    by M (small model, so its hypotheses are enforced).
+    by M (``ext2_small_model``, so its hypotheses are enforced).
     """
     U = Z.source
     if cls.space.target != U:
         raise QuiverError("class target does not match the fixed cocycle")
     V = cls.space.source
-    model = model or ext2_small_model(V, Z.target)
+    model = ext2_small_model(V, Z.target)
     return model.class_of(compose_cocycles(Z, cls.representative()))
 
 
-def yoneda_right(cls: Ext1Class, Z: ArrowCochain,
-                 model: Ext2Model | None = None) -> Ext2Class:
-    """Mirror of yoneda_left: the fixed cocycle Z runs M -> V on the right."""
-    V = cls.space.source
-    if Z.target != V:
-        raise QuiverError("cocycle target does not match the class source")
-    model = model or ext2_small_model(Z.source, cls.space.target)
-    return model.class_of(compose_cocycles(cls.representative(), Z))
-
-
-def yoneda_left_omega(Z: ArrowCochain, cls: Ext1Class,
-                      presentation: ProjPresentation | None = None,
-                      space: ExtSpace1 | None = None) -> Ext1Class:
+def yoneda_left_omega(Z: ArrowCochain, cls: Ext1Class) -> Ext1Class:
     """Yoneda composition landing in the unconditional syzygy model.
 
     Z runs U -> M, cls extends V by U.  The image cochain sends a
-    syzygy basis label (sigma tensor v) across an arrow a to
-    Z_a applied to the product-rule extension of the class
-    representative along sigma.  Serves as the independent oracle for
+    basis label (sigma tensor v) of the syzygy of ``ProjPresentation(V)``
+    across an arrow a to Z_a applied to the product-rule extension of
+    the class representative along sigma; its class lies in
+    ``ext1(omega, M)``.  Serves as the independent oracle for
     yoneda_left: no global-dimension hypothesis enters.
     """
     U = Z.source
@@ -540,7 +508,7 @@ def yoneda_left_omega(Z: ArrowCochain, cls: Ext1Class,
         raise QuiverError("class target does not match the fixed cocycle")
     V = cls.space.source
     M = Z.target
-    pres = presentation or ProjPresentation(V)
+    pres = ProjPresentation(V)
     Zp = cls.representative()
     field = V.field
     mats = {}
@@ -551,8 +519,7 @@ def yoneda_left_omega(Z: ArrowCochain, cls: Ext1Class,
             cols.append(full.col(j))
         mats[a.name] = Matrix.from_columns(field, M.dims[a.target], cols)
     image = ArrowCochain(pres.omega, M, mats)
-    target_space = space or ext1(pres.omega, M)
-    return target_space.class_of(image)
+    return ext1(pres.omega, M).class_of(image)
 
 
 # -- projectivity and global dimension ----------------------------------

@@ -30,7 +30,6 @@ from .ext1 import (
 from .ext2 import (
     Ext2Model,
     _minimal_syzygy,
-    ext2_small_model,
     is_projective,
     yoneda_matrices,
 )
@@ -288,17 +287,21 @@ class PsiMap:
         return self.rank == self.model.dim
 
 
-def psi_map(Zxi: ArrowCochain, U: Representation, V: Representation) -> PsiMap:
+def psi_map(space: ExtSpace1, Zxi: ArrowCochain) -> PsiMap:
     """Matrix of (Z', Z'') -> [Z' o xi] + [xi o Z''] into Ext2(V, U).
 
-    Column j is the image of the j-th basis cocycle of Z(U, U), then of
-    Z(V, V): the composition matrices of ``yoneda_matrices`` applied to
-    the cocycle bases, each column reduced once in the small model.
+    ``space`` is ``ext1(V, U)``, the space of the fixed cocycle xi (the
+    witness search's ``SesWitness.space``); the classes are reduced in
+    its small model, on the relation system it eliminated.  Column j is
+    the image of the j-th basis cocycle of Z(U, U), then of Z(V, V): the
+    composition matrices of ``yoneda_matrices`` applied to the cocycle
+    bases, each column reduced once in the small model.
     """
+    V, U = space.source, space.target
     if Zxi.source != V or Zxi.target != U:
         raise QuiverError("the fixed cocycle must run V -> U")
     field = U.field
-    model = ext2_small_model(V, U)
+    model = space.small_model
     zu = z_space(U, U)
     zv = z_space(V, V)
     cols = [model.quotient.reduce(image) for image in _pairing_images(Zxi, zu, zv)]
@@ -317,24 +320,25 @@ class LeftCompReport:
         return self.rank == self.target_dim
 
 
-def left_comp_surjectivity(Zxi: ArrowCochain, U: Representation,
-                           V: Representation) -> LeftCompReport:
+def left_comp_surjectivity(space: ExtSpace1, Zxi: ArrowCochain) -> LeftCompReport:
     """Rank of composing with xi from Ext1(V,V) into Ext2(V,U).
 
-    The right composition matrix of ``yoneda_matrices`` is applied to the
-    basis cocycles of Z(V, V) at the free coordinates of Ext1(V, V) (a
-    transversal of the coboundaries), and each image is reduced once in
-    the small model.
+    ``space`` is ``ext1(V, U)``, the space of xi, whose small model
+    holds Ext2(V, U).  The right composition matrix of
+    ``yoneda_matrices`` is applied to the basis cocycles of Z(V, V) at
+    the free coordinates of Ext1(V, V) (a transversal of the
+    coboundaries), and each image is reduced once in the small model.
     """
+    V, U = space.source, space.target
     if Zxi.source != V or Zxi.target != U:
         raise QuiverError("the fixed cocycle must run V -> U")
-    model = ext2_small_model(V, U)
-    space = ext1(V, V)
+    model = space.small_model
+    space_vv = ext1(V, V)
     _, right = yoneda_matrices(Zxi)
-    transversal = [space.z.vectors[i] for i in space.quotient.free_coordinates()]
+    transversal = [space_vv.z.vectors[i] for i in space_vv.quotient.free_coordinates()]
     cols = [model.quotient.reduce(image) for image in _images(right, transversal)]
     mat = Matrix.from_columns(U.field, model.ambient_dim, cols)
-    return LeftCompReport(space.dim, model.dim, mat.rank())
+    return LeftCompReport(space_vv.dim, model.dim, mat.rank())
 
 
 # -- projective and injective dimension bounds --------------------------

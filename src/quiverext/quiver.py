@@ -114,6 +114,8 @@ class BoundQuiver:
     """A quiver together with an admissible set of relation elements."""
 
     def __init__(self, quiver: Quiver, relations=(), truncation_cap: int = 12):
+        if truncation_cap < 1:
+            raise QuiverError(f"truncation cap must be at least 1, got {truncation_cap}")
         self.quiver = quiver
         self.relations = tuple(relations)
         self.truncation_cap = truncation_cap

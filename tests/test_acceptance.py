@@ -13,10 +13,10 @@ import random
 from quiverext.dsl import serialize_report
 from quiverext.ext1 import ext1, z_space
 from quiverext.ext2 import (
+    ProjPresentation,
     compose_cocycles,
     ext2_small_model,
     ext2_via_omega,
-    proj_presentation,
 )
 from quiverext.fields import QQ, field_by_name
 from quiverext.fixtures import load_fixture
@@ -88,7 +88,7 @@ def test_criterion_06_psi_kernel_identity(f2, f3, capfd):
         U, V = ws.module(decl.sub), ws.module(decl.quot)
         witness = degeneration_witness_search(M, U, V)
         assert witness is not None and witness.verify()
-        psi = psi_map(witness.Z, U, V)
+        psi = psi_map(witness.space, witness.Z)
         assert psi.surjective
         expected = z_space(U, U).dim + z_space(V, V).dim \
             - ext2_via_omega(V, U).dim
@@ -144,21 +144,21 @@ def profile_dimensions(field):
         names = sorted(ws.modules)
         for nn in names:
             N = ws.modules[nn]
-            pres = proj_presentation(N)
+            pres = ProjPresentation(N)
             for mn in names:
                 M = ws.modules[mn]
                 out[f"{name}:{nn}->{mn}"] = (
                     hom_dim(N, M),
                     ext1(N, M).dim,
                     z_space(N, M).dim,
-                    ext2_via_omega(N, M, pres).dim,
+                    ext1(pres.omega, M).dim,
                 )
         ses_name = "SES1" if name == "f2" else "XI3"
         decl = ws.sequence(ses_name)
         M = ws.module(decl.middle)
         U, V = ws.module(decl.sub), ws.module(decl.quot)
         witness = degeneration_witness_search(M, U, V)
-        psi = psi_map(witness.Z, U, V)
+        psi = psi_map(witness.space, witness.Z)
         out[f"{name}:psi"] = (psi.domain_dim, psi.rank, psi.kernel_dim,
                               psi.model.dim)
         out[f"{name}:pairs"] = ext_tangent_pairs(hom_tangent_pairs(witness.space)).dim

@@ -88,6 +88,15 @@ def test_an_unbounded_ideal_exits_with_usage_error(capsys, tmp_path, command):
     assert err.startswith("error: admissibility bound exceeded: ")
 
 
+@pytest.mark.parametrize("command, cap", [("hom", "-3"), ("ext2", "0")])
+def test_a_truncation_cap_below_one_exits_with_usage_error(capsys, f2_path, command, cap):
+    code = main([command, f2_path, "S1", "S1", f"--truncation-cap={cap}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"truncation cap must be at least 1, got {cap}" in err
+    assert "Traceback" not in err
+
+
 SQUARE_HALF = ("quiver SQ\nvertex 1 2 3 4\narrow a : 1 -> 2\narrow b : 2 -> 4\n"
                "arrow c : 1 -> 3\narrow d : 3 -> 4\nrelation r : b*a - 1/2*d*c\n"
                "module S1 : dim 1 0 0 0\nmodule S4 : dim 0 0 0 1\n")

@@ -11,8 +11,8 @@ from quiverext.ext1 import (
     z_space,
 )
 from quiverext.ext2 import (
-    Ext2Model,
     HypothesisError,
+    ProjPresentation,
     compose_cocycles,
     exhibit_phi_kernel_boundary,
     ext2_small_model,
@@ -21,7 +21,6 @@ from quiverext.ext2 import (
     indecomposable_projective,
     is_projective,
     phi,
-    proj_presentation,
     projective_cover,
     syzygy,
     top_dims,
@@ -59,14 +58,14 @@ def combine(field, basis, coeffs):
     ("S3", {"1": 0, "2": 1, "3": 1}, "S2"),
 ])
 def test_presentation_shapes(f2, name, p_dims, omega_name):
-    pres = proj_presentation(f2.modules[name])
+    pres = ProjPresentation(f2.modules[name])
     assert pres.P.dim_vector() == p_dims
     assert iso_test(pres.omega, f2.modules[omega_name]).verdict == "yes"
     assert pres.incl.is_morphism() and pres.proj.is_morphism()
 
 
 def test_presentation_of_the_square_corner(f3):
-    pres = proj_presentation(f3.modules["S4"])
+    pres = ProjPresentation(f3.modules["S4"])
     assert iso_test(pres.P, f3.modules["P4"]).verdict == "yes"
     assert iso_test(pres.omega, f3.modules["R4"]).verdict == "yes"
 
@@ -91,21 +90,21 @@ def test_the_two_models_agree(f2, f3):
 def test_relation_cochain_spaces(f2):
     m = f2.modules
     assert RelationCochain.space_dim(m["S3"], m["S1"]) == 1
-    assert Ext2Model(m["S3"], m["S1"]).bprime.dim == 0
+    assert ext2_small_model(m["S3"], m["S1"]).bprime.dim == 0
     # for (P3, S1) the boundaries fill the whole ambient space
     full = RelationCochain.space_dim(m["P3"], m["S1"])
-    assert Ext2Model(m["P3"], m["S1"]).bprime.dim == full == 1
+    assert ext2_small_model(m["P3"], m["S1"]).bprime.dim == full == 1
 
 
 def test_transport_sends_the_generator_to_a_generator(f2):
     N, M = f2.modules["S3"], f2.modules["S1"]
-    pres = proj_presentation(N)
+    pres = ProjPresentation(N)
     space = ext1(pres.omega, M)
     assert space.dim == 1
     Z = space.basis_cocycles()[0]
     assert not space.class_of(Z).is_zero
     model = ext2_small_model(N, M)
-    assert not model.class_of(phi(N, M, Z, pres)).is_zero
+    assert not model.class_of(phi(pres, M, Z)).is_zero
 
 
 def test_transport_kernel_vectors_are_exhibited_boundaries(f3):
@@ -115,13 +114,13 @@ def test_transport_kernel_vectors_are_exhibited_boundaries(f3):
     entry for entry, so the certificate is checked, not trusted.
     """
     N, M = f3.modules["S4"], f3.modules["S1"]
-    pres = proj_presentation(N)
+    pres = ProjPresentation(N)
     zs = z_space(pres.omega, M)
     field = M.field
 
     def apply(coeffs):
         Z = ArrowCochain.from_vector(pres.omega, M, combine(field, zs, coeffs))
-        return phi(N, M, Z, pres).to_vector()
+        return phi(pres, M, Z).to_vector()
 
     codom = RelationCochain.space_dim(N, M)
     system = linear_map_matrix(field, zs.dim, codom, apply)
@@ -129,7 +128,7 @@ def test_transport_kernel_vectors_are_exhibited_boundaries(f3):
     assert kernel.dim == 1
     for coeffs in kernel.vectors:
         Z = ArrowCochain.from_vector(pres.omega, M, combine(field, zs, coeffs))
-        h = exhibit_phi_kernel_boundary(N, M, Z, pres)
+        h = exhibit_phi_kernel_boundary(pres, M, Z)
         assert coboundary(h).to_vector() == Z.to_vector()
 
 
@@ -138,8 +137,9 @@ def test_yoneda_product_of_the_simple_chain(f2):
     Zxi = ext1(m["S2"], m["S1"]).basis_cocycles()[0]
     eta_space = ext1(m["S3"], m["S2"])
     cls = eta_space.class_of(eta_space.basis_cocycles()[0])
-    model = ext2_small_model(m["S3"], m["S1"])
-    product = yoneda_left(Zxi, cls, model)
+    product = yoneda_left(Zxi, cls)
+    model = product.model
+    assert (model.source, model.target) == (m["S3"], m["S1"])
     assert not product.is_zero
     assert not yoneda_left_omega(Zxi, cls).is_zero
     assert model.zero_class().add(product) == product
@@ -244,8 +244,8 @@ def test_small_model_refuses_an_oriented_cycle():
 
 def pd_le1_by_presentation(M):
     """The projective-dimension test on the standard presentation's syzygy."""
-    pres = proj_presentation(M)
-    return all(ext2_via_omega(M, simple(M.bq, M.field, x), pres).dim == 0
+    pres = ProjPresentation(M)
+    return all(ext1(pres.omega, simple(M.bq, M.field, x)).dim == 0
                for x in M.bq.quiver.vertices)
 
 
@@ -262,10 +262,10 @@ def test_minimal_syzygy_route_agrees_with_the_other_models(name, field):
     zero = zero_rep(bq, field)
     projectives = [indecomposable_projective(bq, field, x).P for x in bq.quiver.vertices]
     for N in mods:
-        pres = proj_presentation(N)
+        pres = ProjPresentation(N)
         for M in mods:
             dim = ext2_via_omega(N, M).dim
-            assert dim == ext2_via_omega(N, M, pres).dim
+            assert dim == ext1(pres.omega, M).dim
             if not gated:
                 assert dim == ext2_small_model(N, M).dim
         assert ext2_via_omega(zero, N).dim == ext2_via_omega(N, zero).dim == 0

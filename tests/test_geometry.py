@@ -238,7 +238,7 @@ def test_dual_number_probe_confirms_members(f2):
 def test_psi_kernel_accounting(f2, ses1_witness):
     m = f2.modules
     U, V = m["S1"], m["V"]
-    report = psi_map(ses1_witness.Z, U, V)
+    report = psi_map(ses1_witness.space, ses1_witness.Z)
     assert report.surjective
     expected = z_space(U, U).dim + z_space(V, V).dim \
         - ext2_via_omega(V, U).dim
@@ -248,7 +248,7 @@ def test_psi_kernel_accounting(f2, ses1_witness):
 def test_psi_needs_a_nonzero_target_to_fail(f2):
     m = f2.modules
     zero = ArrowCochain.zero(m["S3"], m["S1"])
-    report = psi_map(zero, m["S1"], m["S3"])
+    report = psi_map(ext1(m["S3"], m["S1"]), zero)
     assert report.model.dim == 1
     assert report.domain_dim == 0
     assert not report.surjective
@@ -256,11 +256,19 @@ def test_psi_needs_a_nonzero_target_to_fail(f2):
 
 def test_left_composition_rank(f2, ses1_witness):
     m = f2.modules
-    good = left_comp_surjectivity(ses1_witness.Z, m["S1"], m["V"])
+    good = left_comp_surjectivity(ses1_witness.space, ses1_witness.Z)
     assert good.target_dim == 0 and good.surjective
     zero = ArrowCochain.zero(m["S3"], m["S1"])
-    bad = left_comp_surjectivity(zero, m["S1"], m["S3"])
+    bad = left_comp_surjectivity(ext1(m["S3"], m["S1"]), zero)
     assert bad.target_dim == 1 and not bad.surjective
+
+
+def test_the_pairing_refuses_a_cocycle_of_another_pair(f2, ses1_witness):
+    """The space fixes (V, U); a cocycle of another pair is refused."""
+    other = ArrowCochain.zero(f2.modules["S3"], f2.modules["S1"])
+    for run in (psi_map, left_comp_surjectivity):
+        with pytest.raises(QuiverError, match="the fixed cocycle must run V -> U"):
+            run(ses1_witness.space, other)
 
 
 def test_projective_dimension_bounds(f2):
@@ -510,22 +518,26 @@ def test_pairing_systems_equal_the_per_pair_bodies(name, field):
         for run in (ext_tangent_pairs, ext_tangent_pairs_per_pair):
             with pytest.raises(HypothesisError):
                 run(hom_tangent_pairs(ext1(V, U)))
-        for run in (psi_map, psi_map_per_pair, left_comp_surjectivity, left_comp_per_pair):
+        for run in (psi_map, left_comp_surjectivity):
+            with pytest.raises(HypothesisError):
+                run(ext1(V, U), Zxi)
+        for run in (psi_map_per_pair, left_comp_per_pair):
             with pytest.raises(HypothesisError):
                 run(Zxi, U, V)
         return
     for U in mods:
         for V in mods:
-            hpairs = hom_tangent_pairs(ext1(V, U))
+            space = ext1(V, U)
+            hpairs = hom_tangent_pairs(space)
             new, old = ext_tangent_pairs(hpairs), ext_tangent_pairs_per_pair(hpairs)
             assert typed(new.basis.vectors) == typed(old.basis.vectors)
             assert new.basis.leads == old.basis.leads
             Zxi = random_cocycle(V, U, rng)
-            new, old = psi_map(Zxi, U, V), psi_map_per_pair(Zxi, U, V)
+            new, old = psi_map(space, Zxi), psi_map_per_pair(Zxi, U, V)
             assert typed(new.matrix.rows) == typed(old.matrix.rows)
             assert (new.matrix.ncols, new.domain_dim, new.rank) == \
                 (old.matrix.ncols, old.domain_dim, old.rank)
-            assert left_comp_surjectivity(Zxi, U, V) == left_comp_per_pair(Zxi, U, V)
+            assert left_comp_surjectivity(space, Zxi) == left_comp_per_pair(Zxi, U, V)
 
 
 def test_certificate_builds_the_syzygy_of_the_middle_once(monkeypatch):
@@ -546,86 +558,6 @@ def test_certificate_builds_the_syzygy_of_the_middle_once(monkeypatch):
     report = regularity_certificate(M, U, V, witness)
     assert report.verdict == "regular-tangent" and report.flags["pd_m_le1"]
     assert sum(N == M for N in calls) == 1
-
-
-def iso_test_fingerprints_first(M, N, seed=0, trials=20):
-    """The isomorphism test with the hom fingerprints before any candidate."""
-    if M.dim_vector() != N.dim_vector():
-        return IsoCertificate("no", "dimension vectors differ")
-    if M.total_dim == 0:
-        return IsoCertificate("yes", "both representations are zero",
-                              VertexCochain(M, N, {}))
-    cochains = hom_basis(M, N)
-    fp_m = (hom_dim(M, M), len(cochains))
-    fp_n = (hom_dim(N, N), hom_dim(N, M))
-    if fp_m != fp_n:
-        return IsoCertificate(
-            "no",
-            "hom-space fingerprints differ: "
-            f"(end M, hom M->N) = {fp_m} but (end N, hom N->M) = {fp_n}",
-        )
-    if not cochains:
-        return IsoCertificate("no", "no nonzero morphism exists")
-    field = M.field
-    homs = SubspaceBasis(field, VertexCochain.space_dim(M, N),
-                         [f.to_vector() for f in cochains])
-    ones = [field.one] * len(cochains)
-    candidate = VertexCochain.from_vector(M, N, homs.combine(ones))
-    if iso._vertexwise_invertible(candidate):
-        return IsoCertificate("yes", "invertible morphism found", candidate)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        coeffs = [field.of(rng.randint(-10**6, 10**6)) for _ in cochains]
-        candidate = VertexCochain.from_vector(M, N, homs.combine(coeffs))
-        if iso._vertexwise_invertible(candidate):
-            return IsoCertificate("yes", "invertible morphism found", candidate)
-    symbolic = iso._symbolic_det_is_zero(M, N, cochains)
-    if symbolic is True:
-        return IsoCertificate("no", "every morphism is singular at some vertex")
-    if symbolic is False:
-        for _ in range(200):
-            coeffs = [field.of(rng.randint(-10**6, 10**6)) for _ in cochains]
-            candidate = VertexCochain.from_vector(M, N, homs.combine(coeffs))
-            if iso._vertexwise_invertible(candidate):
-                return IsoCertificate("yes", "invertible morphism found", candidate)
-    return IsoCertificate("unknown", "randomized and symbolic checks were inconclusive")
-
-
-@pytest.mark.parametrize("name", ["f1", "f2", "f3"])
-@pytest.mark.parametrize("field", [QQ, F101], ids=str)
-def test_iso_test_tries_the_first_candidate_before_the_fingerprints(name, field,
-                                                                     monkeypatch):
-    """Whole certificates as before; a first-candidate "yes" computes no hom_dim."""
-    mods = load_fixture(name, field=field).modules
-    dims = []
-    real_hom_dim = iso.hom_dim
-
-    def counting_hom_dim(M, N):
-        dims.append((M, N))
-        return real_hom_dim(M, N)
-
-    first_yes = 0
-    for M in mods.values():
-        for N in mods.values():
-            want = iso_test_fingerprints_first(M, N)
-            monkeypatch.setattr(iso, "hom_dim", counting_hom_dim)
-            got = iso_test(M, N)
-            monkeypatch.undo()
-            assert (got.verdict, got.reason) == (want.verdict, want.reason)
-            if want.witness is None:
-                assert got.witness is None
-            else:
-                assert got.witness.mats == want.witness.mats
-            basis = hom_basis(M, N)
-            ones = VertexCochain.from_vector(M, N, SubspaceBasis(
-                field, VertexCochain.space_dim(M, N), [f.to_vector() for f in basis]
-            ).combine([field.one] * len(basis)))
-            early = M.dim_vector() == N.dim_vector() and (
-                M.total_dim == 0 or (basis and iso._vertexwise_invertible(ones)))
-            first_yes += bool(early)
-            assert len(dims) == (0 if early or M.dim_vector() != N.dim_vector() else 3)
-            dims.clear()
-    assert first_yes >= len(mods)  # at least every module against itself
 
 
 # -- the witness search against the body that tested every candidate ------
@@ -891,13 +823,21 @@ def assert_same_certificate(got, want):
         assert typed(got.witness.mats[x].rows) == typed(want.witness.mats[x].rows)
 
 
-def _ones_invertible(M, N):
+def _first_tries(M, N, seed=0, trials=20):
+    """Whether the all-ones candidate, and whether the first seeded sample
+    (when trials allow one), is invertible: the two tries iso_test makes
+    before the fingerprints."""
     basis = hom_basis(M, N)
     if not basis:
-        return False
-    ones = SubspaceBasis(M.field, VertexCochain.space_dim(M, N),
-                         [f.to_vector() for f in basis]).combine([M.field.one] * len(basis))
-    return iso._vertexwise_invertible(VertexCochain.from_vector(M, N, ones))
+        return False, False
+    field = M.field
+    homs = SubspaceBasis(field, VertexCochain.space_dim(M, N), [f.to_vector() for f in basis])
+    rng = random.Random(seed)
+    ones = [field.one] * len(basis)
+    first = [field.of(rng.randint(-10**6, 10**6)) for _ in basis]
+    by_ones, by_sample = (iso._vertexwise_invertible(VertexCochain.from_vector(
+        M, N, homs.combine(coeffs))) for coeffs in (ones, first))
+    return by_ones, by_sample and trials > 0
 
 
 def suite_iso_pairs(field, monkeypatch):
@@ -920,10 +860,11 @@ def test_iso_test_equals_the_fingerprints_before_sampling_body(field, monkeypatc
     refutes by fingerprints before the first seeded sample, on the fixture
     pairs, the suites' pairs, seeded isomorphic pairs whose all-ones
     candidate fails (over Q and F101 also with one trial), and
-    non-isomorphic pairs the fingerprints refute."""
-    pairs = [(M, N, 0) for name in ("f1", "f2", "f3")
-             for mods in [list(load_fixture(name, field=field).modules.values())]
-             for M in mods for N in mods]
+    non-isomorphic pairs the fingerprints refute.  A verdict reached
+    before the fingerprints computes no hom_dim, any other three."""
+    fixtures = [list(load_fixture(name, field=field).modules.values())
+                for name in ("f1", "f2", "f3")]
+    pairs = [(M, N, 0) for mods in fixtures for M in mods for N in mods]
     pairs += suite_iso_pairs(field, monkeypatch)
     rng = random.Random(f"iso:{field.name}")
     conjugates, refuted = 0, 0
@@ -933,7 +874,7 @@ def test_iso_test_equals_the_fingerprints_before_sampling_body(field, monkeypatc
             for _ in range(3):
                 g = {x: random_invertible(field, d, rng) for x, d in M.dims.items()}
                 N = gl_action(g, M)
-                if not _ones_invertible(M, N):
+                if not _first_tries(M, N)[0]:
                     seed = rng.randrange(100)
                     pairs.append((M, N, seed))
                     if field.char != 2:  # over F2 one sample often fails: slow sympy
@@ -943,7 +884,7 @@ def test_iso_test_equals_the_fingerprints_before_sampling_body(field, monkeypatc
                 if N.dims == M.dims and not iso_test_candidate_then_fingerprints(
                         M, N).reason.startswith("dimension"):
                     pairs.append((M, N, 0))
-    sampled_first = 0
+    ones_first, sampled_first = 0, 0
     hom_dims = []
     real_hom_dim = iso.hom_dim
 
@@ -959,11 +900,14 @@ def test_iso_test_equals_the_fingerprints_before_sampling_body(field, monkeypatc
         monkeypatch.undo()
         assert_same_certificate(got, want)
         refuted += want.reason.startswith("hom-space fingerprints differ")
-        if got.verdict == "yes" and not hom_dims and not _ones_invertible(M, N) \
-                and M.total_dim:
-            sampled_first += 1
+        by_ones, by_sample = _first_tries(M, N, seed, trials)
+        early = M.dim_vector() != N.dim_vector() or M.total_dim == 0 or by_ones or by_sample
+        assert len(hom_dims) == (0 if early else 3)
+        ones_first += by_ones
+        sampled_first += by_sample and not by_ones
         hom_dims.clear()
     assert conjugates and refuted and sampled_first
+    assert ones_first >= sum(map(len, fixtures))  # at least every module against itself
 
 
 # -- one certificate, one set of pair systems ---------------------------------
@@ -1027,6 +971,31 @@ def test_e_tangent_builds_the_hom_system_of_the_pair_once(monkeypatch, tmp_path,
     capsys.readouterr()
     vu = [b for b in builds if (b[1].name, b[2].name) == ("S4", "R4")]
     assert [b[0] for b in vu].count("H") == 1
+
+
+def test_psi_builds_the_pair_systems_of_the_sequence_once(monkeypatch, tmp_path, capsys):
+    """The pairing reads Ext^2(V, U) from the witness's space, so R and H
+    of (V, U) = (S4, R4) are built once each."""
+    path = tmp_path / "f3.qv"
+    path.write_text(fixture_source("f3"), encoding="utf-8")
+    builds = record_pair_builds(monkeypatch)
+    assert main(["psi", str(path), "XI3"]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    vu = [b[0] for b in builds if (b[1].name, b[2].name) == ("S4", "R4")]
+    assert sorted(vu) == ["H", "R"]
+
+
+def test_the_psi_suite_builds_each_sequence_relation_system_once(monkeypatch):
+    """The witness search, the pairing and the left composition of each
+    declared sequence share one R(V, U)."""
+    builds = record_pair_builds(monkeypatch)
+    result, = run_suites("psi", QQ)
+    monkeypatch.undo()
+    assert result.passed
+    for quot, sub in (("V", "S1"), ("S4", "R4")):  # SES1 on f2, XI3 on f3
+        vu = [b[0] for b in builds if (b[1].name, b[2].name) == (quot, sub)]
+        assert vu.count("R") == 1
 
 
 def test_a_witness_with_another_pairs_space_is_unverified(f2, ses1_witness):

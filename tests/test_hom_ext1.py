@@ -48,7 +48,6 @@ from quiverext.linalg import (
     rank,
     row_space_basis,
     solve,
-    vstack,
 )
 from quiverext.quiver import Path, QuiverError, is_acyclic
 from quiverext.rep import (
@@ -779,31 +778,6 @@ def identity_word_z_path(Z, path):
     return total
 
 
-def stacked_middle_term(Z):
-    """The middle term stacked from zero and identity blocks."""
-    V, U = Z.source, Z.target
-    if not is_cocycle(Z):
-        raise QuiverError("middle_term expects a cocycle (a relation check failed)")
-    field = V.field
-    bq = V.bq
-    dims = {x: U.dims[x] + V.dims[x] for x in bq.quiver.vertices}
-    mats = {}
-    for a in bq.quiver.arrows:
-        ua, za, va = U.mats[a.name], Z.mats[a.name], V.mats[a.name]
-        mats[a.name] = vstack(hstack(ua, za),
-                              hstack(Matrix.zeros(field, va.nrows, ua.ncols), va))
-    W = Representation(bq, field, dims, mats, check=True)
-    incl = VertexCochain(U, W, {
-        x: vstack(Matrix.identity(field, U.dims[x]),
-                  Matrix.zeros(field, V.dims[x], U.dims[x]))
-        for x in bq.quiver.vertices})
-    proj = VertexCochain(W, V, {
-        x: hstack(Matrix.zeros(field, V.dims[x], U.dims[x]),
-                  Matrix.identity(field, V.dims[x]))
-        for x in bq.quiver.vertices})
-    return W, incl, proj
-
-
 def one_pass_cases(name, field, seed):
     mods = with_rational_conjugates(case_modules(name, field, seed=seed))
     return mods + [zero_rep(mods[0].bq, field)]
@@ -869,13 +843,13 @@ def test_boundary_matrix_z_path_and_middle_term_equal_the_identity_bodies(name, 
             for p in paths:
                 assert_same_entries(z_path(Z, p), identity_word_z_path(Z, p))
             W, incl, proj = middle_term(Z)
-            old_w, old_incl, old_proj = stacked_middle_term(Z)
-            assert W.dims == old_w.dims
-            assert_same_mats(W.mats, old_w.mats)
+            mats, incl_rows, proj_rows = rows_middle_term(Z)
+            assert W.dims == {x: U.dims[x] + V.dims[x] for x in bq.quiver.vertices}
+            assert_same_mats(W.mats, mats)
             assert incl.source is U and incl.target is W
-            assert_same_mats(incl.mats, old_incl.mats)
+            assert_same_mats(incl.mats, incl_rows)
             assert proj.source is W and proj.target is V
-            assert_same_mats(proj.mats, old_proj.mats)
+            assert_same_mats(proj.mats, proj_rows)
 
 
 # -- dimensions read without the basis or the quotient behind them ----------
@@ -898,7 +872,7 @@ def test_dimension_only_paths_equal_their_bases(name, field):
             assert rank(boundary) == len(_rref(field, boundary.rows)[1])
             assert z_dim(M, N) == space.z.dim
             assert b_dim(M, N) == space.b.dim
-            model = Ext2Model(M, N)
+            model = Ext2Model(M, N, boundary, rank(boundary))
             assert "quotient" not in vars(model) and "bprime" not in vars(model)
             bprime = column_space_basis(boundary)
             assert model.dim == model.quotient.dim == QuotientSpace(

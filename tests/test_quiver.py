@@ -1,6 +1,6 @@
 import pytest
 
-from quiverext.algebra import AdmissibilityError, minimality_check
+from quiverext.algebra import AdmissibilityError, _paths_up_to, minimality_check
 from quiverext.fields import QQ
 from quiverext.quiver import (
     QuiverError,
@@ -126,3 +126,20 @@ def test_truncation_window_must_cover_the_relations():
         [("r", [(1, ["a", "b"])])], truncation_cap=1)
     with pytest.raises(AdmissibilityError):
         bq.algebra_basis(QQ)
+
+
+def test_a_huge_cap_lists_paths_only_up_to_the_first_empty_length():
+    """Every length past the longest path is empty, so the path list stops
+    there and the basis is the one of the default cap."""
+    huge = 10**6
+    assert [len(layer) for layer in _paths_up_to(_f2_quiver(), huge)] == [3, 2, 1, 0]
+    bq = validate_bound_quiver("F2", ["1", "2", "3"], [("a", "2", "1"), ("b", "3", "2")],
+                               [("r", [(1, ["a", "b"])])], truncation_cap=huge)
+    assert bq.algebra_basis(QQ).basis == _f2_quiver().algebra_basis(QQ).basis
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_a_truncation_cap_below_one_is_refused(cap):
+    with pytest.raises(QuiverError, match=f"truncation cap must be at least 1, got {cap}"):
+        validate_bound_quiver("F2", ["1", "2", "3"], [("a", "2", "1"), ("b", "3", "2")],
+                              [], truncation_cap=cap)
