@@ -862,9 +862,9 @@ def test_iso_test_equals_the_fingerprints_before_sampling_body(field, monkeypatc
     candidate fails (over Q and F101 also with one trial), and
     non-isomorphic pairs the fingerprints refute.  A verdict reached
     before the fingerprints computes no hom_dim, any other three."""
-    fixtures = [list(load_fixture(name, field=field).modules.values())
-                for name in ("f1", "f2", "f3")]
-    pairs = [(M, N, 0) for mods in fixtures for M in mods for N in mods]
+    pairs = [(M, N, 0) for name in ("f1", "f2", "f3")
+             for mods in [list(load_fixture(name, field=field).modules.values())]
+             for M in mods for N in mods]
     pairs += suite_iso_pairs(field, monkeypatch)
     rng = random.Random(f"iso:{field.name}")
     conjugates, refuted = 0, 0
@@ -884,7 +884,7 @@ def test_iso_test_equals_the_fingerprints_before_sampling_body(field, monkeypatc
                 if N.dims == M.dims and not iso_test_candidate_then_fingerprints(
                         M, N).reason.startswith("dimension"):
                     pairs.append((M, N, 0))
-    ones_first, sampled_first = 0, 0
+    sampled_first = 0
     hom_dims = []
     real_hom_dim = iso.hom_dim
 
@@ -903,11 +903,39 @@ def test_iso_test_equals_the_fingerprints_before_sampling_body(field, monkeypatc
         by_ones, by_sample = _first_tries(M, N, seed, trials)
         early = M.dim_vector() != N.dim_vector() or M.total_dim == 0 or by_ones or by_sample
         assert len(hom_dims) == (0 if early else 3)
-        ones_first += by_ones
         sampled_first += by_sample and not by_ones
         hom_dims.clear()
     assert conjugates and refuted and sampled_first
-    assert ones_first >= sum(map(len, fixtures))  # at least every module against itself
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "f3"])
+@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+def test_iso_test_tries_the_first_candidate_before_the_fingerprints(name, field,
+                                                                     monkeypatch):
+    """Whole certificates as before; a first-candidate "yes" computes no hom_dim."""
+    mods = load_fixture(name, field=field).modules
+    dims = []
+    real_hom_dim = iso.hom_dim
+
+    def counting_hom_dim(M, N):
+        dims.append((M, N))
+        return real_hom_dim(M, N)
+
+    first_yes = 0
+    for M in mods.values():
+        for N in mods.values():
+            want = iso_test_candidate_then_fingerprints(M, N)
+            monkeypatch.setattr(iso, "hom_dim", counting_hom_dim)
+            got = iso_test(M, N)
+            monkeypatch.undo()
+            assert_same_certificate(got, want)
+            by_ones, by_sample = _first_tries(M, N)
+            same_dims = M.dim_vector() == N.dim_vector()
+            first_yes += same_dims and (M.total_dim == 0 or by_ones)
+            early = not same_dims or M.total_dim == 0 or by_ones or by_sample
+            assert len(dims) == (0 if early else 3)
+            dims.clear()
+    assert first_yes >= len(mods)  # at least every module against itself
 
 
 # -- one certificate, one set of pair systems ---------------------------------
