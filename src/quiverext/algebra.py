@@ -19,7 +19,7 @@ defining computation; the cap guards quivers where no level is reached.
 from __future__ import annotations
 
 from .linalg import QuotientSpace, SubspaceBasis, _rref
-from .quiver import BoundQuiver, Path, QuiverError, trivial_path
+from .quiver import BoundQuiver, Path, QuiverError, is_acyclic, trivial_path
 
 
 class AdmissibilityError(RuntimeError):
@@ -159,8 +159,11 @@ def admissibility_check(bq: BoundQuiver, field):
     """Smallest level L <= cap = ``bq.truncation_cap`` with every length-L
     path in the ideal span.
 
-    Returns the level, or None when the cap is exhausted.
+    Returns the level, or None when the cap is exhausted, at once when no
+    relation bounds an oriented cycle (the algebra is infinite-dimensional).
     """
+    if not bq.relations and not is_acyclic(bq):
+        return None
     cap = bq.truncation_cap
     by_length = _paths_up_to(bq, cap)
     for level in range(1, cap + 1):

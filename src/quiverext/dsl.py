@@ -318,18 +318,18 @@ class _Parser:
         if self.quiver_name is None:
             self.fail(1, 1, "missing quiver declaration")
         field = self.field or QQ
-        cap_kw = {} if self.cap is None else {"truncation_cap": self.cap}
+        # located checks at the default cap: a bad cap is the caller's, raised below
         try:
-            validate_bound_quiver(self.quiver_name, self.vertices, self.arrows,
-                                  [], **cap_kw)
+            validate_bound_quiver(self.quiver_name, self.vertices, self.arrows, [])
         except QuiverError as exc:
             self.fail(self.quiver_line, 1, str(exc))
         for name, terms, lineno, text in self.relations:
             try:
                 validate_bound_quiver(self.quiver_name, self.vertices,
-                                      self.arrows, [(name, terms)], **cap_kw)
+                                      self.arrows, [(name, terms)])
             except QuiverError as exc:
                 self.fail(lineno, 1, str(exc), text)
+        cap_kw = {} if self.cap is None else {"truncation_cap": self.cap}
         bq = validate_bound_quiver(
             self.quiver_name, self.vertices, self.arrows,
             [(name, terms) for name, terms, _, _ in self.relations], **cap_kw)

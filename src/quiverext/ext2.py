@@ -91,6 +91,8 @@ class ProjPresentation:
     P_a incl_s, and reading that product at the syzygy labels gives
     omega_a: the syzygy's arrow matrices are the rows of P_a @ incl at
     the syzygy labels, with no second path reduction or N_sigma term.
+    Omega is built unchecked: ``_verify_exactness`` finds the inclusion an
+    injective morphism into the checked P, which implies omega's relations.
     """
 
     def __init__(self, N: Representation):
@@ -181,7 +183,7 @@ class ProjPresentation:
             image = self.P.mats[a.name] @ incl_mats[a.source]
             mats[a.name] = Matrix(field, [image.rows[i] for i in omega_rows[a.target]],
                                   dims[a.source])
-        return Representation(self.bq, field, dims, mats, check=True)
+        return Representation(self.bq, field, dims, mats, check=False)
 
     def _build_proj(self, evals: dict) -> VertexCochain:
         """At x, the blocks N_sigma side by side, in label order."""
@@ -533,15 +535,6 @@ def radical_subspace(M: Representation, x) -> "Matrix | None":
     out = blocks[0]
     for b in blocks[1:]:
         out = hstack(out, b)
-    return out
-
-
-def top_dims(M: Representation) -> dict:
-    """Dimension vector of M modulo its radical."""
-    out = {}
-    for x in M.bq.quiver.vertices:
-        rad = radical_subspace(M, x)
-        out[x] = M.dims[x] - (rad.rank() if rad is not None else 0)
     return out
 
 

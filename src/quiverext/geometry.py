@@ -21,7 +21,6 @@ from functools import cached_property
 from .ext1 import (
     ExtSpace1,
     ext1,
-    is_cocycle,
     middle_term,
     z_dim,
     z_rho,
@@ -545,8 +544,8 @@ def regularity_certificate(M: Representation, U: Representation,
     space's small model, whose gate raises ``HypothesisError`` before
     the pairing runs; the syzygy route (``ext2_via_omega``) stays the
     independent model the tests and the suites check it against.  The
-    minimal syzygy of M is built once, with no inclusion, for the flag
-    pd M <= 1 (is it projective?).  The tangent dimension at U + V is a
+    flag pd M <= 1 is ``pd_le1(M)``, which builds the minimal syzygy of
+    M once, with no inclusion.  The tangent dimension at U + V is a
     nullity read from ``rank``.
     """
     if witness.M != M or witness.U != U or witness.V != V:
@@ -570,7 +569,7 @@ def regularity_certificate(M: Representation, U: Representation,
         "hom_vu_vanishes": not space_vu.homs,
         "ext1_uv_vanishes": space_uv.dim == 0,
         "ext2_uv_vanishes": space_uv.small_model.dim == 0,
-        "pd_m_le1": is_projective(_minimal_syzygy(M)[0]),
+        "pd_m_le1": pd_le1(M),
     }
     verdict = "inconclusive"
     if all(flags.values()) and z_nn == a_of_d(bq, d):
@@ -629,12 +628,11 @@ def dual_number_oracle(U: Representation, Mbar: ArrowCochain,
     direction.  The returned counts are the dimensions of morphisms
     and of cocycles between the doubled representations that commute
     with that operator — the linear solves here never mention the
-    tangent-pair systems, which is what makes this an oracle.
+    tangent-pair systems, which is what makes this an oracle.  A probe
+    that is no cocycle raises ``QuiverError`` in ``middle_term``.
     """
     if Mbar.source != U or Mbar.target != U or Nbar.source != V or Nbar.target != V:
         raise QuiverError("probe cochains must be self-cochains of the two ends")
-    if not is_cocycle(Mbar) or not is_cocycle(Nbar):
-        raise QuiverError("probe cochains must be cocycles")
     field = U.field
     DM, _, _ = middle_term(Mbar)
     DN, _, _ = middle_term(Nbar)

@@ -23,7 +23,6 @@ from quiverext.ext2 import (
     phi,
     projective_cover,
     syzygy,
-    top_dims,
     yoneda_left,
     yoneda_left_omega,
 )
@@ -169,11 +168,6 @@ def test_projectivity_detector(f2):
         assert is_projective(m[name])
     for name in ("S2", "S3", "N", "V"):
         assert not is_projective(m[name])
-
-
-def test_top_dimensions(f2):
-    assert top_dims(f2.modules["M"]) == {"1": 0, "2": 1, "3": 1}
-    assert top_dims(f2.modules["P2"]) == {"1": 0, "2": 1, "3": 0}
 
 
 def test_syzygies_of_the_deep_simple(f2):

@@ -223,6 +223,10 @@ def test_dual_number_probe_detects_the_cut(f3):
     assert not dual_number_oracle(U, Mbar, V, live).hom_member
     origin = dual_number_oracle(U, Mbar, V, ArrowCochain.zero(V, V))
     assert origin.ext_member
+    P4 = m["P4"]
+    unit = [P4.field.one] + [P4.field.zero] * 3  # a*b - c*d takes the value 1
+    with pytest.raises(QuiverError):
+        dual_number_oracle(U, Mbar, P4, ArrowCochain.from_vector(P4, P4, unit))
 
 
 def test_dual_number_probe_confirms_members(f2):

@@ -58,7 +58,6 @@ from quiverext.rep import (
     hom_dim,
     hom_system,
     kernel_representation,
-    simple,
     zero_rep,
 )
 from quiverext.suites import random_cocycle
@@ -582,24 +581,6 @@ def per_label_proj(pres):
             for x in pres.bq.quiver.vertices}
 
 
-def per_generator_cover(M):
-    """The minimal cover's matrices, one presentation of a simple per generator."""
-    bq, field = M.bq, M.field
-    cols = {z: [] for z in bq.quiver.vertices}
-    for x in bq.quiver.vertices:
-        rad = radical_subspace(M, x)
-        free = (range(M.dims[x]) if rad is None else
-                QuotientSpace(field, M.dims[x], column_space_basis(rad)).free_coordinates())
-        for i in free:
-            gen = [field.zero] * M.dims[x]
-            gen[i] = field.one
-            pres = ProjPresentation(simple(bq, field, x))
-            for z in bq.quiver.vertices:
-                for (_, sigma, _) in pres.p_labels[z]:
-                    cols[z].append(M.eval_path(sigma).apply(gen))
-    return {z: Matrix.from_columns(field, M.dims[z], c) for z, c in cols.items()}
-
-
 @pytest.mark.parametrize("name, field", CASES, ids=str)
 def test_presentation_builders_equal_the_per_label_loops(name, field, monkeypatch):
     """Presentations evaluate each path of N once and covers no whole path
@@ -627,10 +608,10 @@ def test_presentation_builders_equal_the_per_label_loops(name, field, monkeypatc
         assert_same_mats(pres.P.mats, per_label_p(pres))
         assert_same_mats(pres.incl.mats, per_label_incl(pres))
         assert_same_mats(pres.proj.mats, per_label_proj(pres))
-        assert_same_mats(cover.mats, per_generator_cover(N))
+        assert_same_mats(cover.mats, whole_path_cover(N)[1].mats)
 
 
-@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=str)
 def test_class_of_rejects_a_non_cocycle(field):
     ws = case_workspace("loops", field)
     X, S = ws.modules["X"], ws.modules["S"]
@@ -641,6 +622,8 @@ def test_class_of_rejects_a_non_cocycle(field):
     assert not is_cocycle(bad)
     with pytest.raises(QuiverError):
         space.class_of(bad)
+    with pytest.raises(QuiverError):  # its middle term fails the relation
+        middle_term(bad)
     for Z in space.basis_cocycles():
         cls = space.class_of(Z)
         assert space.class_of(cls.representative()) == cls
@@ -825,6 +808,9 @@ def test_syzygy_raises_as_the_whole_path_body_on_a_non_morphism(name, field):
         whole_path_syzygy(bad)
     assert str(new.value) == str(old.value) == \
         "projective cover construction failed to be a morphism"
+    # the unchecked syzygy's relations are guarded by the morphism check
+    with pytest.raises(QuiverError, match="^presentation maps fail to be morphisms$"):
+        ProjPresentation(bad)
 
 
 @pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)

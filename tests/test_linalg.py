@@ -452,27 +452,6 @@ def _oracle_matmul(field, a_rows, b_rows, ncols):
     return out
 
 
-def _oracle_apply(field, rows, vec):
-    out = []
-    for r in rows:
-        s = field.zero
-        for a, x in zip(r, vec):
-            s = field.add(s, field.mul(a, x))
-        out.append(s)
-    return out
-
-
-def _oracle_combine(field, ambient_dim, vectors, coeffs):
-    out = [field.zero] * ambient_dim
-    for c, v in zip(coeffs, vectors):
-        if field.is_zero(c):
-            continue
-        for k, x in enumerate(v):
-            if not field.is_zero(x):
-                out[k] = field.add(out[k], field.mul(c, x))
-    return out
-
-
 def _oracle_kron_add(field, rows, row0, col0, coeff, A, B):
     nq, nj = B.nrows, B.ncols
     for i, arow in enumerate(A.rows):
@@ -568,7 +547,8 @@ def test_matmul_and_apply_equal_the_field_method_bodies(field, kind):
                 assert got.rows == _oracle_matmul(field, a_rows, b_rows, m)
                 _assert_field_entries(field, got.rows)
                 image = a.apply(vec)
-                assert image == _oracle_apply(field, a_rows, vec)
+                column = _oracle_matmul(field, a_rows, [[x] for x in vec], 1)
+                assert image == [r[0] for r in column]
                 _assert_field_entries(field, [image])
                 for row in got.rows:
                     row.append(field.one)
@@ -587,7 +567,7 @@ def test_combine_and_reduce_equal_the_field_method_bodies(field, kind):
             before = _snapshot(vectors, [coeffs], [vec])
             basis = SubspaceBasis(field, n, vectors)
             got = basis.combine(coeffs)
-            assert got == _oracle_combine(field, n, vectors, coeffs)
+            assert got == _oracle_matmul(field, [coeffs], vectors, n)[0]
             _assert_field_entries(field, [got])
             quot = QuotientSpace(field, n, basis)
             reduced = quot.reduce(vec)
