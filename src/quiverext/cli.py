@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--field", default=None,
                         help="ground field override: Q or Fp (e.g. F101)")
     common.add_argument("--truncation-cap", type=int, default=None,
-                        help="path-length window for the algebra basis")
+                        help="bound on the admissibility level of the algebra")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized searches and suites")
     common.add_argument("--format", choices=("json", "text"), default="json",

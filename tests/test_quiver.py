@@ -1,6 +1,6 @@
 import pytest
 
-from quiverext.algebra import AdmissibilityError, _paths_up_to, minimality_check
+from quiverext.algebra import AdmissibilityError, minimality_check
 from quiverext.fields import QQ
 from quiverext.quiver import (
     QuiverError,
@@ -129,13 +129,14 @@ def test_truncation_window_must_cover_the_relations():
 
 
 def test_a_huge_cap_lists_paths_only_up_to_the_first_empty_length():
-    """Every length past the longest path is empty, so the path list stops
-    there and the basis is the one of the default cap."""
+    """The completion and the level stop where the algebra does, so a huge
+    cap lists no path past the longest one and gives the default cap's basis."""
     huge = 10**6
-    assert [len(layer) for layer in _paths_up_to(_f2_quiver(), huge)] == [3, 2, 1, 0]
     bq = validate_bound_quiver("F2", ["1", "2", "3"], [("a", "2", "1"), ("b", "3", "2")],
                                [("r", [(1, ["a", "b"])])], truncation_cap=huge)
-    assert bq.algebra_basis(QQ).basis == _f2_quiver().algebra_basis(QQ).basis
+    ab = bq.algebra_basis(QQ)
+    assert ab.basis == _f2_quiver().algebra_basis(QQ).basis
+    assert ab.level == 2
 
 
 @pytest.mark.parametrize("cap", [0, -3])
