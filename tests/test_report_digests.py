@@ -7,7 +7,7 @@ the digests committed in ``report_digests.txt`` next to this file.  The
 commands are ``hom``, ``ext1``, ``ext2`` and ``e-tangent`` on every module
 pair of f1-f3, ``orbit`` and ``tangent`` on every module, ``certify``,
 ``psi`` and ``witness`` (on the middle, sub and quotient) on every
-declared sequence, and ``verify all``, each over Q and F101.
+declared sequence, and ``verify all``, each over Q, F101 and F2.
 
     python tests/test_report_digests.py           # check, naming each changed command
     python tests/test_report_digests.py --write   # regenerate the digest file
@@ -27,7 +27,7 @@ from quiverext.fixtures import FIXTURE_NAMES, load_fixture
 
 DIGESTS = Path(__file__).with_name("report_digests.txt")
 DATA = resources.files("quiverext") / "data"
-FIELDS = ("Q", "F101")
+FIELDS = ("Q", "F101", "F2")
 
 
 def commands():
