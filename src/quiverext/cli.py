@@ -14,11 +14,12 @@ from .dsl import (
     parse_workspace,
     serialize_report,
 )
-from .ext1 import b_dim, ext1, z_dim
+from .ext1 import ext1
 from .ext2 import HypothesisError, ext2_small_model, ext2_via_omega
 from .fields import QQ, field_by_name
 from .geometry import (
     InconclusiveSearch,
+    _search_over,
     degeneration_witness_search,
     ext_tangent_pairs,
     hom_tangent_pairs,
@@ -256,15 +257,16 @@ def _task_witness(ws, args):
         "inputs": {"middle": args.M, "sub": args.U, "quotient": args.V,
                    "seed": args.seed},
     }
+    space = ext1(V, U)
     try:
-        witness = degeneration_witness_search(M, U, V, seed=args.seed)
+        witness = _search_over(M, space, args.seed)
     except InconclusiveSearch as exc:
         task["result"] = {"found": False, "conclusive": False}
         task["warnings"] = [str(exc)]
         return task, 1
     if witness is None:
         # every cocycle a coboundary: the split sum was the only candidate
-        conclusive = z_dim(V, U) == b_dim(V, U)
+        conclusive = space.dim == 0
         task["result"] = {"found": False, "conclusive": conclusive}
         if conclusive:
             return task, 0

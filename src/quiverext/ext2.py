@@ -2,12 +2,11 @@
 
 Second extensions are computed in two ways.  The reference model is
 unconditional: first extensions of a syzygy of N.  ``ext2_via_omega``
-takes the minimal syzygy, the kernel of the projective cover
-(``_minimal_syzygy``, which ``syzygy`` extends by its inclusion).  The
-standard presentation (``ProjPresentation``) places at vertex x the span
-of (basis path into x) tensor (coordinate of N); its larger syzygy
-carries the labels that the transport map, the Yoneda oracle and the
-suites index by, so they take the presentation itself.  The small model
+takes the minimal syzygy (``syzygy``), the kernel of the projective
+cover.  The standard presentation (``ProjPresentation``) takes every
+coordinate of N as a generator; its larger syzygy carries the labels
+that the transport map, the Yoneda oracle and the suites index by, so
+they take the presentation itself.  The small model
 lives on relation cochains -- one matrix per relation element -- and is
 a faithful quotient only over acyclic quivers of global dimension at
 most two, so it is gated by those checks.  ``Ext2Model`` is handed R
@@ -21,13 +20,16 @@ representatives (``compose_cocycles``) and its matrices for a fixed
 cocycle, assembled from Kronecker blocks (``yoneda_matrices``), and the
 projectivity and global-dimension tests all live here.
 
-The indecomposable projectives P(x) behind every projective cover are
-the standard presentations of the simples, built and verified once per
-bound quiver, field and vertex and memoised on the bound quiver
-(``indecomposable_projective``).  A minimal syzygy is built in one
-pass: the cover evaluates each path on the top generators only, is
-checked to be a morphism once, and one kernel basis per vertex serves
-both the kernel and the surjectivity check.
+Both presentations are built the same way.  The indecomposable
+projective P(x) spans the normal paths out of x; it is built, checked
+and memoised once per bound quiver, field and vertex
+(``indecomposable_projective``).  One builder, ``_cover``, takes a set
+of generators (coordinates of N) and returns the direct sum of one P(y)
+per generator with its map onto N, evaluating each path on the
+generator columns only: the minimal cover takes a transversal of the
+top, the standard presentation every coordinate.  Each route checks
+its cover once, and every minimal syzygy is read by
+``rep.kernel_representation``.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ from .linalg import (
     _forward_pivots,
     _product,
     column_space_basis,
-    hstack,
-    kernel_basis,
     kron_add,
     rank,
 )
@@ -60,6 +60,7 @@ from .rep import (
     Representation,
     VertexCochain,
     direct_sum,
+    kernel_representation,
     simple,
     zero_rep,
 )
@@ -72,19 +73,24 @@ class HypothesisError(RuntimeError):
 class ProjPresentation:
     """The standard projective presentation of a representation N.
 
-    The projective P places at vertex x one coordinate per pair
-    (surviving path sigma: y -> x, coordinate j of N_y); the syzygy
-    omega keeps the labels with sigma of positive length.  Both carry
-    explicit label lists so cochains on them can be indexed by path
-    decompositions.  The presentation is deliberately non-minimal: its
-    shape depends only on dimension data, never on choices.  It is the
-    route of ``phi``, the Yoneda oracle and the suites that index by its
-    labels; ``ext2_via_omega`` uses the smaller minimal syzygy instead.
-    For a simple at x, P is the indecomposable projective P(x), which
-    ``indecomposable_projective`` memoises.
+    Every coordinate of N is a generator: P is the direct sum of one
+    indecomposable projective P(y) per coordinate j of N_y, and P(y)
+    has at x one coordinate per normal path sigma: y -> x.  So P has at
+    x one label (y, sigma, j) per such pair, in the order (y, j, sigma):
+    vertices in quiver order, then j ascending, then the normal paths
+    shortest first.  The cover ``proj`` sends the label to N_sigma e_j.
+    The syzygy omega keeps the labels with sigma of positive length, in
+    the same order.  Both carry explicit label lists so cochains on them
+    can be indexed by path decompositions.  The presentation is
+    deliberately non-minimal: its shape depends only on dimension data,
+    never on choices.  It is the route of ``phi``, the Yoneda oracle and
+    the suites that index by its labels; ``ext2_via_omega`` uses the
+    smaller minimal syzygy instead.  P and the cover come from
+    ``_cover``, which the minimal cover shares.
 
     The inclusion sends a syzygy label (y, sigma, j) to the same label of
-    P minus N_sigma e_j placed on the labels of the trivial path at x.
+    P minus N_sigma e_j, the cover's column at that label, placed on the
+    labels of the trivial path at x.
     That correction lives only on trivial-path labels, which are not
     syzygy labels, so the rows of the inclusion at the syzygy labels form
     an identity.  Since the inclusion is a morphism, incl_t omega_a =
@@ -92,7 +98,8 @@ class ProjPresentation:
     omega_a: the syzygy's arrow matrices are the rows of P_a @ incl at
     the syzygy labels, with no second path reduction or N_sigma term.
     Omega is built unchecked: ``_verify_exactness`` finds the inclusion an
-    injective morphism into the checked P, which implies omega's relations.
+    injective morphism into P, a sum of checked P(y), which implies
+    omega's relations.
     """
 
     def __init__(self, N: Representation):
@@ -103,15 +110,12 @@ class ProjPresentation:
         self.field = field
         self.basis = ab
 
-        quiver = bq.quiver
-        self.paths = {}
+        vertices = bq.quiver.vertices
         self.p_labels, self.omega_labels = {}, {}
         self.p_index, self.omega_index = {}, {}
-        for x in quiver.vertices:
-            # only paths out of a vertex where N is nonzero carry labels
-            self.paths[x] = [(y, sigma) for y in quiver.vertices if N.dims[y]
-                             for sigma in ab.basis.get((x, y), ())]
-            pl = [(y, sigma, j) for y, sigma in self.paths[x] for j in range(N.dims[y])]
+        for x in vertices:
+            pl = [(y, sigma, j) for y in vertices for j in range(N.dims[y])
+                  for sigma in ab.basis.get((x, y), ())]
             self.p_labels[x] = pl
             self.omega_labels[x] = [(y, s, j) for (y, s, j) in pl if s.length >= 1]
             self.p_index[x] = {(y, s.arrows, j): i
@@ -119,57 +123,32 @@ class ProjPresentation:
             self.omega_index[x] = {(y, s.arrows, j): i
                                    for i, (y, s, j) in enumerate(self.omega_labels[x])}
 
-        # N_sigma for each basis path, in the order of self.paths
-        evals = {x: [N.eval_path(sigma) for _, sigma in self.paths[x]]
-                 for x in quiver.vertices}
-        self.P = self._build_p()
-        incl_mats = self._incl_matrices(evals)
+        self.P, self.proj = _cover(N, {y: range(N.dims[y]) for y in vertices})
+        incl_mats = self._incl_matrices()
         self.omega = self._build_omega(incl_mats)
         self.incl = VertexCochain(self.omega, self.P, incl_mats)
-        self.proj = self._build_proj(evals)
         self._verify_exactness()
 
     # -- construction -------------------------------------------------
-    # The labels of a path (y, sigma) are (y, sigma, j) for every
-    # coordinate j of N_y, consecutive, so each builder reduces or
-    # evaluates a path once and spreads the result over its labels.
 
-    def _build_p(self) -> Representation:
-        field, quiver = self.field, self.bq.quiver
-        dims = {x: len(self.p_labels[x]) for x in quiver.vertices}
-        mats = {}
-        for a in quiver.arrows:
-            index = self.p_index[a.target]
-            cols = []
-            for y, sigma in self.paths[a.source]:
-                reduced = self.basis.reduce_path(
-                    Path(y, a.target, (a.name,) + sigma.arrows))
-                for j in range(self.N.dims[y]):
-                    col = [field.zero] * dims[a.target]
-                    for c, tau in reduced:
-                        col[index[(y, tau.arrows, j)]] = c
-                    cols.append(col)
-            mats[a.name] = Matrix.from_columns(field, dims[a.target], cols)
-        return Representation(self.bq, field, dims, mats, check=True)
-
-    def _incl_matrices(self, evals: dict) -> dict:
+    def _incl_matrices(self) -> dict:
         field, N = self.field, self.N
         mats = {}
         for x in self.bq.quiver.vertices:
-            index = self.p_index[x]
+            index, n = self.p_index[x], len(self.p_labels[x])
             trivial = [index[(x, (), i)] for i in range(N.dims[x])]
+            cover = self.proj.mats[x].rows
             cols = []
-            for (y, sigma), n_sigma in zip(self.paths[x], evals[x]):
+            for k, (_, sigma, _) in enumerate(self.p_labels[x]):
                 if sigma.length == 0:
                     continue
-                for j in range(N.dims[y]):
-                    col = [field.zero] * len(self.p_labels[x])
-                    col[index[(y, sigma.arrows, j)]] = field.one
-                    for idx, row in zip(trivial, n_sigma.rows):
-                        if not field.is_zero(row[j]):
-                            col[idx] = field.neg(row[j])
-                    cols.append(col)
-            mats[x] = Matrix.from_columns(field, len(self.p_labels[x]), cols)
+                col = [field.zero] * n
+                col[k] = field.one
+                for idx, row in zip(trivial, cover):
+                    if not field.is_zero(row[k]):
+                        col[idx] = field.neg(row[k])
+                cols.append(col)
+            mats[x] = Matrix.from_columns(field, n, cols)
         return mats
 
     def _build_omega(self, incl_mats: dict) -> Representation:
@@ -184,15 +163,6 @@ class ProjPresentation:
             mats[a.name] = Matrix(field, [image.rows[i] for i in omega_rows[a.target]],
                                   dims[a.source])
         return Representation(self.bq, field, dims, mats, check=False)
-
-    def _build_proj(self, evals: dict) -> VertexCochain:
-        """At x, the blocks N_sigma side by side, in label order."""
-        mats = {}
-        for x in self.bq.quiver.vertices:
-            rows = [[e for m in evals[x] for e in m.rows[i]]
-                    for i in range(self.N.dims[x])]
-            mats[x] = Matrix(self.field, rows, len(self.p_labels[x]))
-        return VertexCochain(self.P, self.N, mats)
 
     def _verify_exactness(self):
         if not self.incl.is_morphism() or not self.proj.is_morphism():
@@ -211,14 +181,14 @@ class ProjPresentation:
 
 def ext2_via_omega(N: Representation, M: Representation) -> ExtSpace1:
     """Second extensions of N by M as first extensions of the minimal
-    syzygy of N, the kernel of the projective cover (``_minimal_syzygy``).
+    syzygy of N, the kernel of the projective cover (``syzygy``).
 
     Two syzygies of N differ by projective summands (Schanuel's lemma),
     on which Ext^1 vanishes, so ``ext1(pres.omega, M)`` on a standard
     presentation has the same dimension; the returned space lives on the
     minimal syzygy.
     """
-    return ext1(_minimal_syzygy(N)[0], M)
+    return ext1(syzygy(N)[0], M)
 
 
 # -- the small model on relation cochains ------------------------------
@@ -527,87 +497,99 @@ def yoneda_left_omega(Z: ArrowCochain, cls: Ext1Class) -> Ext1Class:
 # -- projectivity and global dimension ----------------------------------
 
 
-def radical_subspace(M: Representation, x) -> "Matrix | None":
-    """Matrix whose columns span the radical piece at a vertex."""
-    blocks = [M.mats[a.name] for a in M.bq.quiver.arrows if a.target == x]
-    if not blocks:
-        return None
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = hstack(out, b)
-    return out
+def indecomposable_projective(bq: BoundQuiver, field, x) -> Representation:
+    """The indecomposable projective P(x) of the path algebra mod relations.
 
-
-def indecomposable_projective(bq: BoundQuiver, field, x) -> ProjPresentation:
-    """The standard presentation of the simple at x; its P is P(x).
-
-    Built, and so verified, once per bound quiver, field and vertex: the
-    presentations are memoised on the bound quiver.
+    P(x) has at z one coordinate per normal path x -> z, shortest first,
+    and its arrow a sends the path sigma to the normal form of a*sigma.
+    It is built, checked to satisfy the relations, and memoised on the
+    bound quiver once per field and vertex.
     """
     cache = bq._projective_cache
     key = (field.name, x)
     if key not in cache:
-        cache[key] = ProjPresentation(simple(bq, field, x))
+        ab = bq.algebra_basis(field)
+        quiver = bq.quiver
+        dims = {z: ab.dim(z, x) for z in quiver.vertices}
+        mats = {}
+        for a in quiver.arrows:
+            index = {tau.arrows: i for i, tau in enumerate(ab.basis.get((a.target, x), ()))}
+            cols = []
+            for sigma in ab.basis.get((a.source, x), ()):
+                col = [field.zero] * dims[a.target]
+                for c, tau in ab.reduce_path(Path(x, a.target, (a.name,) + sigma.arrows)):
+                    col[index[tau.arrows]] = c
+                cols.append(col)
+            mats[a.name] = Matrix.from_columns(field, dims[a.target], cols)
+        cache[key] = Representation(bq, field, dims, mats, check=True)
     return cache[key]
 
 
-def _cover(M: Representation):
-    """The minimal projective cover of M, checked, with its kernel bases.
+def _cover(M: Representation, gens: dict):
+    """The projective on a set of generators of M, and its map to M.
 
-    Returns (P, cover, kernels): P is a direct sum of vertex projectives,
-    one P(x) per top coordinate of M at x, from
-    ``indecomposable_projective``; cover: P -> M sends the summand of the
-    generator e_i of M_x, at its label of the path sigma: x -> z, to
-    M_sigma e_i; kernels[z] is the ``kernel_basis`` of cover_z.  Paths
+    gens[y] lists coordinates j of M_y.  Returns (P, cover): P is the
+    direct sum of one ``indecomposable_projective`` P(y) per generator
+    (y, j), vertices in quiver order and each gens[y] in its order, so
+    the labels of P at z run (y, j, sigma) over the normal paths
+    sigma: y -> z; cover: P -> M sends the label to M_sigma e_j.  Paths
     are evaluated on the generator columns only: the trivial path gives
-    the e_i themselves, and a path a*tau is M_a applied to the value of
-    tau, computed once per call.  The cover is
-    checked to be a morphism once, and onto at every vertex by
-    dim P_z - dim ker = d_z(M), which reads the kernel's elimination.
+    the e_j themselves, and a path a*tau is M_a applied to the value of
+    tau, computed once per call.  The cover is not checked here: each
+    caller checks it once.
     """
     bq, field = M.bq, M.field
     quiver = bq.quiver
+    ab = bq.algebra_basis(field)
     zero, one = field.zero, field.one
     summands = []
     cover_rows = {z: [[] for _ in range(M.dims[z])] for z in quiver.vertices}
-    for x in quiver.vertices:
-        rad = radical_subspace(M, x)
-        # the coordinates off the pivots of the radical's columns span the top
-        leads = set(_forward_pivots(field, rad.transpose().rows)) if rad is not None else ()
-        free = [i for i in range(M.dims[x]) if i not in leads]
-        if not free:
+    for y in quiver.vertices:
+        cols = gens[y]
+        if not cols:
             continue
-        proj = indecomposable_projective(bq, field, x)
-        summands.extend([proj.P] * len(free))
-        # rows of M_sigma restricted to the columns e_i, by arrow word
+        summands.extend([indecomposable_projective(bq, field, y)] * len(cols))
+        # rows of M_sigma restricted to the columns e_j, by arrow word
         # (arrows[0] acts last)
-        images = {(): [[one if r == i else zero for i in free]
-                       for r in range(M.dims[x])]}
+        images = {(): [[one if r == j else zero for j in cols]
+                       for r in range(M.dims[y])]}
 
         def image(arrows):
             out = images.get(arrows)
             if out is None:
                 out = images[arrows] = _product(
-                    field, M.mats[arrows[0]].rows, image(arrows[1:]), len(free))
+                    field, M.mats[arrows[0]].rows, image(arrows[1:]), len(cols))
             return out
 
-        gens = range(len(free))
         for z in quiver.vertices:
-            evals = [image(sigma.arrows) for _, sigma in proj.paths[z]]
+            evals = [image(sigma.arrows) for sigma in ab.basis.get((z, y), ())]
             if evals:
                 for r, row in enumerate(cover_rows[z]):
                     at_r = [e[r] for e in evals]
-                    row.extend([e[k] for k in gens for e in at_r])
+                    row.extend([e[k] for k in range(len(cols)) for e in at_r])
     P = direct_sum(*summands) if summands else zero_rep(bq, field)
-    cover = VertexCochain(P, M, {z: Matrix._adopt(field, rows, P.dims[z])
-                                 for z, rows in cover_rows.items()})
+    return P, VertexCochain(P, M, {z: Matrix._adopt(field, rows, P.dims[z])
+                                   for z, rows in cover_rows.items()})
+
+
+def _minimal_cover(M: Representation):
+    """``_cover`` on a transversal of the top of M, checked to be a morphism.
+
+    The columns of the arrows into x span the radical of M at x, so the
+    coordinates off their pivots span a complement of it: those are the
+    generators at x.  The callers check that the cover is onto.
+    """
+    field, quiver = M.field, M.bq.quiver
+    gens = {}
+    for x in quiver.vertices:
+        columns = [list(c) for a in quiver.arrows if a.target == x
+                   for c in zip(*M.mats[a.name].rows)]
+        leads = set(_forward_pivots(field, columns))
+        gens[x] = [i for i in range(M.dims[x]) if i not in leads]
+    P, cover = _cover(M, gens)
     if not cover.is_morphism():
         raise QuiverError("projective cover construction failed to be a morphism")
-    kernels = {z: kernel_basis(cover.mats[z]) for z in quiver.vertices}
-    for z in quiver.vertices:
-        if P.dims[z] - kernels[z].dim != M.dims[z]:
-            raise QuiverError("projective cover failed to be surjective")
-    return P, cover, kernels
+    return P, cover
 
 
 def projective_cover(M: Representation):
@@ -617,46 +599,27 @@ def projective_cover(M: Representation):
     per top coordinate, and cover: P -> M surjective.  The vertex
     projectives come from ``indecomposable_projective``, so they are
     built once per bound quiver and field; the cover is checked to be a
-    morphism and onto (see ``_cover``).
+    morphism (``_minimal_cover``) and onto at every vertex by its rank.
     """
-    P, cover, _ = _cover(M)
+    P, cover = _minimal_cover(M)
+    if any(rank(cover.mats[z]) != M.dims[z] for z in M.bq.quiver.vertices):
+        raise QuiverError("projective cover failed to be surjective")
     return P, cover
-
-
-def _minimal_syzygy(M: Representation):
-    """The kernel of the minimal projective cover, with no inclusion built.
-
-    Returns (omega, P, kernels), with P and kernels as in ``_cover``.
-    The arrow matrix of omega at a: s -> t is one product, P_a applied
-    to the kernel basis at s, read at the lead columns of the kernel
-    basis at t and checked by one recombination; these are the
-    coordinates ``kernel_representation`` reads vector by vector.
-    """
-    P, _, kernels = _cover(M)
-    field = M.field
-    mats = {}
-    for a in M.bq.quiver.arrows:
-        src, tgt = kernels[a.source], kernels[a.target]
-        images = _product(field, src.vectors, P.mats[a.name].transpose().rows,
-                          tgt.ambient_dim)
-        coords = [[v[j] for j in tgt.leads] for v in images]
-        if _product(field, coords, tgt.vectors, tgt.ambient_dim) != images:
-            raise QuiverError("arrow does not preserve the kernel (not a morphism?)")
-        mats[a.name] = Matrix._adopt(
-            field, [[c[t] for c in coords] for t in range(tgt.dim)], src.dim)
-    dims = {x: kernels[x].dim for x in M.bq.quiver.vertices}
-    return Representation(M.bq, field, dims, mats, check=False), P, kernels
 
 
 def syzygy(M: Representation):
     """Kernel of the minimal projective cover, with its inclusion.
 
-    The kernel comes from ``_minimal_syzygy``; the inclusion's matrix at
-    x has the kernel basis at x as its columns.
+    Both come from ``kernel_representation`` of the cover, which is
+    checked to be a morphism (``_minimal_cover``) and onto at every
+    vertex by dim P_z - dim Omega_z = d_z(M), which reads the kernel's
+    elimination.
     """
-    omega, P, kernels = _minimal_syzygy(M)
-    return omega, VertexCochain(omega, P, {x: kernels[x].matrix_of_columns()
-                                           for x in M.bq.quiver.vertices})
+    P, cover = _minimal_cover(M)
+    omega, incl = kernel_representation(cover)
+    if any(P.dims[z] - omega.dims[z] != M.dims[z] for z in M.bq.quiver.vertices):
+        raise QuiverError("projective cover failed to be surjective")
+    return omega, incl
 
 
 def is_projective(M: Representation) -> bool:
@@ -665,7 +628,8 @@ def is_projective(M: Representation) -> bool:
     ``projective_cover`` raises unless its cover P -> M is onto at every
     vertex, and an onto map between spaces of equal dimension is
     invertible.  So M is projective exactly when P and M have the same
-    dimension vector; no isomorphism search is needed.
+    dimension vector; no isomorphism search and no kernel basis is
+    needed.
     """
     P, _ = projective_cover(M)
     return P.dim_vector() == M.dim_vector()
@@ -678,8 +642,8 @@ def gldim_le2_check(bq: BoundQuiver, field) -> bool:
         return cache[field.name]
     verdict = True
     for x in bq.quiver.vertices:
-        first = _minimal_syzygy(simple(bq, field, x))[0]
-        second = _minimal_syzygy(first)[0]
+        first = syzygy(simple(bq, field, x))[0]
+        second = syzygy(first)[0]
         if not is_projective(second):
             verdict = False
             break

@@ -28,8 +28,8 @@ from .ext1 import (
 )
 from .ext2 import (
     Ext2Model,
-    _minimal_syzygy,
     is_projective,
+    syzygy,
     yoneda_matrices,
 )
 from .iso import IsoCertificate, _vertexwise_invertible, iso_test
@@ -353,11 +353,11 @@ def opposite_rep(M: Representation) -> Representation:
 def pd_le1(M: Representation) -> bool:
     """Projective dimension at most one: the minimal syzygy is projective.
 
-    The syzygy comes from ``ext2._minimal_syzygy``, and ``is_projective``
+    The syzygy comes from ``ext2.syzygy``, and ``is_projective``
     decides it from dimension vectors; this is the same as Ext^2(M, S)
     = 0 for every simple S, which the tests keep as the oracle.
     """
-    return is_projective(_minimal_syzygy(M)[0])
+    return is_projective(syzygy(M)[0])
 
 
 def id_le1(M: Representation) -> bool:
@@ -451,11 +451,17 @@ def degeneration_witness_search(M: Representation, U: Representation,
     miss; a split sum refuted by its ranks never reaches ``iso_test``, so
     its None is conclusive.
     """
+    return _search_over(M, ext1(V, U), seed)
+
+
+def _search_over(M: Representation, space: ExtSpace1, seed: int):
+    """``degeneration_witness_search`` over the given space ``ext1(V, U)``,
+    so that a caller can read its dimension after a miss."""
     field = M.field
+    U, V = space.target, space.source
     dsum = {x: U.dims[x] + V.dims[x] for x in M.bq.quiver.vertices}
     if dsum != M.dim_vector():
         raise QuiverError("dimension vectors of the ends do not sum to the middle")
-    space = ext1(V, U)
     zs, split_only = space.z, space.dim == 0
     ranks = {name: m.rank() for name, m in M.mats.items()}
 
@@ -545,7 +551,7 @@ def regularity_certificate(M: Representation, U: Representation,
     the pairing runs; the syzygy route (``ext2_via_omega``) stays the
     independent model the tests and the suites check it against.  The
     flag pd M <= 1 is ``pd_le1(M)``, which builds the minimal syzygy of
-    M once, with no inclusion.  The tangent dimension at U + V is a
+    M once.  The tangent dimension at U + V is a
     nullity read from ``rank``.
     """
     if witness.M != M or witness.U != U or witness.V != V:

@@ -126,8 +126,7 @@ class BoundQuiver:
             self._check_relation(rel)
         self._algebra_cache = {}
         # filled by ext2: global-dimension verdicts by field name, and the
-        # presentations of the simples (whose P are the indecomposable
-        # projectives) by (field name, vertex)
+        # indecomposable projectives P(x) by (field name, vertex)
         self._gldim_cache = {}
         self._projective_cache = {}
         # structural data: the slot list of each cochain kind, by kind

@@ -16,8 +16,8 @@ from __future__ import annotations
 from .fields import canonical
 from .linalg import (
     Matrix,
+    _product,
     block_diag,
-    coordinates_in_basis,
     kernel_basis,
     rank,
 )
@@ -308,26 +308,28 @@ def hom_dim(M: Representation, N: Representation) -> int:
 
 
 def kernel_representation(f: VertexCochain):
-    """The kernel subrepresentation of a morphism, with its inclusion."""
-    if not f.is_morphism():
-        raise QuiverError("kernel_representation expects a morphism")
+    """The kernel subrepresentation of a morphism, with its inclusion.
+
+    At x the kernel is the ``kernel_basis`` of f_x, the inclusion's
+    columns.  The arrow a: s -> t acts by one product, M_a on the basis
+    at s, read at the lead columns of the basis at t and checked by one
+    recombination, which raises unless M_a keeps the kernel.  f is not
+    checked to be a morphism; the callers that need one check it once.
+    """
     M = f.source
     field = M.field
-    bases = {x: kernel_basis(f.mats[x]) for x in M.bq.quiver.vertices}
-    dims = {x: bases[x].dim for x in M.bq.quiver.vertices}
+    vertices = M.bq.quiver.vertices
+    bases = {x: kernel_basis(f.mats[x]) for x in vertices}
     mats = {}
     for a in M.bq.quiver.arrows:
         src, tgt = bases[a.source], bases[a.target]
-        cols = []
-        for v in src.vectors:
-            w = M.mats[a.name].apply(v)
-            coords = coordinates_in_basis(tgt, w)
-            if coords is None:
-                raise QuiverError("arrow does not preserve the kernel (not a morphism?)")
-            cols.append(coords)
-        mats[a.name] = Matrix.from_columns(field, tgt.dim, cols)
-    K = Representation(M.bq, field, dims, mats, check=False)
-    incl = VertexCochain(K, M, {
-        x: bases[x].matrix_of_columns() for x in M.bq.quiver.vertices
-    })
-    return K, incl
+        images = _product(field, src.vectors, M.mats[a.name].transpose().rows,
+                          tgt.ambient_dim)
+        coords = [[v[j] for j in tgt.leads] for v in images]
+        if _product(field, coords, tgt.vectors, tgt.ambient_dim) != images:
+            raise QuiverError("arrow does not preserve the kernel (not a morphism?)")
+        mats[a.name] = Matrix._adopt(
+            field, [[c[t] for c in coords] for t in range(tgt.dim)], src.dim)
+    K = Representation(M.bq, field, {x: bases[x].dim for x in vertices}, mats,
+                       check=False)
+    return K, VertexCochain(K, M, {x: bases[x].matrix_of_columns() for x in vertices})

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -178,6 +179,27 @@ def test_witness_search_outcomes(capsys, f2_path):
     code, payload = run_json(capsys, ["witness", f2_path, "M", "S2", "W"])
     assert code == 0
     assert payload["tasks"][0]["result"] == {"found": False, "conclusive": True}
+
+
+def test_a_witness_miss_builds_the_systems_of_the_pair_once(capsys, f2_path,
+                                                            monkeypatch):
+    """The verdict on a miss reads the dimension of the searched Ext^1
+    space: R(W, S2) and H(W, S2) are built once each."""
+    ext1_module = importlib.import_module("quiverext.ext1")
+    calls = []
+    for name in ("relation_boundary_matrix", "hom_system"):
+        real = getattr(ext1_module, name)
+
+        def counting(V, U, real=real, name=name):
+            calls.append((name, V.name, U.name))
+            return real(V, U)
+
+        monkeypatch.setattr(ext1_module, name, counting)
+    code, payload = run_json(capsys, ["witness", f2_path, "M", "S2", "W"])
+    assert code == 0
+    assert payload["tasks"][0]["result"] == {"found": False, "conclusive": True}
+    pair = [name for name, v, u in calls if (v, u) == ("W", "S2")]
+    assert sorted(pair) == ["hom_system", "relation_boundary_matrix"]
 
 
 def test_an_unknown_isomorphism_verdict_is_not_a_conclusive_miss(

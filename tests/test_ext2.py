@@ -2,6 +2,7 @@ import importlib
 
 import pytest
 
+from quiverext.algebra import AlgebraBasis
 from quiverext.ext1 import (
     ArrowCochain,
     RelationCochain,
@@ -254,7 +255,7 @@ def test_minimal_syzygy_route_agrees_with_the_other_models(name, field):
     bq = mods[0].bq
     gated = not is_acyclic(bq) or not gldim_le2_check(bq, field)
     zero = zero_rep(bq, field)
-    projectives = [indecomposable_projective(bq, field, x).P for x in bq.quiver.vertices]
+    projectives = [indecomposable_projective(bq, field, x) for x in bq.quiver.vertices]
     for N in mods:
         pres = ProjPresentation(N)
         for M in mods:
@@ -269,28 +270,33 @@ def test_minimal_syzygy_route_agrees_with_the_other_models(name, field):
 
 
 def test_projectives_are_built_once_per_vertex(monkeypatch):
-    ext2_module = importlib.import_module("quiverext.ext2")
-    real_init = ext2_module.ProjPresentation.__init__
-    built = []
+    """P(x) reduces a*sigma once for each arrow a and normal path sigma out
+    of x, and is then memoised: nothing else reduces a path, so the
+    reductions count the builds."""
+    real_reduce = AlgebraBasis.reduce_path
+    reduced = []
 
-    def counting_init(self, N):
-        built.append(N)
-        real_init(self, N)
+    def counting_reduce(self, path):
+        reduced.append((path.source, path.arrows))
+        return real_reduce(self, path)
 
-    monkeypatch.setattr(ext2_module.ProjPresentation, "__init__", counting_init)
+    monkeypatch.setattr(AlgebraBasis, "reduce_path", counting_reduce)
     f3 = load_fixture("f3")  # a fresh bound quiver, so nothing is memoised yet
-    m = f3.modules
+    bq, m = f3.bound_quiver, f3.modules
+    ab = bq.algebra_basis(QQ)
     M = direct_sum(m["P4"], m["S4"], m["S1"])  # two top generators at vertex 4
     P, _ = projective_cover(M)
     again, _ = projective_cover(M)
     assert P.dim_vector() == again.dim_vector() == {"1": 3, "2": 2, "3": 2, "4": 2}
-    assert gldim_le2_check(f3.bound_quiver, QQ)
-    tops = [next(x for x, d in N.dims.items() if d) for N in built]
-    assert all(N.total_dim == 1 for N in built)
-    assert len(tops) == len(set(tops)) <= len(f3.bound_quiver.quiver.vertices)
-    built.clear()
+    assert gldim_le2_check(bq, QQ)
+    built = {x for x, _ in reduced}
+    assert built <= set(bq.quiver.vertices) and "4" in built
+    assert len(reduced) == len(set(reduced)) == sum(
+        ab.dim(a.source, x) for x in built for a in bq.quiver.arrows)
+    reduced.clear()
     assert ext2_via_omega(m["S4"], m["S1"]).dim == 1
-    assert built == []
+    ProjPresentation(M)
+    assert reduced == []
 
 
 def _pd_le1_on(M, K):

@@ -550,14 +550,14 @@ def test_certificate_builds_the_syzygy_of_the_middle_once(monkeypatch):
     ses = f3.sequence("XI3")
     M, U, V = (f3.module(n) for n in (ses.middle, ses.sub, ses.quot))
     calls = []
-    real_syzygy = ext2_module._minimal_syzygy
+    real_syzygy = ext2_module.syzygy
 
     def counting_syzygy(N):
         calls.append(N)
         return real_syzygy(N)
 
-    monkeypatch.setattr(ext2_module, "_minimal_syzygy", counting_syzygy)
-    monkeypatch.setattr(geometry, "_minimal_syzygy", counting_syzygy)
+    monkeypatch.setattr(ext2_module, "syzygy", counting_syzygy)
+    monkeypatch.setattr(geometry, "syzygy", counting_syzygy)
     witness = degeneration_witness_search(M, U, V)
     report = regularity_certificate(M, U, V, witness)
     assert report.verdict == "regular-tangent" and report.flags["pd_m_le1"]
@@ -704,7 +704,7 @@ def regularity_certificate_by_public_calls(M, U, V, witness, ext2_dim):
         "hom_vu_vanishes": hom_vu == 0,
         "ext1_uv_vanishes": space_uv.dim == 0,
         "ext2_uv_vanishes": ext2_uv == 0,
-        "pd_m_le1": ext2_module.is_projective(ext2_module._minimal_syzygy(M)[0]),
+        "pd_m_le1": ext2_module.is_projective(ext2_module.syzygy(M)[0]),
     }
     verdict = "inconclusive"
     if all(flags.values()) and z_nn == a_of_d(bq, d):
@@ -758,14 +758,14 @@ def test_certificate_builds_no_syzygy_but_the_middle(monkeypatch):
     M, U, V = (f3.module(n) for n in (ses.middle, ses.sub, ses.quot))
     witness = degeneration_witness_search(M, U, V)
     calls = []
-    real_syzygy = ext2_module._minimal_syzygy
+    real_syzygy = ext2_module.syzygy
 
     def counting_syzygy(N):
         calls.append(N)
         return real_syzygy(N)
 
-    monkeypatch.setattr(ext2_module, "_minimal_syzygy", counting_syzygy)
-    monkeypatch.setattr(geometry, "_minimal_syzygy", counting_syzygy)
+    monkeypatch.setattr(ext2_module, "syzygy", counting_syzygy)
+    monkeypatch.setattr(geometry, "syzygy", counting_syzygy)
     regularity_certificate(M, U, V, witness)
     assert calls == [M]
 

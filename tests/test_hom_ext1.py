@@ -27,7 +27,6 @@ from quiverext.ext2 import (
     ProjPresentation,
     indecomposable_projective,
     projective_cover,
-    radical_subspace,
     syzygy,
 )
 from quiverext.fields import QQ
@@ -58,6 +57,7 @@ from quiverext.rep import (
     hom_dim,
     hom_system,
     kernel_representation,
+    simple,
     zero_rep,
 )
 from quiverext.suites import random_cocycle
@@ -583,8 +583,8 @@ def per_label_proj(pres):
 
 @pytest.mark.parametrize("name, field", CASES, ids=str)
 def test_presentation_builders_equal_the_per_label_loops(name, field, monkeypatch):
-    """Presentations evaluate each path of N once and covers no whole path
-    matrix of N (only its generator columns); same entries."""
+    """Presentations and covers evaluate no whole path matrix of N (only
+    its generator columns); same entries."""
     evaluated = []
     real_eval_path = Representation.eval_path
 
@@ -603,8 +603,8 @@ def test_presentation_builders_equal_the_per_label_loops(name, field, monkeypatc
         monkeypatch.undo()
         in_cover = sum(rep is N for rep, _ in evaluated) - in_pres
         evaluated.clear()
-        assert in_pres == sum(len(pres.paths[x]) for x in vertices)
-        assert in_cover == 0
+        assert in_pres == in_cover == 0
+        assert all(len(pres.p_labels[x]) == pres.P.dims[x] for x in vertices)
         assert_same_mats(pres.P.mats, per_label_p(pres))
         assert_same_mats(pres.incl.mats, per_label_incl(pres))
         assert_same_mats(pres.proj.mats, per_label_proj(pres))
@@ -685,10 +685,75 @@ def test_hom_system_equals_the_kronecker_body(name, field):
 # cover's morphism check and elimination done twice.
 
 
+def radical_subspace(M, x):
+    """Matrix whose columns span the radical piece at a vertex."""
+    blocks = [M.mats[a.name] for a in M.bq.quiver.arrows if a.target == x]
+    if not blocks:
+        return None
+    out = blocks[0]
+    for b in blocks[1:]:
+        out = hstack(out, b)
+    return out
+
+
+def path_reduced_projective(bq, field, x):
+    """P(x) as the standard presentation of the simple at x built it: its
+    labels (x, sigma, 0), with a*sigma reduced once per label."""
+    N = simple(bq, field, x)
+    ab = bq.algebra_basis(field)
+    quiver = bq.quiver
+    paths = {z: [(y, sigma) for y in quiver.vertices if N.dims[y]
+                 for sigma in ab.basis.get((z, y), ())] for z in quiver.vertices}
+    index = {z: {(y, sigma.arrows, j): i for i, (y, sigma, j) in enumerate(
+        [(y, sigma, j) for y, sigma in paths[z] for j in range(N.dims[y])])}
+        for z in quiver.vertices}
+    dims = {z: len(index[z]) for z in quiver.vertices}
+    mats = {}
+    for a in quiver.arrows:
+        cols = []
+        for y, sigma in paths[a.source]:
+            reduced = ab.reduce_path(Path(y, a.target, (a.name,) + sigma.arrows))
+            for j in range(N.dims[y]):
+                col = [field.zero] * dims[a.target]
+                for c, tau in reduced:
+                    col[index[a.target][(y, tau.arrows, j)]] = c
+                cols.append(col)
+        mats[a.name] = Matrix.from_columns(field, dims[a.target], cols)
+    return Representation(bq, field, dims, mats, check=True)
+
+
+def per_vector_kernel(f):
+    """The kernel subrepresentation, each arrow's image of a kernel basis
+    vector read in the target's kernel basis one vector at a time."""
+    if not f.is_morphism():
+        raise QuiverError("kernel_representation expects a morphism")
+    M = f.source
+    field = M.field
+    bases = {x: kernel_basis(f.mats[x]) for x in M.bq.quiver.vertices}
+    dims = {x: bases[x].dim for x in M.bq.quiver.vertices}
+    mats = {}
+    for a in M.bq.quiver.arrows:
+        src, tgt = bases[a.source], bases[a.target]
+        cols = []
+        for v in src.vectors:
+            w = M.mats[a.name].apply(v)
+            coords = coordinates_in_basis(tgt, w)
+            if coords is None:
+                raise QuiverError("arrow does not preserve the kernel (not a morphism?)")
+            cols.append(coords)
+        mats[a.name] = Matrix.from_columns(field, tgt.dim, cols)
+    K = Representation(M.bq, field, dims, mats, check=False)
+    incl = VertexCochain(K, M, {
+        x: bases[x].matrix_of_columns() for x in M.bq.quiver.vertices
+    })
+    return K, incl
+
+
 def whole_path_cover(M):
     """The minimal cover from whole path matrices and block_diag."""
     bq, field = M.bq, M.field
     quiver = bq.quiver
+    ab = bq.algebra_basis(field)
     summands = []
     cover_cols = {z: [] for z in quiver.vertices}
     for x in quiver.vertices:
@@ -697,11 +762,11 @@ def whole_path_cover(M):
         free = [i for i in range(M.dims[x]) if i not in leads]
         if not free:
             continue
-        proj = indecomposable_projective(bq, field, x)
-        evals = {z: [M.eval_path(sigma) for _, sigma in proj.paths[z]]
+        proj = path_reduced_projective(bq, field, x)
+        evals = {z: [M.eval_path(sigma) for sigma in ab.basis.get((z, x), ())]
                  for z in quiver.vertices}
         for i in free:
-            summands.append(proj.P)
+            summands.append(proj)
             for z in quiver.vertices:
                 cover_cols[z].extend(m.col(i) for m in evals[z])
     if not summands:
@@ -720,7 +785,7 @@ def whole_path_cover(M):
 
 
 def whole_path_syzygy(M):
-    return kernel_representation(whole_path_cover(M)[1])
+    return per_vector_kernel(whole_path_cover(M)[1])
 
 
 def identity_word(R, arrows, vertex):
@@ -782,6 +847,36 @@ def test_syzygy_equals_the_whole_path_body(name, field):
             assert_same_mats(omega.mats, old_omega.mats)
             assert incl.source is omega and incl.target.dims == old_incl.target.dims
             assert_same_mats(incl.mats, old_incl.mats)
+
+
+@pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
+def test_projectives_equal_the_path_reduction_body(name, field):
+    bq = case_workspace(name, field).bound_quiver
+    for x in bq.quiver.vertices:
+        P, old = indecomposable_projective(bq, field, x), path_reduced_projective(bq, field, x)
+        assert P.dims == old.dims
+        assert_same_mats(P.mats, old.mats)
+        assert indecomposable_projective(bq, field, x) is P
+
+
+@pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
+def test_kernel_representation_equals_the_per_vector_readout(name, field):
+    """On minimal and standard covers, middle-term projections and
+    endomorphisms: the same kernel and inclusion, entry for entry."""
+    mods = one_pass_cases(name, field, seed=59)
+    rng = random.Random(59)
+    maps = []
+    for M in mods:
+        maps += [projective_cover(M)[1], ProjPresentation(M).proj]
+        maps += hom_basis(M, M)[:3]
+        maps.append(middle_term(random_cocycle(M, rng.choice(mods), rng))[2])
+    for f in maps:
+        K, incl = kernel_representation(f)
+        old_k, old_incl = per_vector_kernel(f)
+        assert K.dims == old_k.dims
+        assert_same_mats(K.mats, old_k.mats)
+        assert incl.source is K and incl.target is f.source
+        assert_same_mats(incl.mats, old_incl.mats)
 
 
 def relation_breaking(name, field):
