@@ -85,7 +85,11 @@ def _parse_rational(text, lineno, line) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise ParseError(lineno, _column_of(line, text),
                          f"expected a rational number, found {text!r}", line)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(lineno, _column_of(line, text),
+                         f"zero denominator in {text!r}", line) from None
 
 
 def _parse_relation_rhs(rhs, lineno, line):
@@ -116,7 +120,7 @@ def _parse_relation_rhs(rhs, lineno, line):
         coeff = Fraction(sign)
         arrows = factors
         if _RATIONAL_RE.match(factors[0]):
-            coeff *= Fraction(factors[0])
+            coeff *= _parse_rational(factors[0], lineno, line)
             arrows = factors[1:]
         if not arrows:
             raise ParseError(lineno, _column_of(line, tok),

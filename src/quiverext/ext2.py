@@ -28,8 +28,12 @@ of generators (coordinates of N) and returns the direct sum of one P(y)
 per generator with its map onto N, evaluating each path on the
 generator columns only: the minimal cover takes a transversal of the
 top, the standard presentation every coordinate.  Each route checks
-its cover once, and every minimal syzygy is read by
-``rep.kernel_representation``.
+its cover once, and both syzygies are read by one readout,
+``rep._subrepresentation``: the minimal one through
+``rep.kernel_representation``, the standard one from its labelled
+inclusion vectors.  A transport-kernel cocycle is certified a
+coboundary by one solve of the Hom system
+(``exhibit_phi_kernel_boundary``).
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .linalg import (
     column_space_basis,
     kron_add,
     rank,
+    solve,
 )
 from .quiver import BoundQuiver, Path, QuiverError, is_acyclic
 from .rep import (
@@ -59,7 +64,9 @@ from .rep import (
     RelationCochain,
     Representation,
     VertexCochain,
+    _subrepresentation,
     direct_sum,
+    hom_system,
     kernel_representation,
     simple,
     zero_rep,
@@ -90,16 +97,12 @@ class ProjPresentation:
 
     The inclusion sends a syzygy label (y, sigma, j) to the same label of
     P minus N_sigma e_j, the cover's column at that label, placed on the
-    labels of the trivial path at x.
-    That correction lives only on trivial-path labels, which are not
-    syzygy labels, so the rows of the inclusion at the syzygy labels form
-    an identity.  Since the inclusion is a morphism, incl_t omega_a =
-    P_a incl_s, and reading that product at the syzygy labels gives
-    omega_a: the syzygy's arrow matrices are the rows of P_a @ incl at
-    the syzygy labels, with no second path reduction or N_sigma term.
-    Omega is built unchecked: ``_verify_exactness`` finds the inclusion an
-    injective morphism into P, a sum of checked P(y), which implies
-    omega's relations.
+    labels of the trivial path at x.  That correction lives only on
+    trivial-path labels, so the syzygy labels are lead columns of these
+    vectors, and ``rep._subrepresentation`` reads omega and the inclusion
+    from them, as it reads every minimal syzygy.  The cover is checked to
+    be a morphism first; the readout then shows that the inclusion is an
+    injective morphism, and ``_verify_exactness`` checks the rest.
     """
 
     def __init__(self, N: Representation):
@@ -124,55 +127,32 @@ class ProjPresentation:
                                    for i, (y, s, j) in enumerate(self.omega_labels[x])}
 
         self.P, self.proj = _cover(N, {y: range(N.dims[y]) for y in vertices})
-        incl_mats = self._incl_matrices()
-        self.omega = self._build_omega(incl_mats)
-        self.incl = VertexCochain(self.omega, self.P, incl_mats)
-        self._verify_exactness()
-
-    # -- construction -------------------------------------------------
-
-    def _incl_matrices(self) -> dict:
-        field, N = self.field, self.N
-        mats = {}
-        for x in self.bq.quiver.vertices:
-            index, n = self.p_index[x], len(self.p_labels[x])
-            trivial = [index[(x, (), i)] for i in range(N.dims[x])]
+        if not self.proj.is_morphism():
+            raise QuiverError("presentation maps fail to be morphisms")
+        bases = {}
+        for x in vertices:
+            n = len(self.p_labels[x])
+            trivial = [self.p_index[x][(x, (), i)] for i in range(N.dims[x])]
             cover = self.proj.mats[x].rows
-            cols = []
-            for k, (_, sigma, _) in enumerate(self.p_labels[x]):
-                if sigma.length == 0:
-                    continue
-                col = [field.zero] * n
-                col[k] = field.one
+            leads = [k for k, (_, sigma, _) in enumerate(self.p_labels[x])
+                     if sigma.length]
+            vectors = []
+            for k in leads:
+                vec = [field.zero] * n
+                vec[k] = field.one
                 for idx, row in zip(trivial, cover):
                     if not field.is_zero(row[k]):
-                        col[idx] = field.neg(row[k])
-                cols.append(col)
-            mats[x] = Matrix.from_columns(field, n, cols)
-        return mats
-
-    def _build_omega(self, incl_mats: dict) -> Representation:
-        field, quiver = self.field, self.bq.quiver
-        omega_rows = {x: [self.p_index[x][(y, s.arrows, j)]
-                          for (y, s, j) in self.omega_labels[x]]
-                      for x in quiver.vertices}
-        dims = {x: len(rows) for x, rows in omega_rows.items()}
-        mats = {}
-        for a in quiver.arrows:
-            image = self.P.mats[a.name] @ incl_mats[a.source]
-            mats[a.name] = Matrix(field, [image.rows[i] for i in omega_rows[a.target]],
-                                  dims[a.source])
-        return Representation(self.bq, field, dims, mats, check=False)
+                        vec[idx] = field.neg(row[k])
+                vectors.append(vec)
+            bases[x] = SubspaceBasis(field, n, vectors, leads)
+        self.omega, self.incl = _subrepresentation(self.P, bases)
+        self._verify_exactness()
 
     def _verify_exactness(self):
-        if not self.incl.is_morphism() or not self.proj.is_morphism():
-            raise QuiverError("presentation maps fail to be morphisms")
         composed = self.proj.compose(self.incl)
         if any(not m.is_zero() for m in composed.mats.values()):
             raise QuiverError("presentation is not a complex")
         for x in self.bq.quiver.vertices:
-            if self.incl.mats[x].rank() != self.omega.dims[x]:
-                raise QuiverError("syzygy inclusion is not injective")
             if self.proj.mats[x].rank() != self.N.dims[x]:
                 raise QuiverError("presentation cover is not surjective")
             if self.omega.dims[x] + self.N.dims[x] != self.P.dims[x]:
@@ -306,53 +286,19 @@ def phi(pres: ProjPresentation, M: Representation, Z: ArrowCochain) -> RelationC
 
 def exhibit_phi_kernel_boundary(pres: ProjPresentation, M: Representation,
                                 Z: ArrowCochain) -> VertexCochain:
-    """Vertex cochain h whose coboundary recovers a transport-kernel cocycle.
+    """Vertex cochain h whose coboundary is Z, a cochain from the syzygy
+    of ``pres`` to M.
 
-    Z runs from the syzygy of ``pres`` to M.  Built by peeling the
-    last-acting arrow off each syzygy basis label: h vanishes on
-    length-one labels, and on a longer label (a sigma tensor n) it takes
-    the value M_a h(sigma tensor n) - Z_a(sigma tensor n), with sigma
-    expanded in the path basis.  When Z is a
-    cocycle killed by the transport map, the coboundary of h equals Z;
-    callers re-derive Z from h to certify.
+    The coboundary of h is minus ``hom_system(omega, M)`` applied to h,
+    so h is one solution of that system against -Z; a cocycle killed by
+    the transport map has one.  Raises ``QuiverError`` when Z is not a
+    coboundary.  Callers re-derive Z from h to certify.
     """
     field = M.field
-    omega = pres.omega
-    arrow_map = omega.bq.quiver.arrow_map
-    memo = {}
-
-    def column(x, label):
-        y, sigma, j = label
-        key = (x, y, sigma.arrows, j)
-        if key in memo:
-            return memo[key]
-        alpha = arrow_map[sigma.arrows[0]]
-        tail_arrows = sigma.arrows[1:]
-        if not tail_arrows:
-            val = [field.zero] * M.dims[x]
-        else:
-            tail_path = Path(y, alpha.source, tail_arrows)
-            reduced = pres.basis.reduce_terms(alpha.source, y,
-                                              [(field.one, tail_path)])
-            zvec = [field.zero] * omega.dims[alpha.source]
-            coeffs, subs = [], []
-            for c, tau in reduced:
-                coeffs.append(c)
-                subs.append(column(alpha.source, (y, tau, j)))
-                pos = pres.omega_index[alpha.source][(y, tau.arrows, j)]
-                zvec[pos] = field.add(zvec[pos], c)
-            hvec = _product(field, [coeffs], subs, M.dims[alpha.source])[0]
-            mh = M.mats[alpha.name].apply(hvec)
-            zz = Z.mats[alpha.name].apply(zvec)
-            val = [field.sub(a, b) for a, b in zip(mh, zz)]
-        memo[key] = val
-        return val
-
-    hmats = {}
-    for x in omega.bq.quiver.vertices:
-        cols = [column(x, lab) for lab in pres.omega_labels[x]]
-        hmats[x] = Matrix.from_columns(field, M.dims[x], cols)
-    return VertexCochain(omega, M, hmats)
+    h = solve(hom_system(pres.omega, M), [field.neg(z) for z in Z.to_vector()])
+    if h is None:
+        raise QuiverError("cochain is not a coboundary on this syzygy")
+    return VertexCochain.from_vector(pres.omega, M, h)
 
 
 # -- Yoneda composition of cocycles -------------------------------------

@@ -308,18 +308,24 @@ def hom_dim(M: Representation, N: Representation) -> int:
 
 
 def kernel_representation(f: VertexCochain):
-    """The kernel subrepresentation of a morphism, with its inclusion.
-
-    At x the kernel is the ``kernel_basis`` of f_x, the inclusion's
-    columns.  The arrow a: s -> t acts by one product, M_a on the basis
-    at s, read at the lead columns of the basis at t and checked by one
-    recombination, which raises unless M_a keeps the kernel.  f is not
+    """The kernel subrepresentation of a morphism, with its inclusion:
+    ``_subrepresentation`` of the ``kernel_basis`` of each f_x.  f is not
     checked to be a morphism; the callers that need one check it once.
     """
-    M = f.source
+    return _subrepresentation(f.source, {x: kernel_basis(m) for x, m in f.mats.items()})
+
+
+def _subrepresentation(M: Representation, bases: dict):
+    """The subrepresentation of M spanned by lead-column bases, one per
+    vertex, with its inclusion, whose columns are the basis vectors.
+
+    The arrow a: s -> t acts by one product, M_a on the basis at s, read
+    at the lead columns of the basis at t and checked by one
+    recombination, which raises unless M_a keeps the span: so the
+    inclusion is a morphism, and injective by the lead pattern.
+    """
     field = M.field
     vertices = M.bq.quiver.vertices
-    bases = {x: kernel_basis(f.mats[x]) for x in vertices}
     mats = {}
     for a in M.bq.quiver.arrows:
         src, tgt = bases[a.source], bases[a.target]

@@ -123,6 +123,23 @@ def test_a_relation_coefficient_undefined_or_zero_over_the_field_exits_2(
     assert captured.err.startswith("error: ") and "relation r: coefficient" in captured.err
 
 
+LINE_HEADER = ("quiver L\nvertex 1 2 3\narrow a : 2 -> 1\narrow b : 3 -> 2\n"
+               "relation r : a*b\n")
+
+
+@pytest.mark.parametrize("text, where", [
+    (LINE_HEADER + "module X : dim 1 1 0\n  a = [ 1/0 ]\n", "line 7, column 9"),
+    (LINE_HEADER.replace("a*b", "1/0*a*b"), "line 5, column 14"),
+], ids=["matrix-entry", "relation-coefficient"])
+def test_a_zero_denominator_exits_2_with_a_located_error(capsys, tmp_path, text, where):
+    ws = tmp_path / "ws.qv"
+    ws.write_text(text, encoding="utf-8")
+    code = main(["check", str(ws)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {where}: zero denominator in '1/0'\n")
+
+
 def test_euler_form_of_dimension_vectors(capsys, f2_path):
     code, payload = run_json(capsys, ["euler", f2_path, "1,2,1", "1,2,1"])
     assert code == 0

@@ -105,6 +105,17 @@ def test_rationals_are_exact_and_decimals_rejected():
         parse_workspace(F2_HEADER + "module X : dim 1 1 0\n  a = [ 0.5 ]\n")
 
 
+@pytest.mark.parametrize("src, line, column", [
+    (F2_HEADER + "module X : dim 1 1 0\n  a = [ 1/0 ]\n", 7, 9),
+    (F2_HEADER.replace("relation r : a*b", "relation r : 1/0*a*b"), 5, 14),
+], ids=["matrix-entry", "relation-coefficient"])
+def test_a_zero_denominator_is_a_located_parse_error(src, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_workspace(src)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert err.value.message == "zero denominator in '1/0'"
+
+
 # relation r sits on line 7 of the square and on line 5 of F2_HEADER
 BAD_OVER_F2 = [
     ("quiver SQ\nvertex 1 2 3 4\narrow a : 1 -> 2\narrow b : 2 -> 4\n"

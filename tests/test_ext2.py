@@ -29,7 +29,7 @@ from quiverext.ext2 import (
 )
 from quiverext.cli import main
 from quiverext.fields import QQ
-from quiverext.fixtures import fixture_source, load_fixture
+from quiverext.fixtures import FIXTURE_NAMES, fixture_source, load_fixture
 from quiverext.geometry import (
     degeneration_witness_search,
     id_le1,
@@ -38,9 +38,9 @@ from quiverext.geometry import (
     regularity_certificate,
 )
 from quiverext.iso import iso_test
-from quiverext.linalg import kernel_basis, linear_map_matrix
-from quiverext.quiver import is_acyclic, validate_bound_quiver
-from quiverext.rep import direct_sum, simple, zero_rep
+from quiverext.linalg import Matrix, kernel_basis, linear_map_matrix
+from quiverext.quiver import Path, QuiverError, is_acyclic, validate_bound_quiver
+from quiverext.rep import VertexCochain, direct_sum, simple, zero_rep
 
 from cases import F2, F101, case_modules, with_rational_conjugates
 
@@ -107,29 +107,123 @@ def test_transport_sends_the_generator_to_a_generator(f2):
     assert not model.class_of(phi(pres, M, Z)).is_zero
 
 
-def test_transport_kernel_vectors_are_exhibited_boundaries(f3):
-    """Each cocycle killed by the transport is certified as a coboundary.
+def peeled_boundary(pres, M, Z):
+    """The replaced body of ``exhibit_phi_kernel_boundary``, kept as its
+    oracle: h peels the last-acting arrow off each syzygy label.  It
+    vanishes on length-one labels, and on a longer label (a sigma tensor
+    n) it takes the value M_a h(sigma tensor n) - Z_a(sigma tensor n),
+    with sigma expanded in the path basis.  Its coboundary is Z when Z is
+    a cocycle killed by the transport map; otherwise it returns an h
+    whose coboundary is not Z, with no error."""
+    field = M.field
+    omega = pres.omega
+    arrow_map = omega.bq.quiver.arrow_map
+    memo = {}
 
-    The exhibiting cochain is rebuilt into an arrow cochain and compared
+    def column(x, label):
+        y, sigma, j = label
+        key = (x, y, sigma.arrows, j)
+        if key in memo:
+            return memo[key]
+        alpha = arrow_map[sigma.arrows[0]]
+        tail_arrows = sigma.arrows[1:]
+        if not tail_arrows:
+            val = [field.zero] * M.dims[x]
+        else:
+            tail_path = Path(y, alpha.source, tail_arrows)
+            hvec = [field.zero] * M.dims[alpha.source]
+            zvec = [field.zero] * omega.dims[alpha.source]
+            for c, tau in pres.basis.reduce_terms(alpha.source, y,
+                                                  [(field.one, tail_path)]):
+                sub = column(alpha.source, (y, tau, j))
+                hvec = [field.add(h, field.mul(c, v)) for h, v in zip(hvec, sub)]
+                pos = pres.omega_index[alpha.source][(y, tau.arrows, j)]
+                zvec[pos] = field.add(zvec[pos], c)
+            mh = M.mats[alpha.name].apply(hvec)
+            zz = Z.mats[alpha.name].apply(zvec)
+            val = [field.sub(a, b) for a, b in zip(mh, zz)]
+        memo[key] = val
+        return val
+
+    hmats = {}
+    for x in omega.bq.quiver.vertices:
+        cols = [column(x, lab) for lab in pres.omega_labels[x]]
+        hmats[x] = Matrix.from_columns(field, M.dims[x], cols)
+    return VertexCochain(omega, M, hmats)
+
+
+def test_transport_kernel_vectors_are_exhibited_boundaries():
+    """Each cocycle killed by the transport is certified as a coboundary,
+    by the solve and by the peeling oracle, on every module pair of
+    f1-f3 over Q, F101 and F2.
+
+    Each exhibiting cochain is rebuilt into an arrow cochain and compared
     entry for entry, so the certificate is checked, not trusted.
     """
-    N, M = f3.modules["S4"], f3.modules["S1"]
-    pres = ProjPresentation(N)
-    zs = z_space(pres.omega, M)
-    field = M.field
+    exhibited = 0
+    for field in (QQ, F101, F2):
+        for name in FIXTURE_NAMES:
+            mods = list(load_fixture(name, field=field).modules.values())
+            for N in mods:
+                pres = ProjPresentation(N)
+                for M in mods:
+                    zs = z_space(pres.omega, M)
 
-    def apply(coeffs):
-        Z = ArrowCochain.from_vector(pres.omega, M, combine(field, zs, coeffs))
-        return phi(pres, M, Z).to_vector()
+                    def apply(coeffs):
+                        Z = ArrowCochain.from_vector(pres.omega, M,
+                                                     combine(field, zs, coeffs))
+                        return phi(pres, M, Z).to_vector()
 
-    codom = RelationCochain.space_dim(N, M)
-    system = linear_map_matrix(field, zs.dim, codom, apply)
-    kernel = kernel_basis(system)
-    assert kernel.dim == 1
-    for coeffs in kernel.vectors:
-        Z = ArrowCochain.from_vector(pres.omega, M, combine(field, zs, coeffs))
-        h = exhibit_phi_kernel_boundary(pres, M, Z)
-        assert coboundary(h).to_vector() == Z.to_vector()
+                    codom = RelationCochain.space_dim(N, M)
+                    kernel = kernel_basis(linear_map_matrix(field, zs.dim, codom, apply))
+                    for coeffs in kernel.vectors:
+                        Z = ArrowCochain.from_vector(pres.omega, M,
+                                                     combine(field, zs, coeffs))
+                        for h in (exhibit_phi_kernel_boundary(pres, M, Z),
+                                  peeled_boundary(pres, M, Z)):
+                            assert coboundary(h).to_vector() == Z.to_vector()
+                        exhibited += 1
+    assert exhibited == 30
+
+
+def test_a_cocycle_that_is_no_coboundary_is_refused(f2):
+    """The generator of Ext^1 of the standard syzygy of S3 by S1 is a
+    cocycle but no coboundary: the solve raises, where the peeling oracle
+    returns an h whose coboundary is not Z."""
+    pres, M = ProjPresentation(f2.modules["S3"]), f2.modules["S1"]
+    space = ext1(pres.omega, M)
+    Z = space.basis_cocycles()[0]
+    assert not space.class_of(Z).is_zero
+    with pytest.raises(QuiverError, match="^cochain is not a coboundary on this syzygy$"):
+        exhibit_phi_kernel_boundary(pres, M, Z)
+    assert coboundary(peeled_boundary(pres, M, Z)).to_vector() != Z.to_vector()
+
+
+def test_presentations_check_each_property_once(f3, monkeypatch):
+    """One morphism check, the cover's, and one rank per vertex, the
+    cover's onto check: the readout shows that the inclusion is an
+    injective morphism, so it is not checked again."""
+    calls = []
+    real_is_morphism, real_rank = VertexCochain.is_morphism, Matrix.rank
+
+    def counting_is_morphism(self):
+        calls.append("is_morphism")
+        return real_is_morphism(self)
+
+    def counting_rank(self):
+        calls.append("rank")
+        return real_rank(self)
+
+    vertices = f3.bound_quiver.quiver.vertices
+    for N in f3.modules.values():
+        ProjPresentation(N)  # the P(y) and the algebra basis are memoised
+        monkeypatch.setattr(VertexCochain, "is_morphism", counting_is_morphism)
+        monkeypatch.setattr(Matrix, "rank", counting_rank)
+        ProjPresentation(N)
+        monkeypatch.undo()
+        assert calls.count("is_morphism") == 1
+        assert calls.count("rank") == len(vertices)
+        calls.clear()
 
 
 def test_yoneda_product_of_the_simple_chain(f2):

@@ -622,6 +622,8 @@ def test_class_of_rejects_a_non_cocycle(field):
     assert not is_cocycle(bad)
     with pytest.raises(QuiverError):
         space.class_of(bad)
+    with pytest.raises(QuiverError, match="^cochain is not a cocycle for this pair$"):
+        is_split(bad)
     with pytest.raises(QuiverError):  # its middle term fails the relation
         middle_term(bad)
     for Z in space.basis_cocycles():
