@@ -22,7 +22,6 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     SubspaceBasis,
-    _integer_row,
     _kernel_of_rref,
     _product,
     _rref,
@@ -189,9 +188,7 @@ class ExtSpace1:
         self._boundary = relation_boundary_matrix(V, U)
         self._rows, self._pivots = _rref(field, self._boundary.rows)
         self._hom = hom_system(V, U)
-        # over Q the rows are checked with their denominators cleared
-        echelon = self._rows if field.char else [_integer_row(r) for r in self._rows]
-        if any(map(any, _product(field, echelon, self._hom.rows, self._hom.ncols))):
+        if any(map(any, _product(field, self._rows, self._hom.rows, self._hom.ncols))):
             raise QuiverError("coboundary outside the cocycle space")
 
     @cached_property

@@ -100,9 +100,16 @@ class ProjPresentation:
     labels of the trivial path at x.  That correction lives only on
     trivial-path labels, so the syzygy labels are lead columns of these
     vectors, and ``rep._subrepresentation`` reads omega and the inclusion
-    from them, as it reads every minimal syzygy.  The cover is checked to
-    be a morphism first; the readout then shows that the inclusion is an
-    injective morphism, and ``_verify_exactness`` checks the rest.
+    from them, as it reads every minimal syzygy.
+
+    Exactness needs no further check.  The cover is checked to be a
+    morphism, and the readout shows that the inclusion is an injective
+    morphism.  The cover sends the trivial-path label (x, (), i) to e_i,
+    so it is onto at every x.  Each inclusion vector is a label minus
+    that label's cover column on the trivial-path labels, so the cover
+    kills it.  And the syzygy labels are the labels of P less the
+    dim N_x trivial ones, so dim omega_x + dim N_x = dim P_x, and the
+    image of the inclusion is the whole kernel of the cover.
     """
 
     def __init__(self, N: Representation):
@@ -146,17 +153,6 @@ class ProjPresentation:
                 vectors.append(vec)
             bases[x] = SubspaceBasis(field, n, vectors, leads)
         self.omega, self.incl = _subrepresentation(self.P, bases)
-        self._verify_exactness()
-
-    def _verify_exactness(self):
-        composed = self.proj.compose(self.incl)
-        if any(not m.is_zero() for m in composed.mats.values()):
-            raise QuiverError("presentation is not a complex")
-        for x in self.bq.quiver.vertices:
-            if self.proj.mats[x].rank() != self.N.dims[x]:
-                raise QuiverError("presentation cover is not surjective")
-            if self.omega.dims[x] + self.N.dims[x] != self.P.dims[x]:
-                raise QuiverError("presentation dimension count is off")
 
 
 def ext2_via_omega(N: Representation, M: Representation) -> ExtSpace1:

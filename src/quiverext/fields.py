@@ -7,9 +7,10 @@ entries that make up most module matrices and constraint systems stay
 cheap ``int``s; every Q method returns that form.  An element of F_p is
 a small ``int`` residue.  Code outside ``linalg`` routes its
 arithmetic through a field object so it stays generic and exact; the
-``linalg`` kernels use Python operators on the raw elements and read
-``char`` to decide whether to reduce mod p.  Floating point never
-appears anywhere in this package.
+``linalg`` kernels use Python operators on the raw elements and bring
+each row they emit to the canonical form with ``canon``; only the
+elimination steps and ``kron_add`` reduce entries themselves.  Floating
+point never appears anywhere in this package.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ class RationalField:
 
     def of_fraction(self, q: Fraction):
         return canonical(q)
+
+    def canon(self, xs) -> list:
+        """The canonical forms of the exact rationals xs, as a new list."""
+        return [x if type(x) is int else canonical(x) for x in xs]
 
     def add(self, a, b):
         return canonical(a + b)
@@ -127,6 +132,11 @@ class PrimeField:
         if den == 0:
             raise ZeroDivisionError(f"{q} has denominator divisible by {self.p}")
         return (q.numerator % self.p) * pow(den, self.p - 2, self.p) % self.p
+
+    def canon(self, xs) -> list:
+        """The residues in [0, p) of the exact rationals xs, as a new list."""
+        p = self.p
+        return [x % p if type(x) is int else self.of(x) for x in xs]
 
     def add(self, a, b):
         return (a + b) % self.p

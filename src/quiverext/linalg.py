@@ -38,20 +38,24 @@ is solved against instead.
 
 Canonical entries.  Every entry these kernels emit is in its field's
 canonical form: a residue in [0, p) over F_p, and over Q an ``int`` when
-it is integral and a ``Fraction`` with denominator > 1 otherwise (see
-``fields``).  They accept any exact input (unreduced residues, or
-``int``s and ``Fraction``s in any form), so integral rationals stay
-cheap ``int``s from the parsed module matrices to the reported bases.
+it is integral and a ``Fraction`` with denominator > 1 otherwise.  The
+field owns that rule: ``field.canon(xs)`` returns a row in canonical
+form, and the kernels call it on each row they emit rather than branch
+on the characteristic.  They accept any exact input (unreduced
+residues, or ``int``s and ``Fraction``s in any form), so integral
+rationals stay cheap ``int``s from the parsed module matrices to the
+reported bases, and ``Matrix`` equality compares canonical forms.
 
 Products.  Matrix products, matrix-vector products, basis recombination
 (``SubspaceBasis.combine``, and through it the lead-column readout) all
 go through one private kernel, ``_product(field, a_rows, b_rows,
 ncols)``.  It lists the nonzero entries of the right factor once per
 call, walks only those, multiplies and adds with Python operators, and
-brings each output entry to its canonical form once.  ``kron_add``,
+brings each output row to its canonical form once, with ``field.canon``.
 ``QuotientSpace.reduce``, the entrywise ``Matrix`` arithmetic and the
-vector build of ``kernel_basis`` follow the same rule: operators, zero
-entries skipped, one canonical form per stored entry.  Over Q the
+vector build of ``kernel_basis`` follow the same rule: operators, then
+one ``canon`` per emitted row.  ``kron_add`` adds into rows it does not
+own, so it brings each touched entry to canonical form itself.  Over Q the
 kernel does not clear denominators: most products here are of 1x1 and
 2x2 blocks, and clearing denominators in every product made the Q
 workloads slower, not faster.  Matrices built
@@ -153,19 +157,17 @@ class Matrix:
         return [r[j] for r in self.rows]
 
     def is_zero(self) -> bool:
-        p = self.field.char
-        if p:
-            return not any(x % p for r in self.rows for x in r)
-        return not any(map(any, self.rows))
+        return not any(map(any, map(self.field.canon, self.rows)))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        """Equal fields, shapes and entries; rows that differ as Python
+        values are compared again in canonical form."""
+        if not (isinstance(other, Matrix) and self.field == other.field
+                and self.shape() == other.shape()):
+            return False
+        canon = self.field.canon
+        return self.rows == other.rows or all(
+            canon(r) == canon(s) for r, s in zip(self.rows, other.rows))
 
     def __repr__(self):
         f = self.field
@@ -178,44 +180,25 @@ class Matrix:
         if self.shape() != other.shape():
             raise ValueError(f"shape mismatch {self.shape()} {op} {other.shape()}")
 
+    def _canon(self, rows) -> "Matrix":
+        """Adopt raw rows of this shape, each brought to canonical form."""
+        return Matrix._adopt(self.field, list(map(self.field.canon, rows)), self.ncols)
+
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other, "+")
-        p = self.field.char
-        if p:
-            rows = [[(a + b) % p for a, b in zip(r, s)]
-                    for r, s in zip(self.rows, other.rows)]
-        else:
-            rows = [[canonical(a + b) for a, b in zip(r, s)]
-                    for r, s in zip(self.rows, other.rows)]
-        return Matrix._adopt(self.field, rows, self.ncols)
+        return self._canon([a + b for a, b in zip(r, s)]
+                           for r, s in zip(self.rows, other.rows))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other, "-")
-        p = self.field.char
-        if p:
-            rows = [[(a - b) % p for a, b in zip(r, s)]
-                    for r, s in zip(self.rows, other.rows)]
-        else:
-            rows = [[canonical(a - b) for a, b in zip(r, s)]
-                    for r, s in zip(self.rows, other.rows)]
-        return Matrix._adopt(self.field, rows, self.ncols)
+        return self._canon([a - b for a, b in zip(r, s)]
+                           for r, s in zip(self.rows, other.rows))
 
     def __neg__(self) -> "Matrix":
-        p = self.field.char
-        if p:
-            rows = [[-a % p for a in r] for r in self.rows]
-        else:
-            rows = [[canonical(-a) for a in r] for r in self.rows]
-        return Matrix._adopt(self.field, rows, self.ncols)
+        return self._canon([-a for a in r] for r in self.rows)
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        p = f.char
-        if p:
-            rows = [[c * a % p for a in r] for r in self.rows]
-        else:
-            rows = [[canonical(c * a) for a in r] for r in self.rows]
-        return Matrix._adopt(f, rows, self.ncols)
+        return self._canon([c * a for a in r] for r in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -263,12 +246,11 @@ def _product(field, a_rows, b_rows, ncols):
     The nonzero entries of b_rows are listed once; each entry of a_rows
     that is nonzero then touches only those of its row of b_rows.
     Entries are multiplied and summed with Python operators, and each
-    output entry is brought to its canonical form once, at the end:
-    reduced mod p over F_p, an ``int`` when integral over Q.  The output
-    rows are new lists.
+    output row is brought to its canonical form once, at the end, by
+    ``field.canon``.  The output rows are new lists.
     """
     support = _support(b_rows)
-    zero, p = field.zero, field.char
+    zero, canon = field.zero, field.canon
     out = []
     for arow in a_rows:
         acc = [zero] * ncols
@@ -276,8 +258,7 @@ def _product(field, a_rows, b_rows, ncols):
             if a:
                 for j, y in srow:
                     acc[j] += a * y
-        out.append([x % p for x in acc] if p else
-                   [x if type(x) is int else canonical(x) for x in acc])
+        out.append(canon(acc))
     return out
 
 
@@ -495,7 +476,6 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
 def _kernel_of_rref(f, ncols: int, rows, pivots) -> SubspaceBasis:
     """``kernel_basis`` of a matrix with ncols columns, read from the rows
     and pivots ``_rref`` returned for it."""
-    p = f.char
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     vectors = []
@@ -503,10 +483,8 @@ def _kernel_of_rref(f, ncols: int, rows, pivots) -> SubspaceBasis:
         v = [f.zero] * ncols
         v[j] = f.one
         for row, c in zip(rows, pivots):
-            x = row[j]
-            if x:
-                v[c] = -x % p if p else -x
-        vectors.append(v)
+            v[c] = -row[j]
+        vectors.append(f.canon(v))
     return SubspaceBasis(f, ncols, vectors, free)
 
 
@@ -555,10 +533,7 @@ class QuotientSpace:
             if a:
                 for j, y in srow:
                     v[j] -= a * y
-        p = self.field.char
-        if p:
-            return [x % p for x in v]
-        return [x if type(x) is int else canonical(x) for x in v]
+        return self.field.canon(v)
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -579,9 +554,9 @@ def coordinates_in_basis(basis: SubspaceBasis, vec) -> Optional[list]:
         return solve(basis.matrix_of_columns(), vec)
     if len(vec) != basis.ambient_dim:
         raise ValueError("vector has wrong ambient dimension")
-    p = basis.field.char
-    coords = [vec[j] % p if p else canonical(vec[j]) for j in basis.leads]
-    if basis.combine(coords) != ([x % p for x in vec] if p else list(vec)):
+    canon = basis.field.canon
+    coords = canon([vec[j] for j in basis.leads])
+    if basis.combine(coords) != canon(vec):
         return None
     return coords
 

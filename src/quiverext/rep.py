@@ -13,7 +13,6 @@ read their coordinates from it.
 
 from __future__ import annotations
 
-from .fields import canonical
 from .linalg import (
     Matrix,
     _product,
@@ -286,12 +285,7 @@ def hom_system(M: Representation, N: Representation) -> Matrix:
                     row[c_t + i * m_t + q] += x
                 for p, y in n_cells:
                     row[c_s + p * m_s + j] -= y
-    p = field.char
-    if p:
-        rows = [[x % p for x in row] for row in rows]
-    else:
-        rows = [[x if type(x) is int else canonical(x) for x in row] for row in rows]
-    return Matrix(field, rows, ncols)
+    return Matrix(field, map(field.canon, rows), ncols)
 
 
 def hom_basis(M: Representation, N: Representation):

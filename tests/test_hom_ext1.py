@@ -1027,3 +1027,18 @@ def test_lazy_ext1_and_tangent_spaces_equal_the_eager_body(name, field):
         want = z_space(V, V)
         assert dim == tangent.basis.dim == want.dim
         assert typed(tangent.basis.vectors) == typed(want.vectors)
+
+
+@pytest.mark.parametrize("field", [F101, F2], ids=str)
+def test_a_representation_with_unreduced_entries_equals_the_parsed_one(field):
+    """Each entry shifted by p: the raw values differ from the parsed
+    module's residues, the module does not."""
+    shifted_entries = 0
+    for M in case_workspace("f3", field).modules.values():
+        p = field.char
+        mats = {a: Matrix(field, [[x + p for x in row] for row in m.rows], m.ncols)
+                for a, m in M.mats.items()}
+        shifted = Representation(M.bq, field, M.dims, mats)
+        assert shifted == M and M == shifted
+        shifted_entries += sum(m.nrows * m.ncols for m in mats.values())
+    assert shifted_entries

@@ -151,6 +151,32 @@ def test_rational_field_returns_the_canonical_form():
         f.of(0.5)
 
 
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=str)
+def test_canon_is_of_entry_by_entry(field):
+    xs = [Fraction(4, 2), Fraction(1, 3), 0, -1, -205, 2 * 101 + 7, 10**12 + 3]
+    before = [(type(x), x) for x in xs]
+    got = field.canon(xs)
+    assert got == [field.of(x) for x in xs]
+    if field.char:
+        assert all(type(x) is int and 0 <= x < field.char for x in got)
+    else:
+        assert all(_is_canonical_rational(x) for x in got)
+        assert [type(x) for x in got] == [int, Fraction, int, int, int, int, int]
+    assert [(type(x), x) for x in xs] == before
+
+
+def test_matrices_compare_in_canonical_form():
+    """Unreduced residues and non-canonical rationals equal their
+    canonical forms; the raw rows differ, the matrices do not."""
+    a, b = Matrix(F101, [[102, -1]]), Matrix(F101, [[1, 100]])
+    assert a.rows != b.rows and a == b and b == a and (a - b).is_zero()
+    assert Matrix(F101, [[102, -1]]) != Matrix(F101, [[1, 99]])
+    assert Matrix(F2, [[3, -2]]) == Matrix(F2, [[1, 0]])
+    assert Matrix(F2, [[1]]) != Matrix(F101, [[1]])
+    assert Matrix(QQ, [[Fraction(4, 2), -1]]) == Matrix(QQ, [[2, Fraction(-3, 3)]])
+    assert Matrix(QQ, [[Fraction(1, 3)]]) != Matrix(QQ, [[Fraction(2, 3)]])
+
+
 @st.composite
 def tiny_matrices(draw):
     nrows = draw(st.integers(min_value=0, max_value=3))
