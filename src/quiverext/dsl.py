@@ -396,9 +396,9 @@ def cast_workspace(ws: Workspace, field) -> Workspace:
     """Rebuild a rational workspace over another field.
 
     Every relation coefficient must be defined and nonzero over the new
-    field, and every module is re-checked against the relations after
-    coercion, so a module that only satisfies a relation rationally is
-    rejected here.
+    field, and every module entry defined there.  Each module is
+    re-checked against the relations after coercion, so a module that
+    only satisfies a relation rationally is rejected here.
     """
     if field == ws.field:
         return ws
@@ -408,12 +408,13 @@ def cast_workspace(ws: Workspace, field) -> Workspace:
         _check_coefficients(rel, field)
     modules = {}
     for name, rep in ws.modules.items():
-        mats = {
-            a: Matrix(field,
-                      [[field.of_fraction(e) for e in row] for row in m.rows],
-                      m.ncols)
-            for a, m in rep.mats.items()
-        }
+        mats = {}
+        for a, m in rep.mats.items():
+            try:
+                rows = [[field.of_fraction(e) for e in row] for row in m.rows]
+            except ZeroDivisionError as exc:
+                raise QuiverError(f"module {name}, arrow {a}: {exc}") from None
+            mats[a] = Matrix(field, rows, m.ncols)
         modules[name] = Representation(ws.bound_quiver, field, rep.dims, mats,
                                        name=name, check=True)
     return Workspace(ws.name, ws.bound_quiver, field, modules,

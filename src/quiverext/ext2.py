@@ -26,14 +26,15 @@ and memoised once per bound quiver, field and vertex
 (``indecomposable_projective``).  One builder, ``_cover``, takes a set
 of generators (coordinates of N) and returns the direct sum of one P(y)
 per generator with its map onto N, evaluating each path on the
-generator columns only: the minimal cover takes a transversal of the
-top, the standard presentation every coordinate.  Each route checks
-its cover once, and both syzygies are read by one readout,
+generator columns only: ``syzygy`` takes a transversal of the top
+(``_top``), the standard presentation every coordinate, and each checks
+its cover once.  Both syzygies are read by one readout,
 ``rep._subrepresentation``: the minimal one through
 ``rep.kernel_representation``, the standard one from its labelled
-inclusion vectors.  A transport-kernel cocycle is certified a
-coboundary by one solve of the Hom system
-(``exhibit_phi_kernel_boundary``).
+inclusion vectors.  ``is_projective`` builds no cover: it counts the
+P(y), one per top coordinate at y (Nakayama's lemma).  A
+transport-kernel cocycle is certified a coboundary by one solve of the
+Hom system (``exhibit_phi_kernel_boundary``).
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class ProjPresentation:
     never on choices.  It is the route of ``phi``, the Yoneda oracle and
     the suites that index by its labels; ``ext2_via_omega`` uses the
     smaller minimal syzygy instead.  P and the cover come from
-    ``_cover``, which the minimal cover shares.
+    ``_cover``, which ``syzygy`` shares for the minimal cover.
 
     The inclusion sends a syzygy label (y, sigma, j) to the same label of
     P minus N_sigma e_j, the cover's column at that label, placed on the
@@ -477,8 +478,8 @@ def _cover(M: Representation, gens: dict):
     sigma: y -> z; cover: P -> M sends the label to M_sigma e_j.  Paths
     are evaluated on the generator columns only: the trivial path gives
     the e_j themselves, and a path a*tau is M_a applied to the value of
-    tau, computed once per call.  The cover is not checked here: each
-    caller checks it once.
+    tau, computed once per call.  The cover is not checked here: its
+    callers, ``ProjPresentation`` and ``syzygy``, check it once each.
     """
     bq, field = M.bq, M.field
     quiver = bq.quiver
@@ -514,50 +515,33 @@ def _cover(M: Representation, gens: dict):
                                    for z, rows in cover_rows.items()})
 
 
-def _minimal_cover(M: Representation):
-    """``_cover`` on a transversal of the top of M, checked to be a morphism.
+def _top(M: Representation) -> dict:
+    """A transversal of the top of M: the generators at each vertex.
 
     The columns of the arrows into x span the radical of M at x, so the
-    coordinates off their pivots span a complement of it: those are the
-    generators at x.  The callers check that the cover is onto.
+    coordinates off their pivots span a complement of it.
     """
     field, quiver = M.field, M.bq.quiver
-    gens = {}
+    top = {}
     for x in quiver.vertices:
         columns = [list(c) for a in quiver.arrows if a.target == x
                    for c in zip(*M.mats[a.name].rows)]
         leads = set(_forward_pivots(field, columns))
-        gens[x] = [i for i in range(M.dims[x]) if i not in leads]
-    P, cover = _cover(M, gens)
-    if not cover.is_morphism():
-        raise QuiverError("projective cover construction failed to be a morphism")
-    return P, cover
-
-
-def projective_cover(M: Representation):
-    """Minimal projective cover built from a transversal of the top.
-
-    Returns (P, cover) with P a direct sum of vertex projectives, one
-    per top coordinate, and cover: P -> M surjective.  The vertex
-    projectives come from ``indecomposable_projective``, so they are
-    built once per bound quiver and field; the cover is checked to be a
-    morphism (``_minimal_cover``) and onto at every vertex by its rank.
-    """
-    P, cover = _minimal_cover(M)
-    if any(rank(cover.mats[z]) != M.dims[z] for z in M.bq.quiver.vertices):
-        raise QuiverError("projective cover failed to be surjective")
-    return P, cover
+        top[x] = [i for i in range(M.dims[x]) if i not in leads]
+    return top
 
 
 def syzygy(M: Representation):
     """Kernel of the minimal projective cover, with its inclusion.
 
+    The cover is ``_cover`` on ``_top(M)``, checked to be a morphism.
     Both come from ``kernel_representation`` of the cover, which is
-    checked to be a morphism (``_minimal_cover``) and onto at every
-    vertex by dim P_z - dim Omega_z = d_z(M), which reads the kernel's
-    elimination.
+    checked to be onto at every vertex by dim P_z - dim Omega_z =
+    d_z(M), which reads the kernel's elimination.
     """
-    P, cover = _minimal_cover(M)
+    P, cover = _cover(M, _top(M))
+    if not cover.is_morphism():
+        raise QuiverError("projective cover construction failed to be a morphism")
     omega, incl = kernel_representation(cover)
     if any(P.dims[z] - omega.dims[z] != M.dims[z] for z in M.bq.quiver.vertices):
         raise QuiverError("projective cover failed to be surjective")
@@ -567,14 +551,16 @@ def syzygy(M: Representation):
 def is_projective(M: Representation) -> bool:
     """Whether M is isomorphic to the projective built on its own top.
 
-    ``projective_cover`` raises unless its cover P -> M is onto at every
-    vertex, and an onto map between spaces of equal dimension is
-    invertible.  So M is projective exactly when P and M have the same
-    dimension vector; no isomorphism search and no kernel basis is
-    needed.
+    The top generates M (Nakayama's lemma), so the cover by one P(y) per
+    top coordinate at y is onto, and invertible exactly when those P(y)
+    add up to M's dimension vector.  That count builds no cover, so,
+    unlike ``syzygy``, it does not check that M satisfies the relations.
     """
-    P, _ = projective_cover(M)
-    return P.dim_vector() == M.dim_vector()
+    bq, field, vertices = M.bq, M.field, M.bq.quiver.vertices
+    top = _top(M)
+    dims = [(len(top[y]), indecomposable_projective(bq, field, y).dims)
+            for y in vertices if top[y]]
+    return all(sum(n * p[z] for n, p in dims) == M.dims[z] for z in vertices)
 
 
 def gldim_le2_check(bq: BoundQuiver, field) -> bool:

@@ -353,8 +353,8 @@ def opposite_rep(M: Representation) -> Representation:
 def pd_le1(M: Representation) -> bool:
     """Projective dimension at most one: the minimal syzygy is projective.
 
-    The syzygy comes from ``ext2.syzygy``, and ``is_projective``
-    decides it from dimension vectors; this is the same as Ext^2(M, S)
+    The syzygy comes from ``ext2.syzygy``, the one cover built, and
+    ``is_projective`` counts its top; this is the same as Ext^2(M, S)
     = 0 for every simple S, which the tests keep as the oracle.
     """
     return is_projective(syzygy(M)[0])

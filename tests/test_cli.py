@@ -4,8 +4,11 @@ import json
 import pytest
 
 from quiverext.cli import main
+from quiverext.dsl import cast_workspace, parse_workspace
+from quiverext.fields import PrimeField
 from quiverext.fixtures import fixture_source
 from quiverext.iso import IsoCertificate
+from quiverext.quiver import QuiverError
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +141,23 @@ def test_a_zero_denominator_exits_2_with_a_located_error(capsys, tmp_path, text,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {where}: zero denominator in '1/0'\n")
+
+
+UNDEFINED_MOD_101 = ("quiver T\nvertex 1 2\narrow a : 2 -> 1\n"
+                     "module X : dim 1 1\n  a = [ 1/101 ]\n")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["hom", "X", "X"]], ids=["check", "hom"])
+def test_a_module_entry_undefined_over_the_cast_field_exits_2(capsys, tmp_path, argv):
+    ws = tmp_path / "T.qv"
+    ws.write_text(UNDEFINED_MOD_101, encoding="utf-8")
+    code = main([argv[0], str(ws), *argv[1:], "--field", "F101"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: module X, arrow a: 1/101 has denominator "
+                            "divisible by 101\n")
+    with pytest.raises(QuiverError, match="^module X, arrow a: "):
+        cast_workspace(parse_workspace(UNDEFINED_MOD_101), PrimeField(101))
 
 
 def test_euler_form_of_dimension_vectors(capsys, f2_path):

@@ -14,6 +14,8 @@ from quiverext.ext1 import (
 from quiverext.ext2 import (
     HypothesisError,
     ProjPresentation,
+    _cover,
+    _top,
     compose_cocycles,
     exhibit_phi_kernel_boundary,
     ext2_small_model,
@@ -22,7 +24,6 @@ from quiverext.ext2 import (
     indecomposable_projective,
     is_projective,
     phi,
-    projective_cover,
     syzygy,
     yoneda_left,
     yoneda_left_omega,
@@ -326,6 +327,68 @@ def test_projectivity_and_gldim_run_no_isomorphism_search(monkeypatch):
     assert not gldim_le2_check(deep_algebra(), QQ)
 
 
+def projective_by_cover(M):
+    """The cover route to projectivity: build the cover on the top, check
+    that it is a morphism and onto, and compare dimension vectors."""
+    P, cover = _cover(M, _top(M))
+    assert cover.is_morphism()
+    assert all(cover.mats[z].rank() == M.dims[z] for z in M.bq.quiver.vertices)
+    return P.dim_vector() == M.dim_vector()
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=str)
+@pytest.mark.parametrize("name", ["f1", "f2", "f3", "loops"])
+def test_is_projective_equals_the_cover_route(name, field):
+    """The count against the cover on every case module, its first and
+    second syzygies and the zero module; both verdicts occur."""
+    mods = with_rational_conjugates(case_modules(name, field, seed=61))
+    cases = []
+    for M in mods:
+        first = syzygy(M)[0]
+        cases += [M, first, syzygy(first)[0]]
+    verdicts = [is_projective(M) for M in cases]
+    assert verdicts == [projective_by_cover(M) for M in cases]
+    assert True in verdicts and False in verdicts
+    zero = zero_rep(mods[0].bq, field)
+    assert is_projective(zero) and projective_by_cover(zero)
+
+
+def test_one_cover_per_syzygy_and_none_per_projectivity_check(monkeypatch):
+    """is_projective builds no cover, checks no morphism and takes no rank;
+    pd_le1 builds the one cover of its syzygy, and the global-dimension
+    gate two per simple, those of its two syzygies."""
+    ext2_module = importlib.import_module("quiverext.ext2")
+    linalg_module = importlib.import_module("quiverext.linalg")
+    calls = []
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    # fresh workspaces, so no global-dimension verdict is cached yet
+    f2, f3 = load_fixture("f2"), load_fixture("f3")
+    mods = list(f2.modules.values()) + list(f3.modules.values())
+    for M in mods:  # the P(y) and the algebra bases are memoised
+        is_projective(M)
+    monkeypatch.setattr(ext2_module, "_cover", counting("cover", ext2_module._cover))
+    monkeypatch.setattr(VertexCochain, "is_morphism",
+                        counting("is_morphism", VertexCochain.is_morphism))
+    for module in (linalg_module, ext2_module):
+        monkeypatch.setattr(module, "rank", counting("rank", module.rank))
+    for M in mods:
+        is_projective(M)
+        assert calls == []
+        pd_le1(M)
+        assert calls.count("cover") == 1
+        calls.clear()
+    for ws in (f2, f3):
+        assert gldim_le2_check(ws.bound_quiver, QQ)
+        assert calls.count("cover") == 2 * len(ws.bound_quiver.quiver.vertices)
+        calls.clear()
+
+
 def test_small_model_refuses_a_deep_algebra():
     bq = deep_algebra()
     assert not gldim_le2_check(bq, QQ)
@@ -393,8 +456,8 @@ def test_projectives_are_built_once_per_vertex(monkeypatch):
     bq, m = f3.bound_quiver, f3.modules
     ab = bq.algebra_basis(QQ)
     M = direct_sum(m["P4"], m["S4"], m["S1"])  # two top generators at vertex 4
-    P, _ = projective_cover(M)
-    again, _ = projective_cover(M)
+    P, _ = _cover(M, _top(M))
+    again, _ = _cover(M, _top(M))
     assert P.dim_vector() == again.dim_vector() == {"1": 3, "2": 2, "3": 2, "4": 2}
     assert gldim_le2_check(bq, QQ)
     built = {x for x, _ in reduced}

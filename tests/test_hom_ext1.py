@@ -25,8 +25,9 @@ from quiverext.ext1 import (
 from quiverext.ext2 import (
     Ext2Model,
     ProjPresentation,
+    _cover,
+    _top,
     indecomposable_projective,
-    projective_cover,
     syzygy,
 )
 from quiverext.fields import QQ
@@ -599,7 +600,7 @@ def test_presentation_builders_equal_the_per_label_loops(name, field, monkeypatc
         monkeypatch.setattr(Representation, "eval_path", counting_eval_path)
         pres = ProjPresentation(N)
         in_pres = sum(rep is N for rep, _ in evaluated)
-        P, cover = projective_cover(N)
+        P, cover = _cover(N, _top(N))
         monkeypatch.undo()
         in_cover = sum(rep is N for rep, _ in evaluated) - in_pres
         evaluated.clear()
@@ -837,7 +838,7 @@ def one_pass_cases(name, field, seed):
 def test_syzygy_equals_the_whole_path_body(name, field):
     """The cover, Omega and its inclusion, entry for entry and type for type."""
     for M in one_pass_cases(name, field, seed=43):
-        P, cover = projective_cover(M)
+        P, cover = _cover(M, _top(M))
         old_p, old_cover = whole_path_cover(M)
         assert P.dims == old_p.dims
         assert_same_mats(P.mats, old_p.mats)
@@ -869,7 +870,7 @@ def test_kernel_representation_equals_the_per_vector_readout(name, field):
     rng = random.Random(59)
     maps = []
     for M in mods:
-        maps += [projective_cover(M)[1], ProjPresentation(M).proj]
+        maps += [_cover(M, _top(M))[1], ProjPresentation(M).proj]
         maps += hom_basis(M, M)[:3]
         maps.append(middle_term(random_cocycle(M, rng.choice(mods), rng))[2])
     for f in maps:
