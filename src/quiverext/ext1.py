@@ -247,12 +247,6 @@ def ext1(V: Representation, U: Representation) -> ExtSpace1:
     return ExtSpace1(V, U)
 
 
-def is_split(Z: ArrowCochain) -> bool:
-    """True when the cocycle is a coboundary (its extension splits): its
-    class in ``ext1`` of its pair is zero.  A non-cocycle raises."""
-    return ext1(Z.source, Z.target).class_of(Z).is_zero
-
-
 def middle_term(Z: ArrowCochain):
     """The extension realized by a cocycle, with its canonical maps.
 

@@ -1,40 +1,32 @@
-"""Projective presentations and second extension groups.
+"""Projective covers and second extension groups.
 
 Second extensions are computed in two ways.  The reference model is
-unconditional: first extensions of a syzygy of N.  ``ext2_via_omega``
-takes the minimal syzygy (``syzygy``), the kernel of the projective
-cover.  The standard presentation (``ProjPresentation``) takes every
-coordinate of N as a generator; its larger syzygy carries the labels
-that the transport map, the Yoneda oracle and the suites index by, so
-they take the presentation itself.  The small model
-lives on relation cochains -- one matrix per relation element -- and is
-a faithful quotient only over acyclic quivers of global dimension at
-most two, so it is gated by those checks.  ``Ext2Model`` is handed R
-and its rank by whoever eliminated R, ``ext2_small_model`` or an
-``ExtSpace1`` space, and builds its coset reducer on first use.  The
-certificate (``geometry.regularity_certificate``) and the pairing
+unconditional: first extensions of the minimal syzygy of N
+(``syzygy``), the kernel of the projective cover, read by
+``ext2_via_omega`` and by the syzygy-route Yoneda product
+(``yoneda_left_omega``).  The small model lives on relation cochains --
+one matrix per relation element -- and is a faithful quotient only over
+acyclic quivers of global dimension at most two, so it is gated by
+those checks.  ``Ext2Model`` is handed R and its rank by whoever
+eliminated R, ``ext2_small_model`` or an ``ExtSpace1`` space, and builds
+its coset reducer on first use.  The certificate
+(``geometry.regularity_certificate``) and the pairing
 (``geometry.psi_map``) read their Ext^2 from the small models of
 ``ExtSpace1`` spaces; the syzygy route stays the independent model.
-The transport map between the models, Yoneda composition of cocycle
-representatives (``compose_cocycles``) and its matrices for a fixed
-cocycle, assembled from Kronecker blocks (``yoneda_matrices``), and the
-projectivity and global-dimension tests all live here.
+Yoneda composition of cocycle representatives (``compose_cocycles``)
+and its matrices for a fixed cocycle, assembled from Kronecker blocks
+(``yoneda_matrices``), and the projectivity and global-dimension tests
+all live here.
 
-Both presentations are built the same way.  The indecomposable
-projective P(x) spans the normal paths out of x; it is built, checked
-and memoised once per bound quiver, field and vertex
+The indecomposable projective P(x) spans the normal paths out of x; it
+is built, checked and memoised once per bound quiver, field and vertex
 (``indecomposable_projective``).  One builder, ``_cover``, takes a set
 of generators (coordinates of N) and returns the direct sum of one P(y)
 per generator with its map onto N, evaluating each path on the
-generator columns only: ``syzygy`` takes a transversal of the top
-(``_top``), the standard presentation every coordinate, and each checks
-its cover once.  Both syzygies are read by one readout,
-``rep._subrepresentation``: the minimal one through
-``rep.kernel_representation``, the standard one from its labelled
-inclusion vectors.  ``is_projective`` builds no cover: it counts the
-P(y), one per top coordinate at y (Nakayama's lemma).  A
-transport-kernel cocycle is certified a coboundary by one solve of the
-Hom system (``exhibit_phi_kernel_boundary``).
+generator columns only.  ``syzygy`` hands it a transversal of the top
+(``_top``), checks the cover once and reads the kernel with
+``rep.kernel_representation``.  ``is_projective`` builds no cover: it
+counts the P(y), one per top coordinate at y (Nakayama's lemma).
 """
 
 from __future__ import annotations
@@ -57,7 +49,6 @@ from .linalg import (
     column_space_basis,
     kron_add,
     rank,
-    solve,
 )
 from .quiver import BoundQuiver, Path, QuiverError, is_acyclic
 from .rep import (
@@ -65,9 +56,7 @@ from .rep import (
     RelationCochain,
     Representation,
     VertexCochain,
-    _subrepresentation,
     direct_sum,
-    hom_system,
     kernel_representation,
     simple,
     zero_rep,
@@ -78,92 +67,13 @@ class HypothesisError(RuntimeError):
     """A gated model was requested while its validity hypotheses fail."""
 
 
-class ProjPresentation:
-    """The standard projective presentation of a representation N.
-
-    Every coordinate of N is a generator: P is the direct sum of one
-    indecomposable projective P(y) per coordinate j of N_y, and P(y)
-    has at x one coordinate per normal path sigma: y -> x.  So P has at
-    x one label (y, sigma, j) per such pair, in the order (y, j, sigma):
-    vertices in quiver order, then j ascending, then the normal paths
-    shortest first.  The cover ``proj`` sends the label to N_sigma e_j.
-    The syzygy omega keeps the labels with sigma of positive length, in
-    the same order.  Both carry explicit label lists so cochains on them
-    can be indexed by path decompositions.  The presentation is
-    deliberately non-minimal: its shape depends only on dimension data,
-    never on choices.  It is the route of ``phi``, the Yoneda oracle and
-    the suites that index by its labels; ``ext2_via_omega`` uses the
-    smaller minimal syzygy instead.  P and the cover come from
-    ``_cover``, which ``syzygy`` shares for the minimal cover.
-
-    The inclusion sends a syzygy label (y, sigma, j) to the same label of
-    P minus N_sigma e_j, the cover's column at that label, placed on the
-    labels of the trivial path at x.  That correction lives only on
-    trivial-path labels, so the syzygy labels are lead columns of these
-    vectors, and ``rep._subrepresentation`` reads omega and the inclusion
-    from them, as it reads every minimal syzygy.
-
-    Exactness needs no further check.  The cover is checked to be a
-    morphism, and the readout shows that the inclusion is an injective
-    morphism.  The cover sends the trivial-path label (x, (), i) to e_i,
-    so it is onto at every x.  Each inclusion vector is a label minus
-    that label's cover column on the trivial-path labels, so the cover
-    kills it.  And the syzygy labels are the labels of P less the
-    dim N_x trivial ones, so dim omega_x + dim N_x = dim P_x, and the
-    image of the inclusion is the whole kernel of the cover.
-    """
-
-    def __init__(self, N: Representation):
-        bq, field = N.bq, N.field
-        ab = bq.algebra_basis(field)
-        self.N = N
-        self.bq = bq
-        self.field = field
-        self.basis = ab
-
-        vertices = bq.quiver.vertices
-        self.p_labels, self.omega_labels = {}, {}
-        self.p_index, self.omega_index = {}, {}
-        for x in vertices:
-            pl = [(y, sigma, j) for y in vertices for j in range(N.dims[y])
-                  for sigma in ab.basis.get((x, y), ())]
-            self.p_labels[x] = pl
-            self.omega_labels[x] = [(y, s, j) for (y, s, j) in pl if s.length >= 1]
-            self.p_index[x] = {(y, s.arrows, j): i
-                               for i, (y, s, j) in enumerate(self.p_labels[x])}
-            self.omega_index[x] = {(y, s.arrows, j): i
-                                   for i, (y, s, j) in enumerate(self.omega_labels[x])}
-
-        self.P, self.proj = _cover(N, {y: range(N.dims[y]) for y in vertices})
-        if not self.proj.is_morphism():
-            raise QuiverError("presentation maps fail to be morphisms")
-        bases = {}
-        for x in vertices:
-            n = len(self.p_labels[x])
-            trivial = [self.p_index[x][(x, (), i)] for i in range(N.dims[x])]
-            cover = self.proj.mats[x].rows
-            leads = [k for k, (_, sigma, _) in enumerate(self.p_labels[x])
-                     if sigma.length]
-            vectors = []
-            for k in leads:
-                vec = [field.zero] * n
-                vec[k] = field.one
-                for idx, row in zip(trivial, cover):
-                    if not field.is_zero(row[k]):
-                        vec[idx] = field.neg(row[k])
-                vectors.append(vec)
-            bases[x] = SubspaceBasis(field, n, vectors, leads)
-        self.omega, self.incl = _subrepresentation(self.P, bases)
-
-
 def ext2_via_omega(N: Representation, M: Representation) -> ExtSpace1:
     """Second extensions of N by M as first extensions of the minimal
     syzygy of N, the kernel of the projective cover (``syzygy``).
 
     Two syzygies of N differ by projective summands (Schanuel's lemma),
-    on which Ext^1 vanishes, so ``ext1(pres.omega, M)`` on a standard
-    presentation has the same dimension; the returned space lives on the
-    minimal syzygy.
+    on which Ext^1 vanishes, so any syzygy gives the same dimension; the
+    returned space lives on the minimal one.
     """
     return ext1(syzygy(N)[0], M)
 
@@ -241,61 +151,6 @@ def _check_hypotheses(N: Representation):
         problems.append("global dimension exceeds two")
     if problems:
         raise HypothesisError("hypotheses not satisfied: " + "; ".join(problems))
-
-
-# -- the transport map between the models -------------------------------
-
-
-def phi(pres: ProjPresentation, M: Representation, Z: ArrowCochain) -> RelationCochain:
-    """Transport a cochain on the syzygy of ``pres`` to relation cochains
-    N -> M, with N = ``pres.N``.
-
-    For each relation term c * a_1...a_m and each position j < m, the
-    term contributes  c * M(a_1..a_{j-1}) Z_{a_j} T_j, where column n of
-    T_j is tail_j tensor n, tail_j = a_{j+1}..a_m, expanded in the path
-    basis of the syzygy.
-    """
-    if Z.source != pres.omega:
-        raise QuiverError("cochain does not live on the given presentation's syzygy")
-    N = pres.N
-    field = N.field
-    quiver = N.bq.quiver
-    mats = {}
-    for rel in N.bq.relations:
-        out = Matrix.zeros(field, M.dims[rel.target], N.dims[rel.source])
-        for coeff, p in rel.terms:
-            arrows = p.arrows
-            m = len(arrows)
-            for j in range(1, m):
-                aj = quiver.arrow_map[arrows[j - 1]]
-                head = M.eval_arrow_word(arrows[:j - 1], aj.target)
-                tail_path = Path(p.source, aj.source, arrows[j:])
-                index = pres.omega_index[aj.source]
-                tail = Matrix.zeros(field, pres.omega.dims[aj.source], N.dims[rel.source])
-                for c, tau in pres.basis.reduce_terms(
-                        aj.source, p.source, [(field.one, tail_path)]):
-                    for jn in range(N.dims[rel.source]):
-                        tail.rows[index[(rel.source, tau.arrows, jn)]][jn] = c
-                out = out + (head @ Z.mats[aj.name] @ tail).scale(field.of_fraction(coeff))
-        mats[rel.name] = out
-    return RelationCochain(N, M, mats)
-
-
-def exhibit_phi_kernel_boundary(pres: ProjPresentation, M: Representation,
-                                Z: ArrowCochain) -> VertexCochain:
-    """Vertex cochain h whose coboundary is Z, a cochain from the syzygy
-    of ``pres`` to M.
-
-    The coboundary of h is minus ``hom_system(omega, M)`` applied to h,
-    so h is one solution of that system against -Z; a cocycle killed by
-    the transport map has one.  Raises ``QuiverError`` when Z is not a
-    coboundary.  Callers re-derive Z from h to certify.
-    """
-    field = M.field
-    h = solve(hom_system(pres.omega, M), [field.neg(z) for z in Z.to_vector()])
-    if h is None:
-        raise QuiverError("cochain is not a coboundary on this syzygy")
-    return VertexCochain.from_vector(pres.omega, M, h)
 
 
 # -- Yoneda composition of cocycles -------------------------------------
@@ -393,48 +248,37 @@ def yoneda_matrices(xi: ArrowCochain):
     return Matrix._adopt(field, left, n_u), Matrix._adopt(field, right, n_v)
 
 
-def yoneda_left(Z: ArrowCochain, cls: Ext1Class) -> Ext2Class:
-    """Compose a fixed cocycle with a first-extension class on the right.
-
-    Z runs U -> M and cls extends V by U; the result is the class of
-    compose_cocycles(Z, representative) among second extensions of V
-    by M (``ext2_small_model``, so its hypotheses are enforced).
-    """
-    U = Z.source
-    if cls.space.target != U:
-        raise QuiverError("class target does not match the fixed cocycle")
-    V = cls.space.source
-    model = ext2_small_model(V, Z.target)
-    return model.class_of(compose_cocycles(Z, cls.representative()))
-
-
 def yoneda_left_omega(Z: ArrowCochain, cls: Ext1Class) -> Ext1Class:
     """Yoneda composition landing in the unconditional syzygy model.
 
-    Z runs U -> M, cls extends V by U.  The image cochain sends a
-    basis label (sigma tensor v) of the syzygy of ``ProjPresentation(V)``
-    across an arrow a to Z_a applied to the product-rule extension of
-    the class representative along sigma; its class lies in
-    ``ext1(omega, M)``.  Serves as the independent oracle for
-    yoneda_left: no global-dimension hypothesis enters.
+    Z runs U -> M, cls extends V by U.  The cover P -> V of ``syzygy(V)``
+    lifts into the middle term of the class: the label (y, j, sigma) of
+    P goes to the product-rule extension of the class representative
+    along sigma, applied to e_j, in U, plus its image in V.  On the
+    syzygy Omega the V part vanishes, so the lift restricts to a
+    morphism h: Omega -> U, and the image cochain Z_a h at each arrow a
+    is the product; its class lies in ``ext1(Omega, M)``.  No
+    global-dimension hypothesis enters, so this is the independent
+    oracle for the small-model product of ``compose_cocycles``.
     """
     U = Z.source
     if cls.space.target != U:
         raise QuiverError("class target does not match the fixed cocycle")
-    V = cls.space.source
-    M = Z.target
-    pres = ProjPresentation(V)
+    V, M = cls.space.source, Z.target
+    omega, incl = syzygy(V)
     Zp = cls.representative()
-    field = V.field
-    mats = {}
-    for a in V.bq.quiver.arrows:
+    ab, top = V.bq.algebra_basis(V.field), _top(V)
+    vertices = V.bq.quiver.vertices
+    h = {}
+    for x in vertices:  # the U block of the lift, in the labels' order
         cols = []
-        for (y, sigma, j) in pres.omega_labels[a.source]:
-            full = Z.mats[a.name] @ z_path(Zp, sigma)
-            cols.append(full.col(j))
-        mats[a.name] = Matrix.from_columns(field, M.dims[a.target], cols)
-    image = ArrowCochain(pres.omega, M, mats)
-    return ext1(pres.omega, M).class_of(image)
+        for y in vertices:
+            along = [z_path(Zp, sigma) for sigma in ab.basis.get((x, y), ())]
+            cols += [z.col(j) for j in top[y] for z in along]
+        h[x] = Matrix.from_columns(V.field, U.dims[x], cols) @ incl.mats[x]
+    image = ArrowCochain(omega, M, {a.name: Z.mats[a.name] @ h[a.source]
+                                    for a in V.bq.quiver.arrows})
+    return ext1(omega, M).class_of(image)
 
 
 # -- projectivity and global dimension ----------------------------------
@@ -479,7 +323,7 @@ def _cover(M: Representation, gens: dict):
     are evaluated on the generator columns only: the trivial path gives
     the e_j themselves, and a path a*tau is M_a applied to the value of
     tau, computed once per call.  The cover is not checked here: its
-    callers, ``ProjPresentation`` and ``syzygy``, check it once each.
+    caller, ``syzygy``, checks it once.
     """
     bq, field = M.bq, M.field
     quiver = bq.quiver

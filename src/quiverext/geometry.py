@@ -340,7 +340,7 @@ def left_comp_surjectivity(space: ExtSpace1, Zxi: ArrowCochain) -> LeftCompRepor
     return LeftCompReport(space_vv.dim, model.dim, mat.rank())
 
 
-# -- projective and injective dimension bounds --------------------------
+# -- the opposite reading and the projective dimension bound -----------
 
 
 def opposite_rep(M: Representation) -> Representation:
@@ -358,11 +358,6 @@ def pd_le1(M: Representation) -> bool:
     = 0 for every simple S, which the tests keep as the oracle.
     """
     return is_projective(syzygy(M)[0])
-
-
-def id_le1(M: Representation) -> bool:
-    """Injective dimension at most one, tested on the opposite side."""
-    return pd_le1(opposite_rep(M))
 
 
 # -- scaling families and degeneration witnesses ------------------------

@@ -79,11 +79,9 @@ system assembly with the tangent-pair computations it checks.
 Block matrices on the hot paths write each row once, with no zero or
 identity block: ``block_diag`` (direct sums, so the projective covers),
 the middle terms [[U, Z], [0, V]] with their inclusions and projections
-(``ext1.middle_term``), and the arrows of a subrepresentation, so of
-every kernel and syzygy, read from one product per arrow
-(``rep._subrepresentation``, which ``rep.kernel_representation`` and
-``ext2.ProjPresentation`` share).  The
-other block matrices (block scalings, the dual-number operator) are
+(``ext1.middle_term``), and the arrows of every kernel, so of every
+syzygy, read from one product per arrow (``rep.kernel_representation``).
+The other block matrices (block scalings, the dual-number operator) are
 stacked with ``block_diag``, ``hstack`` and ``vstack`` from
 ``Matrix.zeros`` and ``Matrix.identity``.
 """

@@ -265,15 +265,6 @@ def a_of_d(bq: BoundQuiver, d: dict) -> int:
     return total
 
 
-def mixed_a_form(bq: BoundQuiver, d1: dict, d2: dict) -> int:
-    """The mixed companion of a_of_d: arrows cross-term minus relations cross-term."""
-    _check_dimvec(bq, d1)
-    _check_dimvec(bq, d2)
-    total = sum(d1[a.source] * d2[a.target] for a in bq.quiver.arrows)
-    total -= sum(d1[r.source] * d2[r.target] for r in bq.relations)
-    return total
-
-
 def gl_dim(bq: BoundQuiver, d: dict) -> int:
     _check_dimvec(bq, d)
     return sum(d[x] ** 2 for x in bq.quiver.vertices)

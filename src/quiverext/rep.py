@@ -302,22 +302,18 @@ def hom_dim(M: Representation, N: Representation) -> int:
 
 
 def kernel_representation(f: VertexCochain):
-    """The kernel subrepresentation of a morphism, with its inclusion:
-    ``_subrepresentation`` of the ``kernel_basis`` of each f_x.  f is not
-    checked to be a morphism; the callers that need one check it once.
-    """
-    return _subrepresentation(f.source, {x: kernel_basis(m) for x, m in f.mats.items()})
-
-
-def _subrepresentation(M: Representation, bases: dict):
-    """The subrepresentation of M spanned by lead-column bases, one per
-    vertex, with its inclusion, whose columns are the basis vectors.
+    """The kernel subrepresentation of a morphism, with its inclusion,
+    whose columns are the ``kernel_basis`` vectors of each f_x.
 
     The arrow a: s -> t acts by one product, M_a on the basis at s, read
     at the lead columns of the basis at t and checked by one
-    recombination, which raises unless M_a keeps the span: so the
-    inclusion is a morphism, and injective by the lead pattern.
+    recombination, which raises unless M_a keeps the kernel: so the
+    inclusion is a morphism, and injective by the lead pattern.  f is
+    not checked to be a morphism; the callers that need one check it
+    once.
     """
+    M = f.source
+    bases = {x: kernel_basis(m) for x, m in f.mats.items()}
     field = M.field
     vertices = M.bq.quiver.vertices
     mats = {}

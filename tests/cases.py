@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 from quiverext.dsl import parse_workspace
+from quiverext.ext2 import _cover
 from quiverext.fields import QQ, PrimeField
 from quiverext.fixtures import load_fixture
 from quiverext.geometry import gl_action
 from quiverext.linalg import Matrix
+from quiverext.rep import kernel_representation
 from quiverext.suites import random_module
 
 F101 = PrimeField(101)
@@ -66,6 +68,17 @@ def with_rational_conjugates(mods):
              for x, d in M.dims.items()}
         out.append(gl_action(g, M))
     return out
+
+
+def standard_cover(N):
+    """The cover by one P(y) per coordinate of N_y: every coordinate of N
+    is a generator, so the shape depends only on the dimension vector."""
+    return _cover(N, {y: range(N.dims[y]) for y in N.bq.quiver.vertices})[1]
+
+
+def standard_syzygy(N):
+    """The kernel of ``standard_cover``: a syzygy of N, not minimal."""
+    return kernel_representation(standard_cover(N))[0]
 
 
 def typed(rows):

@@ -13,7 +13,6 @@ import random
 from quiverext.dsl import serialize_report
 from quiverext.ext1 import ext1, z_space
 from quiverext.ext2 import (
-    ProjPresentation,
     compose_cocycles,
     ext2_small_model,
     ext2_via_omega,
@@ -31,6 +30,8 @@ from quiverext.geometry import (
 from quiverext.quiver import a_of_d
 from quiverext.rep import direct_sum, hom_dim
 from quiverext.suites import random_cocycle, random_module, run_suites
+
+from cases import standard_syzygy
 
 CATALOG = ("S1", "S2", "S3", "P2", "P3")
 
@@ -144,14 +145,14 @@ def profile_dimensions(field):
         names = sorted(ws.modules)
         for nn in names:
             N = ws.modules[nn]
-            pres = ProjPresentation(N)
+            omega = standard_syzygy(N)
             for mn in names:
                 M = ws.modules[mn]
                 out[f"{name}:{nn}->{mn}"] = (
                     hom_dim(N, M),
                     ext1(N, M).dim,
                     z_space(N, M).dim,
-                    ext1(pres.omega, M).dim,
+                    ext1(omega, M).dim,
                 )
         ses_name = "SES1" if name == "f2" else "XI3"
         decl = ws.sequence(ses_name)

@@ -27,7 +27,6 @@ from quiverext.geometry import (
     ext_tangent_pairs,
     gl_action,
     hom_tangent_pairs,
-    id_le1,
     left_comp_surjectivity,
     opposite_rep,
     orbit_dim,
@@ -284,9 +283,9 @@ def test_projective_dimension_bounds(f2):
 
 def test_injective_dimension_bounds(f2):
     m = f2.modules
-    assert not id_le1(m["S1"])
+    assert not pd_le1(opposite_rep(m["S1"]))
     for name in ("S2", "S3", "P3", "M"):
-        assert id_le1(m[name])
+        assert pd_le1(opposite_rep(m[name]))
 
 
 def test_opposite_reading_is_an_involution(f2):
