@@ -109,8 +109,8 @@ def _parse_relation_rhs(rhs, lineno, line):
                 sign = 1 if tok == "+" else -1
                 i += 1
                 continue
-            # leading sign of the very first term
-            if not terms and expect_term:
+            # one leading sign of the very first term
+            if i == 0:
                 sign = 1 if tok == "+" else -1
                 i += 1
                 continue

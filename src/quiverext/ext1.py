@@ -10,7 +10,10 @@ and to relation elements linearly, the cocycles are the cochains killing
 every relation element, the coboundaries are the cochains of the form
 U_a h_src - h_tgt V_a for a vertex cochain h, and the quotient is the
 space of extension classes of V by U.  Each cocycle Z has an explicit
-middle term: the block upper-triangular representation [[U, Z], [0, V]].
+middle term: the block upper-triangular representation [[U, Z], [0, V]],
+its splice.  The product rule has two routes: ``relation_boundary_matrix``
+builds it from Kronecker blocks, and every other sum reads a block of
+paths evaluated on a splice (``_splice``): Z(p) is the (U, V) block of p.
 """
 
 from __future__ import annotations
@@ -42,37 +45,50 @@ from .rep import (
 )
 
 
-def z_path(Z: ArrowCochain, path: Path) -> Matrix:
-    """Product-rule extension of an arrow cochain to a path.
+def _splice(reps, cochains, check: bool = False) -> Representation:
+    """The block upper-triangular representation of a chain of cochains.
 
-    The term at the first (last) arrow of the path has an empty head
-    (tail); that identity factor is skipped, not multiplied.
+    reps sit on the diagonal, top first, and cochains[i]: reps[i+1] ->
+    reps[i] just right of reps[i]; each arrow row is written once, and the
+    relations are checked only when ``check`` is set.  The block from
+    reps[j] to reps[i] of a path on the splice sums every way of passing
+    cochains[i], ..., cochains[j-1] along it: the product rule, with no
+    index ranges of its own.
     """
-    V, U = Z.source, Z.target
-    if path.length == 0:
-        return Matrix.zeros(V.field, U.dims[path.source], V.dims[path.source])
-    arrows = path.arrows
-    last = len(arrows) - 1
-    quiver = V.bq.quiver
-    total = None
-    for i, name in enumerate(arrows):
-        term = Z.mats[name]
-        if i:
-            term = U.eval_arrow_word(arrows[:i], quiver.arrow_map[name].target) @ term
-        if i < last:
-            term = term @ V.eval_arrow_word(arrows[i + 1:], path.source)
-        total = term if total is None else total + term
-    return total
+    bq, field = reps[0].bq, reps[0].field
+    zero = field.zero
+    dims = {x: sum([R.dims[x] for R in reps]) for x in bq.quiver.vertices}
+    mats = {}
+    for a in bq.quiver.arrows:
+        rows, pad, width = [], [], dims[a.source]
+        for R, C, after in zip(reps, cochains, reps[1:]):
+            tail = [zero] * (width - len(pad) - R.dims[a.source] - after.dims[a.source])
+            rows += [[*pad, *r, *z, *tail]
+                     for r, z in zip(R.mats[a.name].rows, C.mats[a.name].rows)]
+            pad = pad + [zero] * R.dims[a.source]
+        rows += [[*pad, *r] for r in reps[-1].mats[a.name].rows]
+        mats[a.name] = Matrix._adopt(field, rows, width)
+    return Representation(bq, field, dims, mats, check=check)
+
+
+def _corner(value: Matrix, top: Representation, bottom: Representation, elem) -> Matrix:
+    """The block from bottom to top of the value of a path or relation
+    element elem on a splice whose first and last representations they are."""
+    ncols = bottom.dims[elem.source]
+    return Matrix._adopt(value.field, [row[value.ncols - ncols:]
+                                       for row in value.rows[:top.dims[elem.target]]], ncols)
+
+
+def z_path(Z: ArrowCochain, path: Path) -> Matrix:
+    """Product-rule extension of an arrow cochain to a path: the (U, V)
+    block of the path on the splice [[U, Z], [0, V]]."""
+    return _corner(_splice([Z.target, Z.source], [Z]).eval_path(path), Z.target, Z.source, path)
 
 
 def z_rho(Z: ArrowCochain, rel: RelationElement) -> Matrix:
-    """Linear extension of the product rule to a relation element."""
-    V, U = Z.source, Z.target
-    field = V.field
-    out = Matrix.zeros(field, U.dims[rel.target], V.dims[rel.source])
-    for coeff, p in rel.terms:
-        out = out + z_path(Z, p).scale(field.of_fraction(coeff))
-    return out
+    """Linear extension of the product rule to a relation element: the
+    (U, V) block of the relation on the splice [[U, Z], [0, V]]."""
+    return _corner(_splice([Z.target, Z.source], [Z]).eval_relation(rel), Z.target, Z.source, rel)
 
 
 def is_cocycle(Z: ArrowCochain) -> bool:
@@ -235,9 +251,6 @@ class ExtSpace1:
             raise QuiverError("cochain is not a cocycle for this pair")
         return Ext1Class(self, tuple(self.quotient.reduce(coords)))
 
-    def zero_class(self) -> Ext1Class:
-        return Ext1Class(self, tuple([self.field.zero] * self.z.dim))
-
     def basis_cocycles(self):
         return [ArrowCochain.from_vector(self.source, self.target, v)
                 for v in self.z.vectors]
@@ -250,33 +263,23 @@ def ext1(V: Representation, U: Representation) -> ExtSpace1:
 def middle_term(Z: ArrowCochain):
     """The extension realized by a cocycle, with its canonical maps.
 
-    Returns (W, incl, proj): W places U in the upper blocks and V in the
-    lower, each arrow acting by [[U_a, Z_a], [0, V_a]]; incl embeds U,
-    proj maps onto V, and incl -> W -> proj is exact.  Every row of
-    these matrices is written once, with no zero or identity block.  W's
-    relation check is the cocycle check: its (U, V) blocks are ``z_rho``.
+    Returns (W, incl, proj): W is the splice [[U, Z], [0, V]], each arrow
+    acting by [[U_a, Z_a], [0, V_a]]; incl embeds U, proj maps onto V,
+    and incl -> W -> proj is exact.  Every row of these matrices is
+    written once, with no zero or identity block.  W's relation check is
+    the cocycle check: its (U, V) blocks are ``z_rho``.
     """
     V, U = Z.source, Z.target
     field = V.field
     zero, one = field.zero, field.one
-    bq = V.bq
-    dims = {x: U.dims[x] + V.dims[x] for x in bq.quiver.vertices}
-    mats = {}
-    for a in bq.quiver.arrows:
-        pad = [zero] * U.dims[a.source]
-        rows = [ur + zr for ur, zr in zip(U.mats[a.name].rows, Z.mats[a.name].rows)]
-        rows += [pad + vr for vr in V.mats[a.name].rows]
-        mats[a.name] = Matrix._adopt(field, rows, dims[a.source])
-    W = Representation(bq, field, dims, mats, check=True)
+    W = _splice([U, V], [Z], check=True)
     incl, proj = {}, {}
-    for x in bq.quiver.vertices:
-        du, dv = U.dims[x], V.dims[x]
+    for x in V.bq.quiver.vertices:
+        du, dw = U.dims[x], W.dims[x]
         incl[x] = Matrix._adopt(
-            field, [[one if j == i else zero for j in range(du)] for i in range(du)]
-            + [[zero] * du for _ in range(dv)], du)
+            field, [[one if j == i else zero for j in range(du)] for i in range(dw)], du)
         proj[x] = Matrix._adopt(
-            field, [[zero] * du + [one if j == i else zero for j in range(dv)]
-                    for i in range(dv)], du + dv)
+            field, [[one if j == i else zero for j in range(dw)] for i in range(du, dw)], dw)
     return W, VertexCochain(U, W, incl), VertexCochain(W, V, proj)
 
 

@@ -13,8 +13,9 @@ its coset reducer on first use.  The certificate
 (``geometry.regularity_certificate``) and the pairing
 (``geometry.psi_map``) read their Ext^2 from the small models of
 ``ExtSpace1`` spaces; the syzygy route stays the independent model.
-Yoneda composition of cocycle representatives (``compose_cocycles``)
-and its matrices for a fixed cocycle, assembled from Kronecker blocks
+Yoneda composition of cocycle representatives (``compose_cocycles``), a
+corner of relations on a splice of three representations, its matrices
+for a fixed cocycle, blocks of relation systems on that cocycle's splice
 (``yoneda_matrices``), and the projectivity and global-dimension tests
 all live here.
 
@@ -36,9 +37,10 @@ from functools import cached_property
 from .ext1 import (
     Ext1Class,
     ExtSpace1,
+    _corner,
+    _splice,
     ext1,
     relation_boundary_matrix,
-    z_path,
 )
 from .linalg import (
     Matrix,
@@ -47,7 +49,6 @@ from .linalg import (
     _forward_pivots,
     _product,
     column_space_basis,
-    kron_add,
     rank,
 )
 from .quiver import BoundQuiver, Path, QuiverError, is_acyclic
@@ -108,9 +109,6 @@ class Ext2Model:
     def class_of(self, rc: RelationCochain) -> "Ext2Class":
         return Ext2Class(self, tuple(self.quotient.reduce(rc.to_vector())))
 
-    def zero_class(self) -> "Ext2Class":
-        return Ext2Class(self, tuple([self.field.zero] * self.ambient_dim))
-
 
 class Ext2Class:
     """A second-extension class as canonically reduced relation coordinates."""
@@ -126,13 +124,6 @@ class Ext2Class:
     def __eq__(self, other):
         return isinstance(other, Ext2Class) and self.model is other.model \
             and self.coords == other.coords
-
-    def add(self, other: "Ext2Class") -> "Ext2Class":
-        if other.model is not self.model:
-            raise QuiverError("classes live in different models")
-        f = self.model.field
-        return Ext2Class(self.model, tuple(
-            f.add(a, b) for a, b in zip(self.coords, other.coords)))
 
 
 def ext2_small_model(N: Representation, M: Representation) -> Ext2Model:
@@ -159,40 +150,32 @@ def _check_hypotheses(N: Representation):
 def compose_cocycles(Zp: ArrowCochain, Zpp: ArrowCochain) -> RelationCochain:
     """Yoneda composition on cocycle representatives.
 
-    For each relation term c * a_1...a_m (rightmost acting first) and
-    each ordered pair of positions j1 < j2 <= m, the contribution is
-
-        c * U(a_1..a_{j1-1}) Zp_{a_{j1}} V(a_{j1+1}..a_{j2-1})
-              Zpp_{a_{j2}} W(a_{j2+1}..a_m)
-
-    where Zp runs V -> U and Zpp runs W -> V.  The result is a relation
-    cochain W -> U whose class in the small model is the product of the
-    two extension classes.
+    Zp runs V -> U and Zpp runs W -> V.  On the splice [[U, Zp, 0], [0,
+    V, Zpp], [0, 0, W]] the only way from the W block to the U block
+    passes Zpp, then Zp, so the (U, W) block of each relation element is
+    a relation cochain W -> U whose class in the small model is the
+    product of the two extension classes.
     """
     V, U = Zp.source, Zp.target
     W = Zpp.source
     if Zpp.target != V:
         raise QuiverError("composition needs matching middle representations")
-    field = U.field
-    quiver = W.bq.quiver
-    mats = {}
-    for rel in W.bq.relations:
-        out = Matrix.zeros(field, U.dims[rel.target], W.dims[rel.source])
-        for coeff, p in rel.terms:
-            arrows = p.arrows
-            m = len(arrows)
-            for j2 in range(2, m + 1):
-                a2 = quiver.arrow_map[arrows[j2 - 1]]
-                tail = W.eval_arrow_word(arrows[j2:], p.source)
-                right = Zpp.mats[a2.name] @ tail
-                for j1 in range(1, j2):
-                    a1 = quiver.arrow_map[arrows[j1 - 1]]
-                    head = U.eval_arrow_word(arrows[:j1 - 1], a1.target)
-                    mid = V.eval_arrow_word(arrows[j1:j2 - 1], a2.target)
-                    term = head @ Zp.mats[a1.name] @ mid @ right
-                    out = out + term.scale(field.of_fraction(coeff))
-        mats[rel.name] = out
-    return RelationCochain(W, U, mats)
+    E = _splice([U, V, W], [Zp, Zpp])
+    return RelationCochain(W, U, {rel.name: _corner(E.eval_relation(rel), U, W, rel)
+                                  for rel in W.bq.relations})
+
+
+def _window(kind, source: Representation, target: Representation, rows, cols) -> list:
+    """The coordinates of ``kind``'s layout on (source, target) at the
+    entries (i, j) with i in rows[y] and j in cols[x] of each slot
+    (key, x, y), slot by slot, each block row-major."""
+    start, _ = kind.offsets(source, target)
+    return [start[key] + i * source.dims[x] + j for key, x, y in kind.slots(source.bq)
+            for i in rows[y] for j in cols[x]]
+
+
+def _block(m: Matrix, rows: list, cols: list) -> Matrix:
+    return Matrix._adopt(m.field, [[m.rows[r][c] for c in cols] for r in rows], len(cols))
 
 
 def yoneda_matrices(xi: ArrowCochain):
@@ -201,51 +184,25 @@ def yoneda_matrices(xi: ArrowCochain):
     Returns (left, right): left is the matrix of Z |-> compose_cocycles(Z,
     xi) on arrow cochains U -> U, right that of Z |-> compose_cocycles(xi,
     Z) on arrow cochains V -> V.  Rows follow ``RelationCochain.offsets(V,
-    U)``, columns ``ArrowCochain.offsets`` of (U, U) and of (V, V).  Each
-    term of ``compose_cocycles`` is linear in the free factor, X |-> A X B
-    with the other factor folded into A or B, so both matrices are
-    assembled from Kronecker blocks (``kron_add``), with no composition of
-    unit cochains.  Empty arrow words are identity factors: they are
-    skipped in the products and passed to ``kron_add`` as their size.
+    U)``, columns ``ArrowCochain.offsets`` of (U, U) and of (V, V).  On
+    the splice E = [[U, xi], [0, V]], [Z, 0]: E -> U carries Z o xi in its
+    V columns, so left is the block of ``relation_boundary_matrix(E, U)``
+    at the V columns of each relation block and the U columns of each
+    arrow block; [0; Z]: V -> E carries xi o Z in its U rows, so right is
+    that of ``relation_boundary_matrix(V, E)`` at the U rows of each
+    relation block and the V rows of each arrow block.
     """
     V, U = xi.source, xi.target
-    field = U.field
-    quiver = V.bq.quiver
-    row0, nrows = RelationCochain.offsets(V, U)
-    col_u, n_u = ArrowCochain.offsets(U, U)
-    col_v, n_v = ArrowCochain.offsets(V, V)
-    left = [[field.zero] * n_u for _ in range(nrows)]
-    right = [[field.zero] * n_v for _ in range(nrows)]
-    for rel in V.bq.relations:
-        r0 = row0[rel.name]
-        for coeff, p in rel.terms:
-            c = field.of_fraction(coeff)
-            arrows = p.arrows
-            m = len(arrows)
-            for j2 in range(2, m + 1):
-                a2 = quiver.arrow_map[arrows[j2 - 1]]
-                if j2 < m:
-                    tail = V.eval_arrow_word(arrows[j2:], p.source)
-                    xi_tail = xi.mats[a2.name] @ tail
-                else:
-                    tail, xi_tail = V.dims[p.source], xi.mats[a2.name]
-                for j1 in range(1, j2):
-                    a1 = quiver.arrow_map[arrows[j1 - 1]]
-                    word = arrows[j1:j2 - 1]
-                    if j1 > 1:
-                        head = U.eval_arrow_word(arrows[:j1 - 1], a1.target)
-                        head_xi = head @ xi.mats[a1.name]
-                    else:
-                        head, head_xi = U.dims[a1.target], xi.mats[a1.name]
-                    if word:
-                        u_mid = U.eval_arrow_word(word, a2.target) @ xi_tail
-                        head_xi = head_xi @ V.eval_arrow_word(word, a2.target)
-                    else:
-                        u_mid = xi_tail
-                    # Z at a1 with xi at a2, then xi at a1 with Z at a2
-                    kron_add(field, left, r0, col_u[a1.name], c, head, u_mid)
-                    kron_add(field, right, r0, col_v[a2.name], c, head_xi, tail)
-    return Matrix._adopt(field, left, n_u), Matrix._adopt(field, right, n_v)
+    E = _splice([U, V], [xi])
+    vertices = V.bq.quiver.vertices
+    u_in_e = {x: range(U.dims[x]) for x in vertices}
+    v_in_e = {x: range(U.dims[x], E.dims[x]) for x in vertices}
+    all_v = {x: range(V.dims[x]) for x in vertices}
+    left = _block(relation_boundary_matrix(E, U), _window(RelationCochain, E, U, u_in_e, v_in_e),
+                  _window(ArrowCochain, E, U, u_in_e, u_in_e))
+    right = _block(relation_boundary_matrix(V, E), _window(RelationCochain, V, E, u_in_e, all_v),
+                   _window(ArrowCochain, V, E, v_in_e, all_v))
+    return left, right
 
 
 def yoneda_left_omega(Z: ArrowCochain, cls: Ext1Class) -> Ext1Class:
@@ -253,8 +210,8 @@ def yoneda_left_omega(Z: ArrowCochain, cls: Ext1Class) -> Ext1Class:
 
     Z runs U -> M, cls extends V by U.  The cover P -> V of ``syzygy(V)``
     lifts into the middle term of the class: the label (y, j, sigma) of
-    P goes to the product-rule extension of the class representative
-    along sigma, applied to e_j, in U, plus its image in V.  On the
+    P goes to sigma applied to e_j on the splice of the class
+    representative, its U part (``z_path``) plus its image in V.  On the
     syzygy Omega the V part vanishes, so the lift restricts to a
     morphism h: Omega -> U, and the image cochain Z_a h at each arrow a
     is the product; its class lies in ``ext1(Omega, M)``.  No
@@ -266,14 +223,15 @@ def yoneda_left_omega(Z: ArrowCochain, cls: Ext1Class) -> Ext1Class:
         raise QuiverError("class target does not match the fixed cocycle")
     V, M = cls.space.source, Z.target
     omega, incl = syzygy(V)
-    Zp = cls.representative()
+    E = _splice([U, V], [cls.representative()])
     ab, top = V.bq.algebra_basis(V.field), _top(V)
     vertices = V.bq.quiver.vertices
     h = {}
     for x in vertices:  # the U block of the lift, in the labels' order
         cols = []
         for y in vertices:
-            along = [z_path(Zp, sigma) for sigma in ab.basis.get((x, y), ())]
+            along = [_corner(E.eval_path(sigma), U, V, sigma)
+                     for sigma in ab.basis.get((x, y), ())]
             cols += [z.col(j) for j in top[y] for z in along]
         h[x] = Matrix.from_columns(V.field, U.dims[x], cols) @ incl.mats[x]
     image = ArrowCochain(omega, M, {a.name: Z.mats[a.name] @ h[a.source]

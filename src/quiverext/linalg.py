@@ -66,21 +66,22 @@ their oracles.
 
 Constraint systems of the form X |-> A X B on row-major coordinates are
 assembled block by block with ``kron_add`` (the relation system of the
-cocycles, and the Yoneda composition matrices ``ext2.yoneda_matrices``),
-the Hom system ``rep.hom_system`` by writing its two blocks f_t M_a and
--N_a f_s straight into its rows, and the other systems from the images
-of basis vectors (``Matrix.from_columns``).  An empty arrow word is an
-identity factor: callers skip it in products and hand ``kron_add`` its
-size instead of a matrix.  Pushing unit vectors
+cocycles, whose blocks ``ext2.yoneda_matrices`` reads), the Hom system
+``rep.hom_system`` by writing its two blocks f_t M_a and -N_a f_s
+straight into its rows, and the other systems from the images of basis
+vectors (``Matrix.from_columns``).  An empty arrow word is an identity
+factor: the relation system skips it in products and hands ``kron_add``
+its size instead of a matrix.  Pushing unit vectors
 through a closure (``linear_map_matrix``) is kept only for the
 dual-number oracle: it must reach its counts by a route that shares no
 system assembly with the tangent-pair computations it checks.
 
 Block matrices on the hot paths write each row once, with no zero or
 identity block: ``block_diag`` (direct sums, so the projective covers),
-the middle terms [[U, Z], [0, V]] with their inclusions and projections
-(``ext1.middle_term``), and the arrows of every kernel, so of every
-syzygy, read from one product per arrow (``rep.kernel_representation``).
+the splices [[U, Z], [0, V]] (``ext1._splice``) and the middle terms'
+inclusions and projections (``ext1.middle_term``), and the arrows of
+every kernel, so of every syzygy, read from one product per arrow
+(``rep.kernel_representation``).
 The other block matrices (block scalings, the dual-number operator) are
 stacked with ``block_diag``, ``hstack`` and ``vstack`` from
 ``Matrix.zeros`` and ``Matrix.identity``.

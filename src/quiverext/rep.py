@@ -42,6 +42,9 @@ class Representation:
             if m.field != field:
                 raise QuiverError(f"matrix for arrow {a.name} is over the wrong field")
             self.mats[a.name] = m
+        if not mats.keys() <= self.mats.keys():
+            unknown = sorted(map(str, mats.keys() - self.mats.keys()))
+            raise QuiverError(f"matrices for no arrow: {', '.join(unknown)}")
         self.name = name
         if check:
             for rel in bq.relations:
@@ -65,8 +68,8 @@ class Representation:
     def eval_arrow_word(self, arrow_names, source_vertex) -> Matrix:
         """Evaluate a (possibly empty) arrow word; empty words need a vertex.
 
-        An empty word gives a new identity matrix; the relation system,
-        ``z_path`` and ``yoneda_matrices`` skip empty words instead of
+        An empty word gives a new identity matrix; the relation system
+        (``ext1.relation_boundary_matrix``) skips empty words instead of
         asking for one.
         """
         if not arrow_names:
@@ -148,6 +151,9 @@ class Cochain:
                 raise QuiverError(f"{self.kind} {key}: cochain block has shape "
                                   f"{m.shape()}, expected {shape}")
             self.mats[key] = m
+        if not mats.keys() <= self.mats.keys():
+            unknown = sorted(map(str, mats.keys() - self.mats.keys()))
+            raise QuiverError(f"{self.kind} cochain blocks for no slot: {', '.join(unknown)}")
 
     @classmethod
     def slots(cls, bq):

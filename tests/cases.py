@@ -9,7 +9,8 @@ from quiverext.fields import QQ, PrimeField
 from quiverext.fixtures import load_fixture
 from quiverext.geometry import gl_action
 from quiverext.linalg import Matrix
-from quiverext.rep import kernel_representation
+from quiverext.quiver import QuiverError
+from quiverext.rep import RelationCochain, kernel_representation
 from quiverext.suites import random_module
 
 F101 = PrimeField(101)
@@ -79,6 +80,43 @@ def standard_cover(N):
 def standard_syzygy(N):
     """The kernel of ``standard_cover``: a syzygy of N, not minimal."""
     return kernel_representation(standard_cover(N))[0]
+
+
+def position_pair_compose(Zp, Zpp):
+    """The position-pair body of ``compose_cocycles``, kept as its oracle.
+
+    For each relation term c * a_1...a_m (rightmost acting first) and
+    each ordered pair of positions j1 < j2 <= m, the contribution is
+
+        c * U(a_1..a_{j1-1}) Zp_{a_{j1}} V(a_{j1+1}..a_{j2-1})
+              Zpp_{a_{j2}} W(a_{j2+1}..a_m)
+
+    where Zp runs V -> U and Zpp runs W -> V.
+    """
+    V, U = Zp.source, Zp.target
+    W = Zpp.source
+    if Zpp.target != V:
+        raise QuiverError("composition needs matching middle representations")
+    field = U.field
+    quiver = W.bq.quiver
+    mats = {}
+    for rel in W.bq.relations:
+        out = Matrix.zeros(field, U.dims[rel.target], W.dims[rel.source])
+        for coeff, p in rel.terms:
+            arrows = p.arrows
+            m = len(arrows)
+            for j2 in range(2, m + 1):
+                a2 = quiver.arrow_map[arrows[j2 - 1]]
+                tail = W.eval_arrow_word(arrows[j2:], p.source)
+                right = Zpp.mats[a2.name] @ tail
+                for j1 in range(1, j2):
+                    a1 = quiver.arrow_map[arrows[j1 - 1]]
+                    head = U.eval_arrow_word(arrows[:j1 - 1], a1.target)
+                    mid = V.eval_arrow_word(arrows[j1:j2 - 1], a2.target)
+                    term = head @ Zp.mats[a1.name] @ mid @ right
+                    out = out + term.scale(field.of_fraction(coeff))
+        mats[rel.name] = out
+    return RelationCochain(W, U, mats)
 
 
 def typed(rows):

@@ -96,6 +96,14 @@ def test_relation_terms_must_compose():
         parse_workspace(src)
 
 
+@pytest.mark.parametrize("rhs", ["--a*b", "-+a*b", "a*b + -a*b"])
+def test_a_repeated_sign_is_misplaced(rhs):
+    """Only the first term may carry a sign of its own, and only one."""
+    with pytest.raises(ParseError) as err:
+        parse_workspace(F2_HEADER.replace("relation r : a*b", f"relation r : {rhs}"))
+    assert (err.value.line, err.value.message) == (5, "misplaced sign in relation")
+
+
 def test_rationals_are_exact_and_decimals_rejected():
     src = F2_HEADER.replace("relation r : a*b", "relation r : 1/2*a*b")
     ws = parse_workspace(src)

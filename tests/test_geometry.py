@@ -59,7 +59,14 @@ from quiverext.rep import (
 )
 from quiverext.suites import random_cocycle, random_invertible, run_suites
 
-from cases import CASES_WITH_F2, case_modules, case_workspace, typed, with_rational_conjugates
+from cases import (
+    CASES_WITH_F2,
+    case_modules,
+    case_workspace,
+    position_pair_compose,
+    typed,
+    with_rational_conjugates,
+)
 
 F101 = PrimeField(101)
 ext2_module = importlib.import_module("quiverext.ext2")
@@ -430,7 +437,10 @@ def test_regularity_certificate_rejects_a_mismatched_witness(f2, ses1_witness):
 # -- whole-matrix Yoneda systems against the per-pair bodies they replaced --
 
 def compose_by_units(Zxi):
-    """The composition matrices built column by column with compose_cocycles."""
+    """The composition matrices built column by column with the
+    position-pair body of compose_cocycles, which shares no index
+    ranges with the relation-system blocks of yoneda_matrices (and is
+    checked against the splice route in test_ext2)."""
     V, U = Zxi.source, Zxi.target
     field = U.field
 
@@ -442,8 +452,8 @@ def compose_by_units(Zxi):
             yield ArrowCochain.from_vector(source, target, e)
 
     rows = RelationCochain.space_dim(V, U)
-    left = [compose_cocycles(Z, Zxi).to_vector() for Z in units(U, U)]
-    right = [compose_cocycles(Zxi, Z).to_vector() for Z in units(V, V)]
+    left = [position_pair_compose(Z, Zxi).to_vector() for Z in units(U, U)]
+    right = [position_pair_compose(Zxi, Z).to_vector() for Z in units(V, V)]
     return (Matrix.from_columns(field, rows, left), Matrix.from_columns(field, rows, right))
 
 
@@ -490,15 +500,15 @@ def left_comp_per_pair(Zxi, U, V):
 
 @pytest.mark.parametrize("name, field", CASES_WITH_F2, ids=str)
 def test_composition_matrices_equal_compose_cocycles_on_units(name, field):
-    """Column j of each composition matrix is compose_cocycles on unit cochain j.
+    """Column j of each composition matrix is the composition on unit cochain j.
 
-    Most of the time is the oracle: one compose_cocycles per unit cochain."""
+    Most of the time is the oracle: one composition per unit cochain."""
     mods = with_rational_conjugates(case_modules(name, field, seed=31, max_summands=1))
     rng = random.Random(31)
     for V in mods:
         for U in mods:
             n = ArrowCochain.space_dim(V, U)
-            # any cochain will do: compose_cocycles is bilinear on all of them
+            # any cochain will do: composition is bilinear on all of them
             Zxi = ArrowCochain.from_vector(V, U, [field.of(rng.randint(-3, 3))
                                                   for _ in range(n)])
             got = yoneda_matrices(Zxi)

@@ -239,6 +239,19 @@ def test_cochain_blocks_must_match_the_dimension_vectors(f2):
             cls(m["S2"], m["S1"], {slot.split()[1]: wrong})
 
 
+def test_matrices_keyed_by_no_arrow_or_slot_are_refused(f2):
+    """A misspelt key raises and is named, rather than being dropped."""
+    m = f2.modules
+    S1 = m["S1"]
+    block = Matrix.zeros(S1.field, 1, 1)
+    with pytest.raises(QuiverError, match="^matrices for no arrow: 1, z$"):
+        Representation(S1.bq, S1.field, S1.dims, {"z": block, "1": block})
+    cases = ((VertexCochain, "a"), (ArrowCochain, "1"), (RelationCochain, "a"))
+    for cls, key in cases:
+        with pytest.raises(QuiverError, match=f"^{cls.kind} cochain blocks for no slot: {key}$"):
+            cls(S1, S1, {key: block})
+
+
 # -- the cochain layout ----------------------------------------------------
 
 KINDS = (VertexCochain, ArrowCochain, RelationCochain)
