@@ -22,6 +22,8 @@ from .rep import Representation
 _KEYWORDS = ("quiver", "vertex", "arrow", "relation", "field", "module", "ses")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+# a relation's tokens: each sign alone, and each run of other non-space text
+_RELATION_TOKEN_RE = re.compile(r"[+-]|[^\s+-]+")
 
 
 class ParseError(Exception):
@@ -92,30 +94,26 @@ def _parse_rational(text, lineno, line) -> Fraction:
                          f"zero denominator in {text!r}", line) from None
 
 
-def _parse_relation_rhs(rhs, lineno, line):
-    """Parse TERM (('+'|'-') TERM)* into [(coeff, [arrow names])]."""
-    tokens = rhs.replace("+", " + ").replace("-", " - ").split()
+def _parse_relation_rhs(line, start, lineno):
+    """Parse TERM (('+'|'-') TERM)* from line[start:] into [(coeff, [arrow
+    names])]; each token keeps its offset, so an error names its column."""
     # '-' inside a coefficient like 1/2 cannot occur (no negative literals
     # survive the splitting), so every '-' token is a sign
     terms = []
     sign = 1
     expect_term = True
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
+    for i, match in enumerate(_RELATION_TOKEN_RE.finditer(line, start)):
+        tok, column = match.group(), match.start() + 1
         if tok in {"+", "-"}:
             if not expect_term:
                 expect_term = True
                 sign = 1 if tok == "+" else -1
-                i += 1
                 continue
             # one leading sign of the very first term
             if i == 0:
                 sign = 1 if tok == "+" else -1
-                i += 1
                 continue
-            raise ParseError(lineno, _column_of(line, tok),
-                             "misplaced sign in relation", line)
+            raise ParseError(lineno, column, "misplaced sign in relation", line)
         factors = tok.split("*")
         coeff = Fraction(sign)
         arrows = factors
@@ -123,14 +121,12 @@ def _parse_relation_rhs(rhs, lineno, line):
             coeff *= _parse_rational(factors[0], lineno, line)
             arrows = factors[1:]
         if not arrows:
-            raise ParseError(lineno, _column_of(line, tok),
-                             "relation term has no arrows", line)
+            raise ParseError(lineno, column, "relation term has no arrows", line)
         for a in arrows:
             _check_name("arrow", a, lineno, line)
         terms.append((coeff, arrows))
         sign = 1
         expect_term = False
-        i += 1
     if expect_term or not terms:
         raise ParseError(lineno, 1, "relation has a dangling sign or no terms", line)
     return terms
@@ -244,9 +240,9 @@ class _Parser:
         body = line.split(None, 1)[1] if len(tokens) > 1 else ""
         if ":" not in body:
             self.fail(lineno, 1, "usage: relation NAME : TERM ((+|-) TERM)*", line)
-        name, rhs = (part.strip() for part in body.split(":", 1))
+        name = body.split(":", 1)[0].strip()
         self.check_fresh("relation", name, lineno, line)
-        terms = _parse_relation_rhs(rhs, lineno, line)
+        terms = _parse_relation_rhs(line, line.index(":") + 1, lineno)
         known = {a[0] for a in self.arrows}
         for _, arrow_names in terms:
             for a in arrow_names:

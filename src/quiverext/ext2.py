@@ -28,6 +28,15 @@ generator columns only.  ``syzygy`` hands it a transversal of the top
 (``_top``), checks the cover once and reads the kernel with
 ``rep.kernel_representation``.  ``is_projective`` builds no cover: it
 counts the P(y), one per top coordinate at y (Nakayama's lemma).
+
+Each module's presentation is built once and read for every partner:
+the top and the pair (Omega, inclusion) are memoised on the module
+itself (``Representation._presentation``), as P(x) is on the bound
+quiver.  The cover's morphism check and the surjectivity count run on
+that first build; a build that fails them is not stored.
+``ext2_via_omega``, ``yoneda_left_omega``, ``is_projective``,
+``gldim_le2_check`` and ``geometry.pd_le1`` all read the memo.  Nothing
+per pair is memoised: the Hom and Ext^1 systems are built per call.
 """
 
 from __future__ import annotations
@@ -74,7 +83,9 @@ def ext2_via_omega(N: Representation, M: Representation) -> ExtSpace1:
 
     Two syzygies of N differ by projective summands (Schanuel's lemma),
     on which Ext^1 vanishes, so any syzygy gives the same dimension; the
-    returned space lives on the minimal one.
+    returned space lives on the minimal one, built and checked on the
+    first call for N and memoised on N, while the Ext^1 space of the pair
+    is built anew on every call.
     """
     return ext1(syzygy(N)[0], M)
 
@@ -214,7 +225,9 @@ def yoneda_left_omega(Z: ArrowCochain, cls: Ext1Class) -> Ext1Class:
     representative, its U part (``z_path``) plus its image in V.  On the
     syzygy Omega the V part vanishes, so the lift restricts to a
     morphism h: Omega -> U, and the image cochain Z_a h at each arrow a
-    is the product; its class lies in ``ext1(Omega, M)``.  No
+    is the product; its class lies in ``ext1(Omega, M)``.  The cover's
+    labels follow ``_top(V)``, and both it and Omega are read from V's
+    memo, so neither is rebuilt for a second class on V.  No
     global-dimension hypothesis enters, so this is the independent
     oracle for the small-model product of ``compose_cocycles``.
     """
@@ -321,16 +334,20 @@ def _top(M: Representation) -> dict:
     """A transversal of the top of M: the generators at each vertex.
 
     The columns of the arrows into x span the radical of M at x, so the
-    coordinates off their pivots span a complement of it.
+    coordinates off their pivots span a complement of it.  Built once and
+    memoised on M (``M._presentation["top"]``); callers do not change it.
     """
-    field, quiver = M.field, M.bq.quiver
-    top = {}
-    for x in quiver.vertices:
-        columns = [list(c) for a in quiver.arrows if a.target == x
-                   for c in zip(*M.mats[a.name].rows)]
-        leads = set(_forward_pivots(field, columns))
-        top[x] = [i for i in range(M.dims[x]) if i not in leads]
-    return top
+    memo = M._presentation
+    if "top" not in memo:
+        field, quiver = M.field, M.bq.quiver
+        top = {}
+        for x in quiver.vertices:
+            columns = [list(c) for a in quiver.arrows if a.target == x
+                       for c in zip(*M.mats[a.name].rows)]
+            leads = set(_forward_pivots(field, columns))
+            top[x] = [i for i in range(M.dims[x]) if i not in leads]
+        memo["top"] = top
+    return memo["top"]
 
 
 def syzygy(M: Representation):
@@ -339,15 +356,22 @@ def syzygy(M: Representation):
     The cover is ``_cover`` on ``_top(M)``, checked to be a morphism.
     Both come from ``kernel_representation`` of the cover, which is
     checked to be onto at every vertex by dim P_z - dim Omega_z =
-    d_z(M), which reads the kernel's elimination.
+    d_z(M), which reads the kernel's elimination.  The pair is built and
+    checked on the first call and memoised on M
+    (``M._presentation["syzygy"]``), so every later call, for any
+    partner, returns the same objects; a failed check stores nothing and
+    raises again on the next call.
     """
-    P, cover = _cover(M, _top(M))
-    if not cover.is_morphism():
-        raise QuiverError("projective cover construction failed to be a morphism")
-    omega, incl = kernel_representation(cover)
-    if any(P.dims[z] - omega.dims[z] != M.dims[z] for z in M.bq.quiver.vertices):
-        raise QuiverError("projective cover failed to be surjective")
-    return omega, incl
+    memo = M._presentation
+    if "syzygy" not in memo:
+        P, cover = _cover(M, _top(M))
+        if not cover.is_morphism():
+            raise QuiverError("projective cover construction failed to be a morphism")
+        omega, incl = kernel_representation(cover)
+        if any(P.dims[z] - omega.dims[z] != M.dims[z] for z in M.bq.quiver.vertices):
+            raise QuiverError("projective cover failed to be surjective")
+        memo["syzygy"] = omega, incl
+    return memo["syzygy"]
 
 
 def is_projective(M: Representation) -> bool:
@@ -356,7 +380,8 @@ def is_projective(M: Representation) -> bool:
     The top generates M (Nakayama's lemma), so the cover by one P(y) per
     top coordinate at y is onto, and invertible exactly when those P(y)
     add up to M's dimension vector.  That count builds no cover, so,
-    unlike ``syzygy``, it does not check that M satisfies the relations.
+    unlike ``syzygy``, it does not check that M satisfies the relations;
+    it reads the top memoised on M.
     """
     bq, field, vertices = M.bq, M.field, M.bq.quiver.vertices
     top = _top(M)

@@ -353,9 +353,11 @@ def opposite_rep(M: Representation) -> Representation:
 def pd_le1(M: Representation) -> bool:
     """Projective dimension at most one: the minimal syzygy is projective.
 
-    The syzygy comes from ``ext2.syzygy``, the one cover built, and
-    ``is_projective`` counts its top; this is the same as Ext^2(M, S)
-    = 0 for every simple S, which the tests keep as the oracle.
+    The syzygy comes from ``ext2.syzygy``, the one cover built, checked
+    on the first call for M and memoised on M, and ``is_projective``
+    counts its top, memoised on the syzygy; this is the same as
+    Ext^2(M, S) = 0 for every simple S, which the tests keep as the
+    oracle.
     """
     return is_projective(syzygy(M)[0])
 
@@ -545,9 +547,9 @@ def regularity_certificate(M: Representation, U: Representation,
     space's small model, whose gate raises ``HypothesisError`` before
     the pairing runs; the syzygy route (``ext2_via_omega``) stays the
     independent model the tests and the suites check it against.  The
-    flag pd M <= 1 is ``pd_le1(M)``, which builds the minimal syzygy of
-    M once.  The tangent dimension at U + V is a
-    nullity read from ``rank``.
+    flag pd M <= 1 is ``pd_le1(M)``, which reads the minimal syzygy
+    memoised on M, built on the first call.  The tangent dimension at
+    U + V is a nullity read from ``rank``.
     """
     if witness.M != M or witness.U != U or witness.V != V:
         raise QuiverError("witness does not match the given triple")

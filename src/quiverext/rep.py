@@ -46,6 +46,10 @@ class Representation:
             unknown = sorted(map(str, mats.keys() - self.mats.keys()))
             raise QuiverError(f"matrices for no arrow: {', '.join(unknown)}")
         self.name = name
+        # filled by ext2: the top transversal ("top") and the minimal
+        # syzygy with its inclusion ("syzygy"), each built once; no code
+        # changes a representation after construction
+        self._presentation = {}
         if check:
             for rel in bq.relations:
                 if not self.eval_relation(rel).is_zero():

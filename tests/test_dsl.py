@@ -96,12 +96,24 @@ def test_relation_terms_must_compose():
         parse_workspace(src)
 
 
-@pytest.mark.parametrize("rhs", ["--a*b", "-+a*b", "a*b + -a*b"])
-def test_a_repeated_sign_is_misplaced(rhs):
-    """Only the first term may carry a sign of its own, and only one."""
+@pytest.mark.parametrize("rhs, column", [
+    ("--a*b", 15), ("-+a*b", 15), ("a*b + -a*b", 20), ("2*a*b - a*b + -a*b", 28)],
+    ids=["--a*b", "-+a*b", "a*b + -a*b", "2*a*b - a*b + -a*b"])
+def test_a_repeated_sign_is_misplaced(rhs, column):
+    """Only the first term may carry a sign of its own, and only one; the
+    column is the misplaced sign's, not that of an earlier valid one."""
     with pytest.raises(ParseError) as err:
         parse_workspace(F2_HEADER.replace("relation r : a*b", f"relation r : {rhs}"))
-    assert (err.value.line, err.value.message) == (5, "misplaced sign in relation")
+    assert (err.value.line, err.value.column, err.value.message) == (
+        5, column, "misplaced sign in relation")
+
+
+def test_a_term_without_arrows_is_located():
+    """The column is the bare coefficient's, not the first equal text."""
+    with pytest.raises(ParseError) as err:
+        parse_workspace(F2_HEADER.replace("relation r : a*b", "relation r : 2*a*b + 2"))
+    assert (err.value.line, err.value.column, err.value.message) == (
+        5, 22, "relation term has no arrows")
 
 
 def test_rationals_are_exact_and_decimals_rejected():

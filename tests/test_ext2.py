@@ -35,8 +35,9 @@ from quiverext.geometry import (
 )
 from quiverext.iso import iso_test
 from quiverext.linalg import Matrix
-from quiverext.quiver import is_acyclic, validate_bound_quiver
+from quiverext.quiver import QuiverError, is_acyclic, validate_bound_quiver
 from quiverext.rep import (
+    Representation,
     VertexCochain,
     direct_sum,
     kernel_representation,
@@ -103,31 +104,44 @@ def test_relation_cochain_spaces(f2):
     assert ext2_small_model(m["P3"], m["S1"]).bprime.dim == full == 1
 
 
+def counting(calls, name, real):
+    """real, wrapped to append name to calls on every call."""
+    def wrapped(*args):
+        calls.append(name)
+        return real(*args)
+    return wrapped
+
+
+def fresh_copy(M):
+    """A new representation with M's matrices: nothing is memoised on it."""
+    return Representation(M.bq, M.field, M.dims, M.mats)
+
+
 def test_presentations_check_each_property_once(f3, monkeypatch):
-    """syzygy makes one morphism check, the cover's, and takes no rank:
-    the readout shows that the inclusion is an injective morphism, and
-    the kernel's dimensions show that the cover is onto, so neither is
-    checked again."""
+    """The first syzygy of a module builds one cover, makes one morphism
+    check, the cover's, and takes no rank: the readout shows that the
+    inclusion is an injective morphism, and the kernel's dimensions show
+    that the cover is onto, so neither is checked again.  A repeat call
+    on the same module reads the memo: no cover, no check and no rank."""
+    ext2_module = importlib.import_module("quiverext.ext2")
+    linalg_module = importlib.import_module("quiverext.linalg")
     calls = []
-    real_is_morphism, real_rank = VertexCochain.is_morphism, Matrix.rank
-
-    def counting_is_morphism(self):
-        calls.append("is_morphism")
-        return real_is_morphism(self)
-
-    def counting_rank(self):
-        calls.append("rank")
-        return real_rank(self)
-
     for N in f3.modules.values():
         syzygy(N)  # the P(y) and the algebra basis are memoised
-        monkeypatch.setattr(VertexCochain, "is_morphism", counting_is_morphism)
-        monkeypatch.setattr(Matrix, "rank", counting_rank)
-        syzygy(N)
-        monkeypatch.undo()
-        assert calls.count("is_morphism") == 1
-        assert calls.count("rank") == 0
+        fresh = fresh_copy(N)
+        monkeypatch.setattr(ext2_module, "_cover",
+                            counting(calls, "cover", ext2_module._cover))
+        monkeypatch.setattr(VertexCochain, "is_morphism",
+                            counting(calls, "is_morphism", VertexCochain.is_morphism))
+        monkeypatch.setattr(Matrix, "rank", counting(calls, "rank", Matrix.rank))
+        for module in (linalg_module, ext2_module):
+            monkeypatch.setattr(module, "rank", counting(calls, "rank", module.rank))
+        built = syzygy(fresh)
+        assert calls == ["cover", "is_morphism"]
         calls.clear()
+        assert syzygy(fresh) is built
+        assert calls == []
+        monkeypatch.undo()
 
 
 def test_presentations_are_exact():
@@ -372,23 +386,16 @@ def test_one_cover_per_syzygy_and_none_per_projectivity_check(monkeypatch):
     ext2_module = importlib.import_module("quiverext.ext2")
     linalg_module = importlib.import_module("quiverext.linalg")
     calls = []
-
-    def counting(name, real):
-        def wrapped(*args):
-            calls.append(name)
-            return real(*args)
-        return wrapped
-
     # fresh workspaces, so no global-dimension verdict is cached yet
     f2, f3 = load_fixture("f2"), load_fixture("f3")
     mods = list(f2.modules.values()) + list(f3.modules.values())
     for M in mods:  # the P(y) and the algebra bases are memoised
         is_projective(M)
-    monkeypatch.setattr(ext2_module, "_cover", counting("cover", ext2_module._cover))
+    monkeypatch.setattr(ext2_module, "_cover", counting(calls, "cover", ext2_module._cover))
     monkeypatch.setattr(VertexCochain, "is_morphism",
-                        counting("is_morphism", VertexCochain.is_morphism))
+                        counting(calls, "is_morphism", VertexCochain.is_morphism))
     for module in (linalg_module, ext2_module):
-        monkeypatch.setattr(module, "rank", counting("rank", module.rank))
+        monkeypatch.setattr(module, "rank", counting(calls, "rank", module.rank))
     for M in mods:
         is_projective(M)
         assert calls == []
@@ -399,6 +406,68 @@ def test_one_cover_per_syzygy_and_none_per_projectivity_check(monkeypatch):
         assert gldim_le2_check(ws.bound_quiver, QQ)
         assert calls.count("cover") == 2 * len(ws.bound_quiver.quiver.vertices)
         calls.clear()
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=str)
+@pytest.mark.parametrize("name", ["f1", "f2", "f3", "loops"])
+def test_the_memoised_syzygy_equals_a_fresh_build(name, field):
+    """After the syzygies of all modules are built and Ext^2 is asked
+    against every named module of the workspace, each module's syzygy is
+    still the pair its first call returned, and equals a build on a fresh
+    copy entry for entry and type for type; Ext^2 equals Ext^1 on the
+    standard syzygy."""
+    mods = with_rational_conjugates(case_modules(name, field, seed=29))
+    first = [syzygy(N) for N in mods]
+    for N in mods:
+        omega = standard_syzygy(N)
+        for M in (M for M in mods if M.name):
+            assert ext2_via_omega(N, M).dim == ext1(omega, M).dim
+    for N, (omega, incl) in zip(mods, first):
+        again = syzygy(N)
+        assert again[0] is omega and again[1] is incl
+        fresh_omega, fresh_incl = syzygy(fresh_copy(N))
+        assert omega.dims == fresh_omega.dims
+        for got, want in ((omega, fresh_omega), (incl, fresh_incl)):
+            assert list(got.mats) == list(want.mats)
+            for key, m in want.mats.items():
+                assert got.mats[key].shape() == m.shape()
+                assert typed(got.mats[key].rows) == typed(m.rows)
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=str)
+@pytest.mark.parametrize("name", ["f1", "f2", "f3", "loops"])
+def test_queries_on_one_module_build_one_cover(name, field, monkeypatch):
+    """Ext^2 against every partner, pd <= 1 and the syzygy-route Yoneda
+    product, each asked twice of one module V, build one cover."""
+    mods = case_modules(name, field, seed=0)
+    V, U, M = next((V, U, M) for V, U, M in itertools.product(mods, repeat=3)
+                   if ext1(V, U).dim and ext1(U, M).dim)
+    V = fresh_copy(V)
+    space = ext1(V, U)
+    cls = space.class_of(space.basis_cocycles()[0])
+    Z = ext1(U, M).basis_cocycles()[0]
+    ext2_module, calls = importlib.import_module("quiverext.ext2"), []
+    monkeypatch.setattr(ext2_module, "_cover", counting(calls, "cover", ext2_module._cover))
+    answers = [([ext2_via_omega(V, X).dim for X in mods], pd_le1(V),
+                yoneda_left_omega(Z, cls).is_zero) for _ in range(2)]
+    assert answers[0] == answers[1]
+    assert calls == ["cover"]
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=str)
+def test_a_failed_syzygy_is_not_memoised(field, monkeypatch):
+    """A module built unchecked that breaks the square's relation fails
+    the cover's morphism check on every call, building a cover each time."""
+    f3 = load_fixture("f3", field=field)
+    one, zero = Matrix(field, [[1]]), Matrix(field, [[0]])
+    bad = Representation(f3.bound_quiver, field, dict.fromkeys("1234", 1),
+                         {"a": one, "b": one, "c": one, "d": zero}, check=False)
+    ext2_module, calls = importlib.import_module("quiverext.ext2"), []
+    monkeypatch.setattr(ext2_module, "_cover", counting(calls, "cover", ext2_module._cover))
+    for covers in (1, 2):
+        with pytest.raises(QuiverError, match="failed to be a morphism"):
+            syzygy(bad)
+        assert calls == ["cover"] * covers
 
 
 def test_small_model_refuses_a_deep_algebra():
