@@ -22,8 +22,11 @@ from .rep import Representation
 _KEYWORDS = ("quiver", "vertex", "arrow", "relation", "field", "module", "ses")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+_WORD_RE = re.compile(r"\S+")
 # a relation's tokens: each sign alone, and each run of other non-space text
 _RELATION_TOKEN_RE = re.compile(r"[+-]|[^\s+-]+")
+# a matrix's tokens: each row separator alone, and each entry
+_MATRIX_TOKEN_RE = re.compile(r";|[^\s;]+")
 
 
 class ParseError(Exception):
@@ -72,31 +75,38 @@ class Workspace:
         return self.sequences[name]
 
 
-def _column_of(line: str, token: str) -> int:
-    pos = line.find(token)
-    return pos + 1 if pos >= 0 else 1
+def _words(line, start=0):
+    """The whitespace-separated words of line[start:], each as (text, column)."""
+    return [(m.group(), m.start() + 1) for m in _WORD_RE.finditer(line, start)]
 
 
-def _check_name(kind, name, lineno, line):
+def _stripped(line, start, end=None):
+    """line[start:end] stripped, with the column of its first character
+    (the column just past the slice when it is blank)."""
+    piece = line[start:end]
+    return piece.strip(), start + len(piece) - len(piece.lstrip()) + 1
+
+
+def _check_name(kind, name, column, lineno, line):
     if not _NAME_RE.match(name):
-        raise ParseError(lineno, _column_of(line, name),
+        raise ParseError(lineno, column,
                          f"invalid {kind} name {name!r} (need letters first)", line)
 
 
-def _parse_rational(text, lineno, line) -> Fraction:
+def _parse_rational(text, column, lineno, line) -> Fraction:
     if not _RATIONAL_RE.match(text):
-        raise ParseError(lineno, _column_of(line, text),
+        raise ParseError(lineno, column,
                          f"expected a rational number, found {text!r}", line)
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ParseError(lineno, _column_of(line, text),
-                         f"zero denominator in {text!r}", line) from None
+        raise ParseError(lineno, column, f"zero denominator in {text!r}", line) from None
 
 
 def _parse_relation_rhs(line, start, lineno):
-    """Parse TERM (('+'|'-') TERM)* from line[start:] into [(coeff, [arrow
-    names])]; each token keeps its offset, so an error names its column."""
+    """Parse TERM (('+'|'-') TERM)* from line[start:] into [(coeff, [(arrow
+    name, column)])]; each token keeps its offset, so an error names its
+    column."""
     # '-' inside a coefficient like 1/2 cannot occur (no negative literals
     # survive the splitting), so every '-' token is a sign
     terms = []
@@ -114,16 +124,19 @@ def _parse_relation_rhs(line, start, lineno):
                 sign = 1 if tok == "+" else -1
                 continue
             raise ParseError(lineno, column, "misplaced sign in relation", line)
-        factors = tok.split("*")
+        factors = []
+        for factor in tok.split("*"):
+            factors.append((factor, column))
+            column += len(factor) + 1
         coeff = Fraction(sign)
         arrows = factors
-        if _RATIONAL_RE.match(factors[0]):
-            coeff *= _parse_rational(factors[0], lineno, line)
+        if _RATIONAL_RE.match(factors[0][0]):
+            coeff *= _parse_rational(*factors[0], lineno, line)
             arrows = factors[1:]
         if not arrows:
-            raise ParseError(lineno, column, "relation term has no arrows", line)
-        for a in arrows:
-            _check_name("arrow", a, lineno, line)
+            raise ParseError(lineno, match.start() + 1, "relation term has no arrows", line)
+        for a, a_column in arrows:
+            _check_name("arrow", a, a_column, lineno, line)
         terms.append((coeff, arrows))
         sign = 1
         expect_term = False
@@ -132,19 +145,22 @@ def _parse_relation_rhs(line, start, lineno):
     return terms
 
 
-def _parse_matrix_rhs(rhs, lineno, line):
-    rhs = rhs.strip()
+def _parse_matrix_rhs(line, start, lineno):
+    """Parse '[ ROW (; ROW)* ]' from line[start:], the text after the '=',
+    into rows of rationals; each entry keeps its offset, so an error names
+    its column."""
+    rhs, column = _stripped(line, start)
     if not rhs.startswith("[") or not rhs.endswith("]"):
-        raise ParseError(lineno, _column_of(line, rhs[:1] or "="),
+        raise ParseError(lineno, column if rhs else start,
                          "matrix must be enclosed in [ ... ]", line)
-    inner = rhs[1:-1].strip()
-    if not inner:
-        return []
-    rows = []
-    for chunk in inner.split(";"):
-        entries = chunk.split()
-        rows.append([_parse_rational(e, lineno, line) for e in entries])
-    return rows
+    rows = [[]]
+    # from just past the '[' (at column - 1) to the closing ']'
+    for match in _MATRIX_TOKEN_RE.finditer(line, column, column + len(rhs) - 2):
+        if match.group() == ";":
+            rows.append([])
+        else:
+            rows[-1].append(_parse_rational(match.group(), match.start() + 1, lineno, line))
+    return [] if rows == [[]] else rows
 
 
 def _check_coefficients(rel, field):
@@ -180,12 +196,23 @@ class _Parser:
     def fail(self, lineno, col, msg, line=""):
         raise ParseError(lineno, col, msg, line)
 
-    def check_fresh(self, kind, name, lineno, line):
-        _check_name(kind, name, lineno, line)
+    def check_fresh(self, kind, name, column, lineno, line):
+        _check_name(kind, name, column, lineno, line)
         if name in self.seen:
-            self.fail(lineno, _column_of(line, name),
+            self.fail(lineno, column,
                       f"duplicate name {name!r} (already a {self.seen[name]})", line)
         self.seen[name] = kind
+
+    def declaration(self, lineno, line, words, usage):
+        """The fresh name of a 'KEYWORD NAME : ...' line, and the offset of
+        its ':'."""
+        colon = line.find(":")
+        if colon < 0:
+            self.fail(lineno, 1, usage, line)
+        keyword, column = words[0]
+        name, column = _stripped(line, column - 1 + len(keyword), colon)
+        self.check_fresh(keyword, name, column, lineno, line)
+        return name, colon
 
     def run(self) -> Workspace:
         for lineno, raw in enumerate(self.lines, start=1):
@@ -196,90 +223,80 @@ class _Parser:
         return self.finish()
 
     def dispatch(self, lineno, line):
-        tokens = line.split()
-        head = tokens[0]
+        words = _words(line)
+        head, column = words[0]
         if head in _KEYWORDS:
             self.current_module = None
-            getattr(self, "on_" + head)(lineno, line, tokens)
-        elif self.current_module is not None and len(tokens) >= 2 and tokens[1] == "=":
-            self.on_matrix(lineno, line, tokens)
+            getattr(self, "on_" + head)(lineno, line, words)
+        elif self.current_module is not None and len(words) >= 2 and words[1][0] == "=":
+            self.on_matrix(lineno, line, words)
         else:
-            self.fail(lineno, _column_of(line, head),
-                      f"unrecognized directive {head!r}", line)
+            self.fail(lineno, column, f"unrecognized directive {head!r}", line)
 
-    def on_quiver(self, lineno, line, tokens):
+    def on_quiver(self, lineno, line, words):
         if self.quiver_name is not None:
             self.fail(lineno, 1, "duplicate quiver declaration", line)
-        if len(tokens) != 2:
+        if len(words) != 2:
             self.fail(lineno, 1, "usage: quiver NAME", line)
-        _check_name("quiver", tokens[1], lineno, line)
-        self.quiver_name = tokens[1]
+        _check_name("quiver", *words[1], lineno, line)
+        self.quiver_name = words[1][0]
         self.quiver_line = lineno
 
-    def on_vertex(self, lineno, line, tokens):
-        if len(tokens) < 2:
+    def on_vertex(self, lineno, line, words):
+        if len(words) < 2:
             self.fail(lineno, 1, "usage: vertex ID [ID ...]", line)
-        for v in tokens[1:]:
+        for v, column in words[1:]:
             if v in self.vertices:
-                self.fail(lineno, _column_of(line, v),
-                          f"duplicate vertex {v!r}", line)
+                self.fail(lineno, column, f"duplicate vertex {v!r}", line)
             self.vertices.append(v)
 
-    def on_arrow(self, lineno, line, tokens):
+    def on_arrow(self, lineno, line, words):
+        tokens = [w for w, _ in words]
         if len(tokens) != 6 or tokens[2] != ":" or tokens[4] != "->":
             self.fail(lineno, 1, "usage: arrow NAME : SRC -> TGT", line)
-        name, src, tgt = tokens[1], tokens[3], tokens[5]
-        self.check_fresh("arrow", name, lineno, line)
-        for v in (src, tgt):
+        self.check_fresh("arrow", *words[1], lineno, line)
+        for v, column in (words[3], words[5]):
             if v not in self.vertices:
-                self.fail(lineno, _column_of(line, v),
-                          f"unknown vertex {v!r}", line)
-        self.arrows.append((name, src, tgt))
+                self.fail(lineno, column, f"unknown vertex {v!r}", line)
+        self.arrows.append((tokens[1], tokens[3], tokens[5]))
 
-    def on_relation(self, lineno, line, tokens):
-        body = line.split(None, 1)[1] if len(tokens) > 1 else ""
-        if ":" not in body:
-            self.fail(lineno, 1, "usage: relation NAME : TERM ((+|-) TERM)*", line)
-        name = body.split(":", 1)[0].strip()
-        self.check_fresh("relation", name, lineno, line)
-        terms = _parse_relation_rhs(line, line.index(":") + 1, lineno)
+    def on_relation(self, lineno, line, words):
+        name, colon = self.declaration(lineno, line, words,
+                                       "usage: relation NAME : TERM ((+|-) TERM)*")
+        terms = _parse_relation_rhs(line, colon + 1, lineno)
         known = {a[0] for a in self.arrows}
-        for _, arrow_names in terms:
-            for a in arrow_names:
+        for _, arrows in terms:
+            for a, column in arrows:
                 if a not in known:
-                    self.fail(lineno, _column_of(line, a),
-                              f"unknown arrow {a!r} in relation {name}", line)
+                    self.fail(lineno, column, f"unknown arrow {a!r} in relation {name}", line)
+        terms = [(coeff, [a for a, _ in arrows]) for coeff, arrows in terms]
         self.relations.append((name, terms, lineno, line))
 
-    def on_field(self, lineno, line, tokens):
+    def on_field(self, lineno, line, words):
         if self.field is not None:
             self.fail(lineno, 1, "duplicate field declaration", line)
-        if len(tokens) != 2:
+        if len(words) != 2:
             self.fail(lineno, 1, "usage: field Q | Fp", line)
         try:
-            self.field = field_by_name(tokens[1])
+            self.field = field_by_name(words[1][0])
         except ValueError as exc:
-            self.fail(lineno, _column_of(line, tokens[1]), str(exc), line)
+            self.fail(lineno, words[1][1], str(exc), line)
 
-    def on_module(self, lineno, line, tokens):
-        body = line.split(None, 1)[1] if len(tokens) > 1 else ""
-        if ":" not in body:
-            self.fail(lineno, 1, "usage: module NAME : dim N1 ... Nk", line)
-        name, rhs = (part.strip() for part in body.split(":", 1))
-        self.check_fresh("module", name, lineno, line)
-        rhs_tokens = rhs.split()
-        if not rhs_tokens or rhs_tokens[0] != "dim":
-            self.fail(lineno, _column_of(line, ":"),
-                      "module body must start with 'dim'", line)
-        dims = rhs_tokens[1:]
+    def on_module(self, lineno, line, words):
+        name, colon = self.declaration(lineno, line, words,
+                                       "usage: module NAME : dim N1 ... Nk")
+        rhs = _words(line, colon + 1)
+        if not rhs or rhs[0][0] != "dim":
+            self.fail(lineno, colon + 1, "module body must start with 'dim'", line)
+        dims = rhs[1:]
         if len(dims) != len(self.vertices):
             self.fail(lineno, 1,
                       f"expected {len(self.vertices)} dimensions "
                       f"(one per vertex), found {len(dims)}", line)
         parsed = []
-        for d in dims:
+        for d, column in dims:
             if not d.isdigit():
-                self.fail(lineno, _column_of(line, d),
+                self.fail(lineno, column,
                           f"dimensions must be nonnegative integers, found {d!r}",
                           line)
             parsed.append(int(d))
@@ -287,30 +304,26 @@ class _Parser:
         self.modules.append(record)
         self.current_module = record
 
-    def on_matrix(self, lineno, line, tokens):
+    def on_matrix(self, lineno, line, words):
         name, dims, mats, _ = self.current_module
-        arrow = tokens[0]
+        arrow, column = words[0]
         declared = {a[0] for a in self.arrows}
         if arrow not in declared:
-            self.fail(lineno, _column_of(line, arrow),
-                      f"unknown arrow {arrow!r} in module {name}", line)
+            self.fail(lineno, column, f"unknown arrow {arrow!r} in module {name}", line)
         if arrow in mats:
-            self.fail(lineno, _column_of(line, arrow),
+            self.fail(lineno, column,
                       f"duplicate matrix for arrow {arrow!r} in module {name}", line)
-        rhs = line.split("=", 1)[1]
-        mats[arrow] = (_parse_matrix_rhs(rhs, lineno, line), lineno, line)
+        mats[arrow] = (_parse_matrix_rhs(line, words[1][1], lineno), lineno, line)
 
-    def on_ses(self, lineno, line, tokens):
-        body = line.split(None, 1)[1] if len(tokens) > 1 else ""
-        if ":" not in body:
-            self.fail(lineno, 1, "usage: ses NAME : U -> M -> V", line)
-        name, rhs = (part.strip() for part in body.split(":", 1))
-        self.check_fresh("ses", name, lineno, line)
-        parts = [p.strip() for p in rhs.split("->")]
-        if len(parts) != 3 or not all(parts):
-            self.fail(lineno, _column_of(line, ":"),
-                      "usage: ses NAME : U -> M -> V", line)
-        self.sequences.append((SesDecl(name, *parts), lineno, line))
+    def on_ses(self, lineno, line, words):
+        name, colon = self.declaration(lineno, line, words, "usage: ses NAME : U -> M -> V")
+        parts, start = [], colon + 1
+        for piece in line[start:].split("->"):
+            parts.append(_stripped(line, start, start + len(piece)))
+            start += len(piece) + 2
+        if len(parts) != 3 or not all(text for text, _ in parts):
+            self.fail(lineno, colon + 1, "usage: ses NAME : U -> M -> V", line)
+        self.sequences.append((SesDecl(name, *(text for text, _ in parts)), parts, lineno, line))
 
     # -- assembly -------------------------------------------------------
 
@@ -373,10 +386,10 @@ class _Parser:
                 self.fail(lineno, 1, f"module {name}: {exc}")
             modules[name] = rep
         sequences = {}
-        for decl, lineno, text in self.sequences:
-            for ref in (decl.sub, decl.middle, decl.quot):
+        for decl, refs, lineno, text in self.sequences:
+            for ref, column in refs:
                 if ref not in modules:
-                    self.fail(lineno, _column_of(text, ref),
+                    self.fail(lineno, column,
                               f"ses {decl.name} references unknown module {ref!r}",
                               text)
             sequences[decl.name] = decl

@@ -23,7 +23,6 @@ from functools import cached_property
 
 from .linalg import (
     Matrix,
-    QuotientSpace,
     SubspaceBasis,
     _kernel_of_rref,
     _product,
@@ -192,9 +191,10 @@ class ExtSpace1:
     lies in ker R = Z.  The check is exact and runs on every
     construction.  Once it passes, dim Ext^1 = dim Z - rank H, read from
     ``rank`` (or from ``b`` when built).  The bases ``z``, ``b`` (the
-    RREF of H^T) and ``homs`` (the kernel of H), B's coordinates in Z,
-    the quotient (the coset reducer on Z-coordinates) and the small
-    Ext^2 model on R and its pivot count are built on first use.
+    RREF of H^T) and ``homs`` (the kernel of H), the RREF basis of B in
+    Z-coordinates (``_b_in_z``, the coset reducer of ``class_of``) and
+    the small Ext^2 model on R and its pivot count are built on first
+    use.
     """
 
     def __init__(self, V: Representation, U: Representation):
@@ -235,21 +235,17 @@ class ExtSpace1:
         return Ext2Model(self.source, self.target, self._boundary, len(self._pivots))
 
     @cached_property
-    def _b_coords(self) -> list:
+    def _b_in_z(self) -> SubspaceBasis:
         # B lies in Z, so its coordinates are its entries at Z's lead columns
-        return [[bvec[j] for j in self.z.leads] for bvec in self.b.vectors]
-
-    @cached_property
-    def quotient(self) -> QuotientSpace:
-        return QuotientSpace(self.field, self.z.dim,
-                             SubspaceBasis(self.field, self.z.dim, self._b_coords))
+        coords = [[bvec[j] for j in self.z.leads] for bvec in self.b.vectors]
+        return row_space_basis(Matrix._adopt(self.field, coords, self.z.dim))
 
     def class_of(self, Z: ArrowCochain) -> Ext1Class:
         vec = Z.to_vector()
         coords = coordinates_in_basis(self.z, vec)
         if coords is None:
             raise QuiverError("cochain is not a cocycle for this pair")
-        return Ext1Class(self, tuple(self.quotient.reduce(coords)))
+        return Ext1Class(self, tuple(self._b_in_z.reduce(coords)))
 
     def basis_cocycles(self):
         return [ArrowCochain.from_vector(self.source, self.target, v)

@@ -9,7 +9,8 @@ one matrix per relation element -- and is a faithful quotient only over
 acyclic quivers of global dimension at most two, so it is gated by
 those checks.  ``Ext2Model`` is handed R and its rank by whoever
 eliminated R, ``ext2_small_model`` or an ``ExtSpace1`` space, and builds
-its coset reducer on first use.  The certificate
+its coset reducer, the RREF basis of the relation coboundaries, on first
+use.  The certificate
 (``geometry.regularity_certificate``) and the pairing
 (``geometry.psi_map``) read their Ext^2 from the small models of
 ``ExtSpace1`` spaces; the syzygy route stays the independent model.
@@ -53,7 +54,6 @@ from .ext1 import (
 )
 from .linalg import (
     Matrix,
-    QuotientSpace,
     SubspaceBasis,
     _forward_pivots,
     _product,
@@ -98,8 +98,8 @@ class Ext2Model:
 
     The relation coboundaries are the column space of the relation
     boundary matrix R, which the caller gates, builds and eliminates, so
-    dim = (relation-cochain dimension) - rank R; their basis ``bprime``
-    and the coset reducer ``quotient`` are built from R on first use.
+    dim = (relation-cochain dimension) - rank R.  Their RREF basis
+    ``bprime``, built from R on first use, is the coset reducer.
     """
 
     def __init__(self, N: Representation, M: Representation, boundary: Matrix,
@@ -113,12 +113,8 @@ class Ext2Model:
     def bprime(self) -> SubspaceBasis:
         return column_space_basis(self._boundary)
 
-    @cached_property
-    def quotient(self) -> QuotientSpace:
-        return QuotientSpace(self.field, self.ambient_dim, self.bprime)
-
     def class_of(self, rc: RelationCochain) -> "Ext2Class":
-        return Ext2Class(self, tuple(self.quotient.reduce(rc.to_vector())))
+        return Ext2Class(self, tuple(self.bprime.reduce(rc.to_vector())))
 
 
 class Ext2Class:

@@ -35,7 +35,6 @@ from .ext2 import (
 from .iso import IsoCertificate, _vertexwise_invertible, iso_test
 from .linalg import (
     Matrix,
-    QuotientSpace,
     SubspaceBasis,
     _product,
     block_diag,
@@ -179,8 +178,7 @@ class TangentPairs:
         cv = coordinates_in_basis(self.zv, Zpp.to_vector())
         if cu is None or cv is None:
             return False
-        quot = QuotientSpace(self.U.field, self.zu.dim + self.zv.dim, self.basis)
-        return quot.contains(list(cu) + list(cv))
+        return self.basis.contains(list(cu) + list(cv))
 
 
 def hom_tangent_pairs(space: ExtSpace1) -> TangentPairs:
@@ -198,7 +196,6 @@ def hom_tangent_pairs(space: ExtSpace1) -> TangentPairs:
     zv = z_space(V, V)
     homs = space.homs
     ambient = ArrowCochain.space_dim(V, U)
-    quot = QuotientSpace(field, ambient, space.b)
 
     images = []  # per basis cocycle: its arrow blocks V -> U, one set per morphism
     for vec in zu.vectors:
@@ -210,7 +207,7 @@ def hom_tangent_pairs(space: ExtSpace1) -> TangentPairs:
         images.append([{a.name: -(f.mats[a.target] @ Zpp.mats[a.name]) for a in arrows}
                        for f in homs])
     cols = [[x for mats in image
-             for x in quot.reduce(ArrowCochain(V, U, mats).to_vector())]
+             for x in space.b.reduce(ArrowCochain(V, U, mats).to_vector())]
             for image in images]
     system = Matrix.from_columns(field, len(homs) * ambient, cols)
     return TangentPairs(U, V, zu, zv, kernel_basis(system), space)
@@ -254,7 +251,7 @@ def ext_tangent_pairs(hpairs: TangentPairs) -> TangentPairs:
         images = _pairing_images(ArrowCochain.from_vector(V, U, v), hpairs.zu, hpairs.zv)
         pairs = _product(field, hpairs.basis.vectors, images, model.ambient_dim)
         for col, image in zip(cols, pairs):
-            col.extend(model.quotient.reduce(image))
+            col.extend(model.bprime.reduce(image))
     codom = zvu.dim * model.ambient_dim
     inner = kernel_basis(Matrix.from_columns(field, codom, cols))
     lifted = [hpairs.basis.combine(v) for v in inner.vectors]
@@ -303,7 +300,7 @@ def psi_map(space: ExtSpace1, Zxi: ArrowCochain) -> PsiMap:
     model = space.small_model
     zu = z_space(U, U)
     zv = z_space(V, V)
-    cols = [model.quotient.reduce(image) for image in _pairing_images(Zxi, zu, zv)]
+    cols = [model.bprime.reduce(image) for image in _pairing_images(Zxi, zu, zv)]
     mat = Matrix.from_columns(field, model.ambient_dim, cols)
     return PsiMap(U, V, Zxi, model, mat, zu.dim + zv.dim, mat.rank())
 
@@ -334,8 +331,8 @@ def left_comp_surjectivity(space: ExtSpace1, Zxi: ArrowCochain) -> LeftCompRepor
     model = space.small_model
     space_vv = ext1(V, V)
     _, right = yoneda_matrices(Zxi)
-    transversal = [space_vv.z.vectors[i] for i in space_vv.quotient.free_coordinates()]
-    cols = [model.quotient.reduce(image) for image in _images(right, transversal)]
+    transversal = [space_vv.z.vectors[i] for i in space_vv._b_in_z.free_coordinates()]
+    cols = [model.bprime.reduce(image) for image in _images(right, transversal)]
     mat = Matrix.from_columns(U.field, model.ambient_dim, cols)
     return LeftCompReport(space_vv.dim, model.dim, mat.rank())
 

@@ -26,15 +26,19 @@ forms, kernel bases and coset representatives are canonical and
 reproducible run to run, and equal to those of elimination through the
 field methods (the tests keep that elimination as their oracle).
 
-Lead columns.  A ``SubspaceBasis`` may record one lead column per
-vector: vector i has a 1 at its own lead column and a 0 at every other
-lead column.  ``kernel_basis`` records its free columns, and
+Lead columns.  A ``SubspaceBasis`` records one lead column per vector:
+vector i has a 1 at its own lead column and a 0 at every other lead
+column.  ``kernel_basis`` records its free columns, and
 ``row_space_basis`` and ``column_space_basis`` record the pivots of
 their RREF rows.  The coordinates of a vector in such a basis are its
 entries at the lead columns; ``coordinates_in_basis`` reads them off and
 then checks membership exactly (the combination must give the vector
-back), so it needs no elimination.  A basis built without lead columns
-is solved against instead.
+back), so it needs no elimination.  The same pattern makes the basis
+its own coset reducer: subtracting vec[lead_i] times vector i for each
+i leaves the one vector of vec + W that is zero at every lead
+(``SubspaceBasis.reduce``).  For an RREF basis the leads are its
+pivots, so the representatives are those of reducing against the RREF
+of W, with no second elimination.
 
 Canonical entries.  Every entry these kernels emit is in its field's
 canonical form: a residue in [0, p) over F_p, and over Q an ``int`` when
@@ -52,7 +56,7 @@ go through one private kernel, ``_product(field, a_rows, b_rows,
 ncols)``.  It lists the nonzero entries of the right factor once per
 call, walks only those, multiplies and adds with Python operators, and
 brings each output row to its canonical form once, with ``field.canon``.
-``QuotientSpace.reduce``, the entrywise ``Matrix`` arithmetic and the
+``SubspaceBasis.reduce``, the entrywise ``Matrix`` arithmetic and the
 vector build of ``kernel_basis`` follow the same rule: operators, then
 one ``canon`` per emitted row.  ``kron_add`` adds into rows it does not
 own, so it brings each touched entry to canonical form itself.  Over Q the
@@ -91,6 +95,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Optional
 
@@ -414,23 +419,23 @@ def rank(m: Matrix) -> int:
 
 @dataclass
 class SubspaceBasis:
-    """A list of independent coordinate vectors spanning a subspace.
+    """A list of independent coordinate vectors spanning a subspace W.
 
-    ``leads``, when given, holds one lead column per vector (see the
-    module docstring); it is checked on construction.
+    ``leads`` holds one lead column per vector (see the module
+    docstring); it is checked on construction.  The leads make the basis
+    its own coset reducer: ``reduce`` returns the representative of
+    vec + W that is zero at every lead column.
     """
 
     field: object
     ambient_dim: int
-    vectors: list = dc_field(default_factory=list)
-    leads: Optional[list] = dc_field(default=None, compare=False)
+    vectors: list
+    leads: list = dc_field(compare=False)
 
     def __post_init__(self):
         for v in self.vectors:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector has wrong ambient dimension")
-        if self.leads is None:
-            return
         if len(self.leads) != len(self.vectors):
             raise ValueError("one lead column per basis vector is needed")
         zero, one = self.field.zero, self.field.one
@@ -451,6 +456,37 @@ class SubspaceBasis:
     def matrix_of_columns(self) -> Matrix:
         """Matrix whose columns are the basis vectors."""
         return Matrix.from_columns(self.field, self.ambient_dim, self.vectors)
+
+    @cached_property
+    def _vector_support(self):
+        return _support(self.vectors)
+
+    def reduce(self, vec) -> list:
+        """The canonical representative of the coset vec + W.
+
+        Vector i is 1 at its own lead and 0 at every other lead, so
+        subtracting vec[lead_i] * vector i for each i (all read off vec
+        before subtracting) leaves the vector of vec + W that is zero at
+        every lead.  The reducer is linear, idempotent and zero exactly
+        on W.
+        """
+        if len(vec) != self.ambient_dim:
+            raise ValueError("vector has wrong ambient dimension")
+        v = list(vec)
+        for c, srow in zip(self.leads, self._vector_support):
+            a = vec[c]
+            if a:
+                for j, y in srow:
+                    v[j] -= a * y
+        return self.field.canon(v)
+
+    def contains(self, vec) -> bool:
+        return not any(self.reduce(vec))
+
+    def free_coordinates(self) -> list:
+        """Indices of the non-lead coordinates (a basis of a complement of W)."""
+        lead_set = set(self.leads)
+        return [j for j in range(self.ambient_dim) if j not in lead_set]
 
 
 def row_space_basis(m: Matrix) -> SubspaceBasis:
@@ -503,54 +539,12 @@ def solve(m: Matrix, b) -> Optional[list]:
     return x
 
 
-class QuotientSpace:
-    """A quotient k^n / W with a canonical coset reducer.
-
-    The reducer subtracts the pivot components against the RREF basis of
-    W, is linear and idempotent, and vanishes exactly on W, so reduced
-    vectors are canonical coset representatives.  An RREF row is zero at
-    every other pivot, so the component along row r is the vector's own
-    entry at pivot r, and all of them are read off before subtracting.
-    """
-
-    def __init__(self, field, ambient_dim: int, subspace: SubspaceBasis):
-        if subspace.ambient_dim != ambient_dim:
-            raise ValueError("subspace does not live in the given ambient space")
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.subspace = subspace
-        self._rows, self._pivots = _rref(field, subspace.vectors)
-        self._support = _support(self._rows)
-        self.dim = ambient_dim - len(self._rows)
-
-    def reduce(self, vec):
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector has wrong ambient dimension")
-        v = list(vec)
-        for c, srow in zip(self._pivots, self._support):
-            a = vec[c]
-            if a:
-                for j, y in srow:
-                    v[j] -= a * y
-        return self.field.canon(v)
-
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
-
-    def free_coordinates(self):
-        """Indices of the non-pivot coordinates (a transversal basis)."""
-        pivot_set = set(self._pivots)
-        return [j for j in range(self.ambient_dim) if j not in pivot_set]
-
-
 def coordinates_in_basis(basis: SubspaceBasis, vec) -> Optional[list]:
     """Coordinates of vec in the given basis, or None if it lies outside.
 
-    With lead columns the coordinates are read off and the membership is
-    checked by recombining; without them the basis is solved against.
+    The coordinates are the entries at the lead columns, and the
+    membership is checked by recombining them.
     """
-    if basis.leads is None:
-        return solve(basis.matrix_of_columns(), vec)
     if len(vec) != basis.ambient_dim:
         raise ValueError("vector has wrong ambient dimension")
     canon = basis.field.canon

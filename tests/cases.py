@@ -8,7 +8,7 @@ from quiverext.ext2 import _cover
 from quiverext.fields import QQ, PrimeField
 from quiverext.fixtures import load_fixture
 from quiverext.geometry import gl_action
-from quiverext.linalg import Matrix
+from quiverext.linalg import Matrix, _rref
 from quiverext.quiver import QuiverError
 from quiverext.rep import RelationCochain, kernel_representation
 from quiverext.suites import random_module
@@ -117,6 +117,24 @@ def position_pair_compose(Zp, Zpp):
                     out = out + term.scale(field.of_fraction(coeff))
         mats[rel.name] = out
     return RelationCochain(W, U, mats)
+
+
+def rref_reducer(field, vectors):
+    """The coset reducer of the span W of vectors, by reduction against the
+    RREF of W with the field's methods: for each RREF row in turn, subtract
+    the vector's current entry at the row's pivot times the row.  The
+    reference for ``SubspaceBasis.reduce``."""
+    rows, pivots = _rref(field, vectors)
+
+    def reduce(vec):
+        v = [field.of(x) for x in vec]
+        for row, p in zip(rows, pivots):
+            c = v[p]
+            if not field.is_zero(c):
+                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+        return v
+
+    return reduce
 
 
 def typed(rows):

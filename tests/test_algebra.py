@@ -17,7 +17,7 @@ import pytest
 from quiverext.algebra import AdmissibilityError, algebra_basis, minimality_check
 from quiverext.cli import main
 from quiverext.fields import QQ
-from quiverext.linalg import QuotientSpace, SubspaceBasis, _rref
+from quiverext.linalg import SubspaceBasis, _rref
 from quiverext.quiver import Path, trivial_path, validate_bound_quiver
 
 from cases import F2, F101, NAMES, case_workspace
@@ -67,9 +67,10 @@ def by_pair(layers, max_len):
     return out
 
 
-def quotient(field, paths, rows_terms):
-    """(paths, index, QuotientSpace) of the span of the paths modulo the rows,
-    longer paths first so that they are the pivots."""
+def reducer(field, paths, rows_terms):
+    """(paths, index, RREF basis of the rows), the basis reducing the span
+    of the paths modulo the rows; longer paths come first so that they are
+    the pivots."""
     paths = sorted(paths, key=lambda p: (-p.length, p.arrows))
     index = {p.arrows: i for i, p in enumerate(paths)}
     rows = []
@@ -78,8 +79,7 @@ def quotient(field, paths, rows_terms):
         for c, p in terms:
             v[index[p.arrows]] = field.add(v[index[p.arrows]], c)
         rows.append(v)
-    rref, _ = _rref(field, rows)
-    return paths, index, QuotientSpace(field, len(paths), SubspaceBasis(field, len(paths), rref))
+    return paths, index, SubspaceBasis(field, len(paths), *_rref(field, rows))
 
 
 def unit(field, index, p):
@@ -95,7 +95,7 @@ def closes(bq, field, layers, level, window):
     prods = products(bq, field, layers, window, honest=True)
     pairs = by_pair(layers, window)
     for pair in {(p.target, p.source) for p in layers[level]}:
-        paths, index, quot = quotient(field, pairs[pair], prods.get(pair, []))
+        paths, index, quot = reducer(field, pairs[pair], prods.get(pair, []))
         if not all(quot.contains(unit(field, index, p)) for p in layers[level]
                    if (p.target, p.source) == pair):
             return False
@@ -110,7 +110,7 @@ def level_loop(bq, field, cap=ORACLE_CAP):
     if level is None:
         return None
     prods = products(bq, field, layers, level, honest=False)
-    reducers = {pair: quotient(field, paths, prods.get(pair, []))
+    reducers = {pair: reducer(field, paths, prods.get(pair, []))
                 for pair, paths in by_pair(layers, level).items()}
     basis = {}
     for pair, (paths, index, quot) in reducers.items():
@@ -135,8 +135,8 @@ def window_dim(bq, field, level, window):
     of the window, whose terms of length >= level are dropped."""
     layers = paths_by_length(bq.quiver, window)
     prods = products(bq, field, layers, window, honest=True)
-    return sum(quotient(field, paths, [[(c, p) for c, p in t if p.length < level]
-                                       for t in prods.get(pair, [])])[2].dim
+    return sum(len(reducer(field, paths, [[(c, p) for c, p in t if p.length < level]
+                                          for t in prods.get(pair, [])])[2].free_coordinates())
                for pair, paths in by_pair(layers, level - 1).items())
 
 

@@ -116,6 +116,29 @@ def test_a_term_without_arrows_is_located():
         5, 22, "relation term has no arrows")
 
 
+# each offending token also occurs earlier in its line, inside another token
+LOOP_MODULE = "quiver Q\nvertex 1\narrow x : 1 -> 1\nmodule M : dim 1\n"
+SES_MODULES = F2_HEADER + "module S1 : dim 1 0 0\nmodule M : dim 1 0 0\n"
+
+
+@pytest.mark.parametrize("src, line, column, message", [
+    ("quiver Q\nvertex 1 2 1\n", 2, 12, "duplicate vertex '1'"),
+    (F2_HEADER + "arrow ab : b -> 1\n", 6, 12, "unknown vertex 'b'"),
+    (F2_HEADER + "relation xa : a*b + x*a\n", 6, 21, "unknown arrow 'x' in relation xa"),
+    (F2_HEADER + "module X1 : dim 1 X 0\n", 6, 19,
+     "dimensions must be nonnegative integers, found 'X'"),
+    (LOOP_MODULE + "  x = [ x ]\n", 5, 9, "expected a rational number, found 'x'"),
+    (SES_MODULES + "ses SES1 : S1 -> M -> S\n", 8, 23,
+     "ses SES1 references unknown module 'S'"),
+], ids=["vertex", "arrow", "relation", "module", "matrix", "ses"])
+def test_an_error_names_the_column_of_its_own_token(src, line, column, message):
+    """The column is the offending token's, not that of the first equal
+    text in the line."""
+    with pytest.raises(ParseError) as err:
+        parse_workspace(src)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
 def test_rationals_are_exact_and_decimals_rejected():
     src = F2_HEADER.replace("relation r : a*b", "relation r : 1/2*a*b")
     ws = parse_workspace(src)

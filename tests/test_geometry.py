@@ -40,7 +40,6 @@ from quiverext.geometry import (
 from quiverext.iso import IsoCertificate, iso_test
 from quiverext.linalg import (
     Matrix,
-    QuotientSpace,
     SubspaceBasis,
     kernel_basis,
     linear_map_matrix,
@@ -55,6 +54,7 @@ from quiverext.rep import (
     direct_sum,
     hom_basis,
     hom_dim,
+    hom_system,
     zero_rep,
 )
 from quiverext.suites import random_cocycle, random_invertible, run_suites
@@ -153,7 +153,7 @@ def probe_hom_pairs_matrix(U, V):
     zu, zv = z_space(U, U), z_space(V, V)
     homs = hom_basis(V, U)
     ambient = ArrowCochain.space_dim(V, U)
-    quot = QuotientSpace(field, ambient, b_space(V, U))
+    coboundaries = b_space(V, U)
 
     def apply(vec):
         Zp = ArrowCochain.from_vector(U, U, zu.combine(vec[:zu.dim]))
@@ -163,7 +163,7 @@ def probe_hom_pairs_matrix(U, V):
             mats = {a.name: Zp.mats[a.name] @ f.mats[a.source]
                     - f.mats[a.target] @ Zpp.mats[a.name]
                     for a in U.bq.quiver.arrows}
-            out.extend(quot.reduce(ArrowCochain(V, U, mats).to_vector()))
+            out.extend(coboundaries.reduce(ArrowCochain(V, U, mats).to_vector()))
         return out
 
     return linear_map_matrix(field, zu.dim + zv.dim, len(homs) * ambient, apply)
@@ -178,7 +178,7 @@ def probe_ext_pairs_matrix(U, V, hpairs):
         out = []
         for Zxi in xis:
             total = compose_cocycles(Zp, Zxi).add(compose_cocycles(Zxi, Zpp))
-            out.extend(model.quotient.reduce(total.to_vector()))
+            out.extend(model.bprime.reduce(total.to_vector()))
         return out
 
     return linear_map_matrix(U.field, hpairs.dim, len(xis) * model.ambient_dim, apply)
@@ -390,12 +390,10 @@ def _field_entries(obj):
             yield from _field_entries(m)
     elif isinstance(obj, SubspaceBasis):
         yield from _field_entries(obj.vectors)
-    elif isinstance(obj, QuotientSpace):
-        yield from _field_entries([obj.subspace, obj._rows])
     elif isinstance(obj, ExtSpace1):
-        yield from _field_entries([obj.source, obj.target, obj.z, obj.b, obj.quotient])
+        yield from _field_entries([obj.source, obj.target, obj.z, obj.b, obj._b_in_z])
     elif isinstance(obj, Ext2Model):
-        yield from _field_entries([obj.source, obj.target, obj.bprime, obj.quotient])
+        yield from _field_entries([obj.source, obj.target, obj.bprime])
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             yield from _field_entries(getattr(obj, f.name))
@@ -479,10 +477,10 @@ def psi_map_per_pair(Zxi, U, V):
     cols = []
     for vec in zu.vectors:
         Zp = ArrowCochain.from_vector(U, U, vec)
-        cols.append(model.quotient.reduce(compose_cocycles(Zp, Zxi).to_vector()))
+        cols.append(model.bprime.reduce(compose_cocycles(Zp, Zxi).to_vector()))
     for vec in zv.vectors:
         Zpp = ArrowCochain.from_vector(V, V, vec)
-        cols.append(model.quotient.reduce(compose_cocycles(Zxi, Zpp).to_vector()))
+        cols.append(model.bprime.reduce(compose_cocycles(Zxi, Zpp).to_vector()))
     mat = Matrix.from_columns(field, model.ambient_dim, cols)
     return geometry.PsiMap(U, V, Zxi, model, mat, zu.dim + zv.dim, mat.rank())
 
@@ -491,9 +489,9 @@ def left_comp_per_pair(Zxi, U, V):
     model = ext2_small_model(V, U)
     space = ext1(V, V)
     cols = []
-    for i in space.quotient.free_coordinates():
+    for i in space._b_in_z.free_coordinates():
         Zp = ArrowCochain.from_vector(V, V, space.z.vectors[i])
-        cols.append(model.quotient.reduce(compose_cocycles(Zxi, Zp).to_vector()))
+        cols.append(model.bprime.reduce(compose_cocycles(Zxi, Zp).to_vector()))
     mat = Matrix.from_columns(U.field, model.ambient_dim, cols)
     return geometry.LeftCompReport(space.dim, model.dim, mat.rank())
 
@@ -792,8 +790,7 @@ def iso_test_candidate_then_fingerprints(M, N, seed=0, trials=20):
                               VertexCochain(M, N, {}))
     cochains = hom_basis(M, N)
     field = M.field
-    homs = SubspaceBasis(field, VertexCochain.space_dim(M, N),
-                         [f.to_vector() for f in cochains])
+    homs = kernel_basis(hom_system(M, N))
     if cochains:
         ones = [field.one] * len(cochains)
         candidate = VertexCochain.from_vector(M, N, homs.combine(ones))
@@ -844,7 +841,7 @@ def _first_tries(M, N, seed=0, trials=20):
     if not basis:
         return False, False
     field = M.field
-    homs = SubspaceBasis(field, VertexCochain.space_dim(M, N), [f.to_vector() for f in basis])
+    homs = kernel_basis(hom_system(M, N))
     rng = random.Random(seed)
     ones = [field.one] * len(basis)
     first = [field.of(rng.randint(-10**6, 10**6)) for _ in basis]

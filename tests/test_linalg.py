@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiverext.ext1 import relation_boundary_matrix
 from quiverext.fields import QQ, PrimeField
 from quiverext.linalg import (
     Matrix,
-    QuotientSpace,
     SubspaceBasis,
     _rref,
     block_diag,
@@ -23,6 +23,9 @@ from quiverext.linalg import (
     solve,
     vstack,
 )
+from quiverext.rep import hom_system
+
+from cases import case_modules, rref_reducer, typed, with_rational_conjugates
 
 F101 = PrimeField(101)
 F2 = PrimeField(2)
@@ -73,13 +76,12 @@ def test_row_space_basis_is_canonical(m):
 @given(rational_matrices())
 def test_quotient_reduce_is_idempotent_and_kills_the_subspace(m):
     sub = row_space_basis(m)
-    quot = QuotientSpace(QQ, m.ncols, sub)
     for v in sub.vectors:
-        assert quot.contains(v)
+        assert sub.contains(v)
     probe = [Fraction(i + 1) for i in range(m.ncols)]
-    once = quot.reduce(probe)
-    assert quot.reduce(once) == once
-    assert quot.dim == m.ncols - sub.dim
+    once = sub.reduce(probe)
+    assert sub.reduce(once) == once
+    assert len(sub.free_coordinates()) == m.ncols - sub.dim
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())
@@ -211,13 +213,13 @@ def test_kernel_basis_free_columns_are_unit_coordinates():
     m = Matrix(QQ, [[Fraction(1), Fraction(2), Fraction(0), Fraction(1)]], 4)
     ker = kernel_basis(m)
     assert ker.dim == 3
-    free = QuotientSpace(QQ, 4, row_space_basis(m)).free_coordinates()
+    free = row_space_basis(m).free_coordinates()
     for v, j in zip(ker.vectors, free):
         assert v[j] == 1
 
 
 def test_coordinates_in_basis_none_outside():
-    basis = SubspaceBasis(QQ, 3, [[Fraction(1), Fraction(0), Fraction(0)]])
+    basis = SubspaceBasis(QQ, 3, [[Fraction(1), Fraction(0), Fraction(0)]], [0])
     assert coordinates_in_basis(basis, [Fraction(2), Fraction(0), Fraction(0)]) == [2]
     assert coordinates_in_basis(basis, [Fraction(0), Fraction(1), Fraction(0)]) is None
 
@@ -256,7 +258,6 @@ def _lead_bases(m):
 def test_readout_equals_solve_on_canonical_bases(m, raw):
     f = m.field
     for basis in _lead_bases(m):
-        assert basis.leads is not None
         coeffs = [f.of(c) for c in raw[:basis.dim]]
         vec = basis.combine(coeffs)
         coords = coordinates_in_basis(basis, vec)
@@ -270,9 +271,8 @@ def test_readout_rejects_vectors_outside_the_span(m):
     for basis in _lead_bases(m):
         if basis.dim == basis.ambient_dim:
             continue
-        quot = QuotientSpace(f, basis.ambient_dim, basis)
         outside = [f.zero] * basis.ambient_dim
-        outside[quot.free_coordinates()[0]] = f.one
+        outside[basis.free_coordinates()[0]] = f.one
         assert solve(basis.matrix_of_columns(), outside) is None
         assert coordinates_in_basis(basis, outside) is None
         # a vector agreeing with a member at every lead column, but not elsewhere
@@ -281,15 +281,6 @@ def test_readout_rejects_vectors_outside_the_span(m):
             shifted = [f.add(x, y) for x, y in zip(shifted, outside)]
             if all(f.is_zero(outside[j]) for j in basis.leads):
                 assert coordinates_in_basis(basis, shifted) is None
-
-
-def test_hand_built_basis_without_leads_is_solved():
-    basis = SubspaceBasis(QQ, 3, [[Fraction(1), Fraction(1), Fraction(0)],
-                                  [Fraction(0), Fraction(1), Fraction(1)]])
-    assert basis.leads is None
-    vec = [Fraction(2), Fraction(5), Fraction(3)]
-    assert coordinates_in_basis(basis, vec) == [2, 3]
-    assert coordinates_in_basis(basis, [Fraction(1), Fraction(0), Fraction(1)]) is None
 
 
 def test_lead_columns_are_checked():
@@ -301,6 +292,58 @@ def test_lead_columns_are_checked():
     ok = SubspaceBasis(f, 3, [[1, 0, 5], [0, 1, 7]], [0, 1])
     assert coordinates_in_basis(ok, [2, 3, f.add(10, 21)]) == [2, 3]
     assert coordinates_in_basis(ok, [2, 3, 0]) is None
+
+
+# -- the coset reducer against reduction by the RREF of the subspace ----------
+
+
+def _reducer_inputs(field):
+    """(kind, basis, vectors): the kernel, row-space and column-space bases
+    of the relation and Hom systems of seeded modules (over Q their
+    rational conjugates) and of seeded random matrices, each with random
+    vectors of its ambient space."""
+    rng = random.Random(f"reducer:{field.name}")
+    mods = with_rational_conjugates(case_modules("loops", field, seed=37))[-3:]
+    systems = [system(M, N) for M in mods for N in mods
+               for system in (relation_boundary_matrix, hom_system)]
+    systems += [Matrix(field, _random_rows(field, rng, n, k, kind), k)
+                for n, k in SHAPES for kind in ("sparse", "fraction", "deficient")]
+    for m in systems:
+        for kind, basis in zip(("kernel", "rows", "columns"), _lead_bases(m)):
+            vectors = [[_entry(field, rng, "fraction") for _ in range(basis.ambient_dim)]
+                       for _ in range(3)]
+            yield kind, basis, vectors
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F2], ids=str)
+def test_reduce_equals_the_rref_reducer(field):
+    """``reduce`` against ``rref_reducer``: equal, entry and type, on row-
+    and column-space bases, whose leads are their pivots; on kernel bases,
+    whose leads are free columns, in the coset of the RREF representative.
+    And the laws: the reducer is linear, idempotent and zero exactly on W,
+    and its representatives are zero at every lead."""
+    f = field
+    for kind, basis, (u, v, w) in _reducer_inputs(field):
+        oracle = rref_reducer(f, basis.vectors)
+        for vec in (u, v, w):
+            got = basis.reduce(vec)
+            if kind == "kernel":
+                assert oracle(got) == oracle(vec)
+            else:
+                assert typed([got]) == typed([oracle(vec)])
+            assert basis.reduce(got) == got
+            assert all(f.is_zero(got[j]) for j in basis.leads)
+            assert basis.contains(vec) == _oracle_is_zero(f, [oracle(vec)])
+        c = f.of(-3)
+        combined = [f.add(x, f.mul(c, y)) for x, y in zip(u, v)]
+        assert basis.reduce(combined) == [
+            f.add(x, f.mul(c, y)) for x, y in zip(basis.reduce(u), basis.reduce(v))]
+        member = basis.combine(w[:basis.dim])
+        assert basis.contains(member) and not any(basis.reduce(member))
+        if basis.dim < basis.ambient_dim:
+            member[basis.free_coordinates()[0]] = f.add(
+                member[basis.free_coordinates()[0]], f.one)
+            assert not basis.contains(member)
 
 
 def test_readout_and_solve_agree_on_unreduced_and_non_canonical_input():
@@ -493,16 +536,6 @@ def _oracle_kron_add(field, rows, row0, col0, coeff, A, B):
                         row[col] = field.add(row[col], field.mul(ca, b))
 
 
-def _oracle_reduce(field, rref_rows, pivots, vec):
-    v = list(vec)
-    for row, p in zip(rref_rows, pivots):
-        c = v[p]
-        if field.is_zero(c):
-            continue
-        v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-    return v
-
-
 def _oracle_entrywise(field, op, a_rows, b_rows=None, c=None):
     if op == "add":
         return [[field.add(x, y) for x, y in zip(r, s)] for r, s in zip(a_rows, b_rows)]
@@ -587,23 +620,19 @@ def test_combine_and_reduce_equal_the_field_method_bodies(field, kind):
     rng = random.Random(f"combine:{field.name}:{kind}")
     for _ in range(15):
         for dim, n in PRODUCT_SHAPES:
-            vectors = _kernel_rows(field, rng, dim, n, kind)
-            coeffs = _kernel_rows(field, rng, 1, dim, kind)[0]
+            vectors, pivots = _rref(field, _kernel_rows(field, rng, dim, n, kind))
+            coeffs = _kernel_rows(field, rng, 1, len(vectors), kind)[0]
             vec = _kernel_rows(field, rng, 1, n, kind)[0]
             before = _snapshot(vectors, [coeffs], [vec])
-            basis = SubspaceBasis(field, n, vectors)
+            basis = SubspaceBasis(field, n, vectors, pivots)
             got = basis.combine(coeffs)
             assert got == _oracle_matmul(field, [coeffs], vectors, n)[0]
             _assert_field_entries(field, [got])
-            quot = QuotientSpace(field, n, basis)
-            reduced = quot.reduce(vec)
-            # the old reducer passed entries through unreduced when no
-            # pivot component was nonzero; the kernel always returns residues
-            expected = [field.of(x) for x in
-                        _oracle_reduce(field, quot._rows, quot._pivots, vec)]
+            reduced = basis.reduce(vec)
+            expected = rref_reducer(field, vectors)(vec)
             assert reduced == expected
             _assert_field_entries(field, [reduced])
-            assert quot.contains(vec) == _oracle_is_zero(field, [expected])
+            assert basis.contains(vec) == _oracle_is_zero(field, [expected])
             got.append(field.one)
             reduced.append(field.one)
             assert _snapshot(vectors, [coeffs], [vec]) == before
