@@ -88,11 +88,10 @@ def _parse_dimvec(text: str, bq) -> dict:
     if len(parts) != len(vertices):
         raise QuiverError(
             f"expected {len(vertices)} comma-separated entries, got {len(parts)}")
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
+    # ASCII digits only: int() also takes '_', spaces and other scripts
+    if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
         raise QuiverError(f"dimension vector entries must be integers: {text!r}")
-    return dict(zip(vertices, values))
+    return dict(zip(vertices, map(int, parts)))
 
 
 def _load_workspace(args):

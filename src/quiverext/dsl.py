@@ -21,7 +21,8 @@ from .rep import Representation
 
 _KEYWORDS = ("quiver", "vertex", "arrow", "relation", "field", "module", "ses")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+# numerals are ASCII decimal digits only (\d and str.isdigit take others)
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
 _WORD_RE = re.compile(r"\S+")
 # a relation's tokens: each sign alone, and each run of other non-space text
 _RELATION_TOKEN_RE = re.compile(r"[+-]|[^\s+-]+")
@@ -295,7 +296,7 @@ class _Parser:
                       f"(one per vertex), found {len(dims)}", line)
         parsed = []
         for d, column in dims:
-            if not d.isdigit():
+            if not (d.isascii() and d.isdigit()):
                 self.fail(lineno, column,
                           f"dimensions must be nonnegative integers, found {d!r}",
                           line)

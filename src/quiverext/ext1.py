@@ -136,15 +136,6 @@ def z_dim(V: Representation, U: Representation) -> int:
     return system.ncols - rank(system)
 
 
-def coboundary(h: VertexCochain) -> ArrowCochain:
-    """The cochain a |-> U_a h_src - h_tgt V_a attached to a vertex cochain."""
-    V, U = h.source, h.target
-    mats = {}
-    for a in V.bq.quiver.arrows:
-        mats[a.name] = U.mats[a.name] @ h.mats[a.source] - h.mats[a.target] @ V.mats[a.name]
-    return ArrowCochain(V, U, mats)
-
-
 def b_space(V: Representation, U: Representation) -> SubspaceBasis:
     """Basis of the coboundary space inside the arrow-cochain coordinates.
 
@@ -153,11 +144,6 @@ def b_space(V: Representation, U: Representation) -> SubspaceBasis:
     matrix span the coboundaries, and its transpose is reduced as it is.
     """
     return row_space_basis(hom_system(V, U).transpose())
-
-
-def b_dim(V: Representation, U: Representation) -> int:
-    """dim B(V, U), the rank of ``hom_system(V, U)``, with no basis built."""
-    return rank(hom_system(V, U))
 
 
 @dataclass

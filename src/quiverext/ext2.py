@@ -32,7 +32,7 @@ counts the P(y), one per top coordinate at y (Nakayama's lemma).
 
 Each module's presentation is built once and read for every partner:
 the top and the pair (Omega, inclusion) are memoised on the module
-itself (``Representation._presentation``), as P(x) is on the bound
+itself (``Representation._memo``), as P(x) is on the bound
 quiver.  The cover's morphism check and the surjectivity count run on
 that first build; a build that fails them is not stored.
 ``ext2_via_omega``, ``yoneda_left_omega``, ``is_projective``,
@@ -259,8 +259,8 @@ def indecomposable_projective(bq: BoundQuiver, field, x) -> Representation:
     It is built, checked to satisfy the relations, and memoised on the
     bound quiver once per field and vertex.
     """
-    cache = bq._projective_cache
-    key = (field.name, x)
+    cache = bq._memo
+    key = ("projective", field.name, x)
     if key not in cache:
         ab = bq.algebra_basis(field)
         quiver = bq.quiver
@@ -331,9 +331,9 @@ def _top(M: Representation) -> dict:
 
     The columns of the arrows into x span the radical of M at x, so the
     coordinates off their pivots span a complement of it.  Built once and
-    memoised on M (``M._presentation["top"]``); callers do not change it.
+    memoised on M (``M._memo["top"]``); callers do not change it.
     """
-    memo = M._presentation
+    memo = M._memo
     if "top" not in memo:
         field, quiver = M.field, M.bq.quiver
         top = {}
@@ -354,11 +354,11 @@ def syzygy(M: Representation):
     checked to be onto at every vertex by dim P_z - dim Omega_z =
     d_z(M), which reads the kernel's elimination.  The pair is built and
     checked on the first call and memoised on M
-    (``M._presentation["syzygy"]``), so every later call, for any
+    (``M._memo["syzygy"]``), so every later call, for any
     partner, returns the same objects; a failed check stores nothing and
     raises again on the next call.
     """
-    memo = M._presentation
+    memo = M._memo
     if "syzygy" not in memo:
         P, cover = _cover(M, _top(M))
         if not cover.is_morphism():
@@ -388,9 +388,9 @@ def is_projective(M: Representation) -> bool:
 
 def gldim_le2_check(bq: BoundQuiver, field) -> bool:
     """Whether every simple has projective second syzygy."""
-    cache = bq._gldim_cache
-    if field.name in cache:
-        return cache[field.name]
+    cache, key = bq._memo, ("gldim", field.name)
+    if key in cache:
+        return cache[key]
     verdict = True
     for x in bq.quiver.vertices:
         first = syzygy(simple(bq, field, x))[0]
@@ -398,5 +398,5 @@ def gldim_le2_check(bq: BoundQuiver, field) -> bool:
         if not is_projective(second):
             verdict = False
             break
-    cache[field.name] = verdict
+    cache[key] = verdict
     return verdict

@@ -87,9 +87,6 @@ class OrbitInfo:
     end_dim: int
     orbit_dim: int
 
-    def codim_in(self, ambient_dim: int) -> int:
-        return ambient_dim - self.orbit_dim
-
 
 def orbit_dim(M: Representation) -> OrbitInfo:
     """Orbit dimension = dim of the base-change group minus endomorphisms."""

@@ -69,13 +69,15 @@ and the tests keep the field-method bodies these kernels replaced as
 their oracles.
 
 Constraint systems of the form X |-> A X B on row-major coordinates are
-assembled block by block with ``kron_add`` (the relation system of the
-cocycles, whose blocks ``ext2.yoneda_matrices`` reads), the Hom system
-``rep.hom_system`` by writing its two blocks f_t M_a and -N_a f_s
-straight into its rows, and the other systems from the images of basis
-vectors (``Matrix.from_columns``).  An empty arrow word is an identity
-factor: the relation system skips it in products and hands ``kron_add``
-its size instead of a matrix.  Pushing unit vectors
+assembled block by block with ``kron_add``.  Both cochain differentials
+go through it: the Hom system ``rep.hom_system`` (two blocks per arrow,
+f_t M_a and -N_a f_s) and the relation system of the cocycles
+(``ext1.relation_boundary_matrix``, whose blocks
+``ext2.yoneda_matrices`` reads).  The other systems are built from the
+images of basis vectors (``Matrix.from_columns``).  An identity factor,
+the identity on the other side of f in the Hom system or an empty arrow
+word in the relation system, is handed to ``kron_add`` as its size
+instead of a matrix.  Pushing unit vectors
 through a closure (``linear_map_matrix``) is kept only for the
 dual-number oracle: it must reach its counts by a route that shares no
 system assembly with the tangent-pair computations it checks.
@@ -153,9 +155,6 @@ class Matrix:
 
     def shape(self):
         return (self.nrows, self.ncols)
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
 
     def col(self, j: int):
         return [r[j] for r in self.rows]
@@ -562,8 +561,10 @@ def kron_add(field, rows, row0: int, col0: int, coeff, A, B) -> None:
     the image, i.e. to row row0 + i * B.ncols + j and column
     col0 + p * B.nrows + q.  Each touched entry gets one term, so over
     F_p it is reduced once.  A or B may be an ``int`` n standing for the
-    n x n identity (an empty arrow word): no identity matrix is built,
-    and each of its rows contributes its one entry.
+    n x n identity factor, either an empty arrow word (the relation
+    system) or the identity on the other side of f (the Hom system): no
+    identity matrix is built, and each of its rows contributes its one
+    entry.
     """
     one, p = field.one, field.char
     if type(B) is int:

@@ -124,16 +124,11 @@ class BoundQuiver:
             raise QuiverError("duplicate relation names")
         for rel in self.relations:
             self._check_relation(rel)
-        self._algebra_cache = {}
-        # filled by ext2: global-dimension verdicts by field name, and the
-        # indecomposable projectives P(x) by (field name, vertex)
-        self._gldim_cache = {}
-        self._projective_cache = {}
-        # structural data: the slot list of each cochain kind, by kind
-        # (filled by rep.Cochain.slots), and the is_acyclic verdict
-        self._slot_cache = {}
-        self._acyclic = None
-        self._opposite = None
+        # data derived from this bound quiver, built once, by key:
+        # ("algebra", field name), "opposite", "acyclic", ("slots", cochain
+        # kind) from rep, and ("gldim", field name) and ("projective",
+        # field name, vertex) from ext2
+        self._memo = {}
 
     def _check_relation(self, rel: RelationElement):
         if not rel.terms:
@@ -160,13 +155,14 @@ class BoundQuiver:
     def algebra_basis(self, field):
         from . import algebra  # local import to avoid a cycle
 
-        if field.name not in self._algebra_cache:
-            self._algebra_cache[field.name] = algebra.algebra_basis(self, field)
-        return self._algebra_cache[field.name]
+        key = ("algebra", field.name)
+        if key not in self._memo:
+            self._memo[key] = algebra.algebra_basis(self, field)
+        return self._memo[key]
 
     def opposite(self) -> "BoundQuiver":
         """The opposite bound quiver: arrows reversed, relation paths reversed."""
-        if self._opposite is None:
+        if "opposite" not in self._memo:
             q = self.quiver
             arrows = [Arrow(a.name, a.target, a.source) for a in q.arrows]
             opp_q = Quiver(q.name + "_op", q.vertices, arrows)
@@ -178,9 +174,9 @@ class BoundQuiver:
                     terms.append((coeff, Path(p.target, p.source, rev)))
                 rels.append(RelationElement(rel.name, rel.target, rel.source, tuple(terms)))
             opp = BoundQuiver(opp_q, rels, self.truncation_cap)
-            opp._opposite = self
-            self._opposite = opp
-        return self._opposite
+            opp._memo["opposite"] = self
+            self._memo["opposite"] = opp
+        return self._memo["opposite"]
 
 
 def validate_bound_quiver(name, vertices, arrows, relations=(),
@@ -208,16 +204,16 @@ def is_acyclic(bq: BoundQuiver) -> bool:
 
     The verdict depends only on the quiver, so it is kept on bq.
     """
-    if bq._acyclic is None:
+    if "acyclic" not in bq._memo:
         graph = {x: set() for x in bq.quiver.vertices}
         for a in bq.quiver.arrows:
             graph[a.target].add(a.source)
         try:
             TopologicalSorter(graph).prepare()
-            bq._acyclic = True
+            bq._memo["acyclic"] = True
         except CycleError:
-            bq._acyclic = False
-    return bq._acyclic
+            bq._memo["acyclic"] = False
+    return bq._memo["acyclic"]
 
 
 # -- dimension forms ---------------------------------------------------

@@ -18,6 +18,7 @@ from .linalg import (
     _product,
     block_diag,
     kernel_basis,
+    kron_add,
     rank,
 )
 from .quiver import BoundQuiver, Path, QuiverError, RelationElement
@@ -46,10 +47,11 @@ class Representation:
             unknown = sorted(map(str, mats.keys() - self.mats.keys()))
             raise QuiverError(f"matrices for no arrow: {', '.join(unknown)}")
         self.name = name
-        # filled by ext2: the top transversal ("top") and the minimal
-        # syzygy with its inclusion ("syzygy"), each built once; no code
-        # changes a representation after construction
-        self._presentation = {}
+        # data derived from this representation, built once, by key: the
+        # top transversal ("top") and the minimal syzygy with its inclusion
+        # ("syzygy") from ext2; no code changes a representation after
+        # construction
+        self._memo = {}
         if check:
             for rel in bq.relations:
                 if not self.eval_relation(rel).is_zero():
@@ -162,10 +164,10 @@ class Cochain:
     @classmethod
     def slots(cls, bq):
         """The slots (key, source vertex, target vertex) of this kind on bq."""
-        cache = bq._slot_cache
-        out = cache.get(cls.kind)
+        key = ("slots", cls.kind)
+        out = bq._memo.get(key)
         if out is None:
-            out = cache[cls.kind] = tuple(cls._slot_list(bq))
+            out = bq._memo[key] = tuple(cls._slot_list(bq))
         return out
 
     @classmethod
@@ -234,13 +236,6 @@ class VertexCochain(Cochain):
                 return False
         return True
 
-    def compose(self, other: "VertexCochain") -> "VertexCochain":
-        """self after other (vertexwise matrix product)."""
-        if other.target != self.source:
-            raise QuiverError("cochain composition: targets and sources do not match")
-        mats = {x: self.mats[x] @ other.mats[x] for x in self.mats}
-        return VertexCochain(other.source, self.target, mats)
-
 
 class ArrowCochain(Cochain):
     """Per-arrow matrices source_rep -> target_rep across each arrow."""
@@ -266,36 +261,26 @@ def hom_system(M: Representation, N: Representation) -> Matrix:
     """Matrix of the map f |-> (f_tgt M_a - N_a f_src)_a on vertex cochains.
 
     Columns follow ``VertexCochain.offsets(M, N)`` and rows
-    ``ArrowCochain.offsets(M, N)``: one row-major block per vertex and
-    per arrow, in vertex and arrow order.  Entry (i, j) of the block of a
-    takes M_a[q][j] from f_tgt[i][q] and -N_a[i][p] from f_src[p][j]; both
-    are written straight into the rows (on a loop they meet in one entry)
-    and each entry is brought to canonical form once.  Its kernel is
-    Hom(M, N).
+    ``ArrowCochain.offsets(M, N)``.  Each arrow adds two Kronecker blocks
+    with ``kron_add``, as the relation system does: X |-> X M_a into the
+    columns of f_tgt and X |-> -N_a X into those of f_src, the identity
+    on the other side of f passed as its size (on a loop both land in
+    one block).  Its kernel is Hom(M, N).
     """
     if M.bq is not N.bq:
         raise QuiverError("hom of representations over different quivers")
     field = M.field
     col0, ncols = VertexCochain.offsets(M, N)
     row0, nrows = ArrowCochain.offsets(M, N)
-    rows = [[0] * ncols for _ in range(nrows)]
+    rows = [[field.zero] * ncols for _ in range(nrows)]
+    minus_one = field.neg(field.one)
     for a in M.bq.quiver.arrows:
-        m_a, n_a = M.mats[a.name].rows, N.mats[a.name].rows
-        m_t, m_s = M.dims[a.target], M.dims[a.source]
-        c_t, c_s = col0[a.target], col0[a.source]
-        m_cols = [[(q, row[j]) for q, row in enumerate(m_a) if row[j]]
-                  for j in range(m_s)]
         r = row0[a.name]
-        for i, n_row in enumerate(n_a):
-            n_cells = [(p, y) for p, y in enumerate(n_row) if y]
-            for j, cells in enumerate(m_cols):
-                row = rows[r]
-                r += 1
-                for q, x in cells:
-                    row[c_t + i * m_t + q] += x
-                for p, y in n_cells:
-                    row[c_s + p * m_s + j] -= y
-    return Matrix(field, map(field.canon, rows), ncols)
+        kron_add(field, rows, r, col0[a.target], field.one,
+                 N.dims[a.target], M.mats[a.name])
+        kron_add(field, rows, r, col0[a.source], minus_one,
+                 N.mats[a.name], M.dims[a.source])
+    return Matrix._adopt(field, rows, ncols)
 
 
 def hom_basis(M: Representation, N: Representation):

@@ -173,6 +173,22 @@ def test_euler_rejects_a_short_vector(capsys, f2_path):
     assert "error:" in captured.err
 
 
+def test_euler_entries_are_ascii_integers(capsys, tmp_path):
+    """An entry int() would read ('_', a space, another script's digit)
+    is refused; a negative one still reaches the nonnegative check."""
+    ws = tmp_path / "f1.qv"
+    ws.write_text(fixture_source("f1"), encoding="utf-8")
+    refused = "error: dimension vector entries must be integers: {!r}\n"
+    for d1, err in [("1_0,0", refused.format("1_0,0")),
+                    ("\u0663,0", refused.format("\u0663,0")),
+                    ("\u00b2,0", refused.format("\u00b2,0")),
+                    (" 1,0", refused.format(" 1,0")),
+                    ("-1,0", "error: dimension at vertex '1' must be a nonnegative int\n")]:
+        code = main(["euler", str(ws), "--", d1, "0,1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", err)
+
+
 def test_orbit_and_tangent(capsys, f2_path):
     code, payload = run_json(capsys, ["orbit", f2_path, "N"])
     assert code == 0

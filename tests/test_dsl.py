@@ -139,6 +139,26 @@ def test_an_error_names_the_column_of_its_own_token(src, line, column, message):
     assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
 
 
+ARROW_MODULE = "quiver Q\nvertex 1 2\narrow a : 2 -> 1\nmodule X : dim 1 1\n"
+
+
+@pytest.mark.parametrize("src, line, column, message", [
+    (ARROW_MODULE.replace("dim 1 1", "dim 1 \u00b2"), 4, 18,
+     "dimensions must be nonnegative integers, found '\u00b2'"),
+    (ARROW_MODULE.replace("dim 1 1", "dim 1 \u0663"), 4, 18,
+     "dimensions must be nonnegative integers, found '\u0663'"),
+    (ARROW_MODULE + "  a = [ \u0663 ]\n", 5, 9, "expected a rational number, found '\u0663'"),
+    (F2_HEADER.replace("relation r : a*b", "relation r : \u0663*a*b"), 5, 14,
+     "invalid arrow name '\u0663' (need letters first)"),
+], ids=["superscript-dim", "arabic-indic-dim", "arabic-indic-entry", "arabic-indic-coeff"])
+def test_numerals_are_ascii_digits(src, line, column, message):
+    """A digit of another script is no numeral: each is refused with a
+    located error, not read as its value nor left to int() to refuse."""
+    with pytest.raises(ParseError) as err:
+        parse_workspace(src)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
 def test_rationals_are_exact_and_decimals_rejected():
     src = F2_HEADER.replace("relation r : a*b", "relation r : 1/2*a*b")
     ws = parse_workspace(src)

@@ -205,8 +205,8 @@ def test_stacking_shapes_and_entries():
     assert hstack(a, b).rows == [[1, 2, 3, 4]]
     d = block_diag(QQ, [a, b])
     assert d.shape() == (2, 4)
-    assert d.entry(0, 0) == 1 and d.entry(1, 2) == 3
-    assert d.entry(0, 2) == 0 and d.entry(1, 0) == 0
+    assert d.rows[0][0] == 1 and d.rows[1][2] == 3
+    assert d.rows[0][2] == 0 and d.rows[1][0] == 0
 
 
 def test_kernel_basis_free_columns_are_unit_coordinates():
