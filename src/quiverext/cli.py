@@ -53,29 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "certificates for modules over bound quivers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def ws_command(name, help_text, *names):
+    for name, (help_text, positionals, _) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("workspace", help="workspace file (.qv)")
-        for n in names:
+        for n in positionals:
             p.add_argument(n)
-        return p
-
-    ws_command("check", "validate a workspace file")
-    ws_command("hom", "dimension and basis of Hom(M, N)", "M", "N")
-    ws_command("ext1", "first extensions of V by U", "V", "U")
-    ws_command("ext2", "second extensions of N by M, via both models", "N", "M")
-    ws_command("euler", "bilinear form on two dimension vectors "
-                        "(comma-separated)", "d1", "d2")
-    ws_command("orbit", "orbit dimension of a module", "M")
-    ws_command("tangent", "tangent dimension of the module variety at N", "N")
-    ws_command("e-tangent", "scheme-tangent pair space for a split point",
-               "U", "V")
-    ws_command("psi", "pairing-map rank and kernel at a declared sequence",
-               "ses")
-    ws_command("witness", "search for a short exact sequence presenting M",
-               "M", "U", "V")
-    ws_command("certify", "tangent accounting certificate at a declared "
-                          "sequence", "ses")
     p = sub.add_parser("verify", parents=[common],
                        help="run a verification suite over bundled fixtures")
     p.add_argument("suite", choices=tuple(SUITES) + ("all",))
@@ -103,16 +85,37 @@ def _load_workspace(args):
     return ws
 
 
-def _witness_or_none(ws, ses_name, seed):
-    decl = ws.sequence(ses_name)
-    M = ws.module(decl.middle)
-    U, V = ws.module(decl.sub), ws.module(decl.quot)
-    return M, U, V, degeneration_witness_search(M, U, V, seed=seed)
+def _sequence_witness(ws, args, miss):
+    """A task for the declared sequence ``args.ses`` and its verified
+    witness; without one the task reads a null result and the warning
+    ``miss``, plus the reason of an inconclusive search."""
+    task = {"task": args.command, "inputs": {"ses": args.ses, "seed": args.seed}}
+    try:
+        witness = degeneration_witness_search(*ws.sequence_modules(args.ses),
+                                              seed=args.seed)
+    except InconclusiveSearch as exc:
+        witness, miss = None, f"{miss}: {exc}"
+    if witness is None:
+        task["result"], task["warnings"] = None, [miss]
+    return task, witness
 
 
 # -- one task builder per command ----------------------------------------
 
 
+_COMMANDS = {}
+
+
+def _command(name, help_text, *positionals):
+    """Register a task builder ``(ws, args) -> (task, exit code)`` as the
+    subcommand ``name`` over a workspace file and ``positionals``."""
+    def register(build):
+        _COMMANDS[name] = (help_text, positionals, build)
+        return build
+    return register
+
+
+@_command("check", "validate a workspace file")
 def _task_check(ws, args):
     modules = {name: [rep.dims[x] for x in ws.bound_quiver.quiver.vertices]
                for name, rep in ws.modules.items()}
@@ -128,6 +131,7 @@ def _task_check(ws, args):
     }, 0
 
 
+@_command("hom", "dimension and basis of Hom(M, N)", "M", "N")
 def _task_hom(ws, args):
     M, N = ws.module(args.M), ws.module(args.N)
     basis = hom_basis(M, N)
@@ -142,6 +146,7 @@ def _task_hom(ws, args):
     }, 0
 
 
+@_command("ext1", "first extensions of V by U", "V", "U")
 def _task_ext1(ws, args):
     V, U = ws.module(args.V), ws.module(args.U)
     space = ext1(V, U)
@@ -155,6 +160,7 @@ def _task_ext1(ws, args):
     }, 0
 
 
+@_command("ext2", "second extensions of N by M, via both models", "N", "M")
 def _task_ext2(ws, args):
     N, M = ws.module(args.N), ws.module(args.M)
     omega = ext2_via_omega(N, M).dim
@@ -179,6 +185,8 @@ def _task_ext2(ws, args):
     return task, 0
 
 
+@_command("euler", "bilinear form on two dimension vectors "
+                  "(comma-separated)", "d1", "d2")
 def _task_euler(ws, args):
     bq = ws.bound_quiver
     d1 = _parse_dimvec(args.d1, bq)
@@ -191,6 +199,7 @@ def _task_euler(ws, args):
     }, 0
 
 
+@_command("orbit", "orbit dimension of a module", "M")
 def _task_orbit(ws, args):
     info = orbit_dim(ws.module(args.M))
     return {
@@ -201,6 +210,7 @@ def _task_orbit(ws, args):
     }, 0
 
 
+@_command("tangent", "tangent dimension of the module variety at N", "N")
 def _task_tangent(ws, args):
     N = ws.module(args.N)
     space = tangent_module_variety(N)
@@ -213,6 +223,8 @@ def _task_tangent(ws, args):
     }, 0
 
 
+@_command("e-tangent", "scheme-tangent pair space for a split point",
+          "U", "V")
 def _task_e_tangent(ws, args):
     U, V = ws.module(args.U), ws.module(args.V)
     hpairs = hom_tangent_pairs(ext1(V, U))
@@ -226,15 +238,12 @@ def _task_e_tangent(ws, args):
     }, 0
 
 
+@_command("psi", "pairing-map rank and kernel at a declared sequence",
+          "ses")
 def _task_psi(ws, args):
-    M, U, V, witness = _witness_or_none(ws, args.ses, args.seed)
-    task = {
-        "task": "psi",
-        "inputs": {"ses": args.ses, "seed": args.seed},
-    }
+    task, witness = _sequence_witness(
+        ws, args, "no extension cocycle found for the sequence")
     if witness is None:
-        task["result"] = None
-        task["warnings"] = ["no extension cocycle found for the sequence"]
         return task, 1
     psi = psi_map(witness.space, witness.Z)
     task["result"] = {
@@ -249,6 +258,8 @@ def _task_psi(ws, args):
     return task, 0
 
 
+@_command("witness", "search for a short exact sequence presenting M",
+          "M", "U", "V")
 def _task_witness(ws, args):
     M, U, V = ws.module(args.M), ws.module(args.U), ws.module(args.V)
     task = {
@@ -281,22 +292,14 @@ def _task_witness(ws, args):
     return task, 0
 
 
+@_command("certify", "tangent accounting certificate at a declared "
+                    "sequence", "ses")
 def _task_certify(ws, args):
-    task = {
-        "task": "certify",
-        "inputs": {"ses": args.ses, "seed": args.seed},
-    }
-    try:
-        M, U, V, witness = _witness_or_none(ws, args.ses, args.seed)
-    except InconclusiveSearch as exc:
-        task["result"] = None
-        task["warnings"] = [f"no verified witness for the sequence: {exc}"]
-        return task, 1
+    task, witness = _sequence_witness(
+        ws, args, "no verified witness for the sequence")
     if witness is None:
-        task["result"] = None
-        task["warnings"] = ["no verified witness for the sequence"]
         return task, 1
-    report = regularity_certificate(M, U, V, witness)
+    report = regularity_certificate(witness.M, witness.U, witness.V, witness)
     task["result"] = {
         "verdict": report.verdict,
         "a_of_d": report.a_d,
@@ -315,21 +318,6 @@ def _task_certify(ws, args):
         "flags": report.flags,
     }
     return task, 0
-
-
-_TASKS = {
-    "check": _task_check,
-    "hom": _task_hom,
-    "ext1": _task_ext1,
-    "ext2": _task_ext2,
-    "euler": _task_euler,
-    "orbit": _task_orbit,
-    "tangent": _task_tangent,
-    "e-tangent": _task_e_tangent,
-    "psi": _task_psi,
-    "witness": _task_witness,
-    "certify": _task_certify,
-}
 
 
 # -- rendering -------------------------------------------------------------
@@ -384,7 +372,8 @@ def main(argv=None) -> int:
             _emit(args, tasks, meta, results=results)
             return 0 if all(r.passed for r in results) else 1
         ws = _load_workspace(args)
-        task, code = _TASKS[args.command](ws, args)
+        _, _, build = _COMMANDS[args.command]
+        task, code = build(ws, args)
         meta = {"field": ws.field.name, "quiver": ws.name,
                 "truncation": ws.bound_quiver.truncation_cap}
         _emit(args, [task], meta)

@@ -75,6 +75,11 @@ class Workspace:
             raise QuiverError(f"unknown ses {name!r}")
         return self.sequences[name]
 
+    def sequence_modules(self, name: str):
+        """The middle, sub and quotient modules of a declared sequence."""
+        decl = self.sequence(name)
+        return tuple(self.module(n) for n in (decl.middle, decl.sub, decl.quot))
+
 
 def _words(line, start=0):
     """The whitespace-separated words of line[start:], each as (text, column)."""

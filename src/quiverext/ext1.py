@@ -265,8 +265,7 @@ def middle_term(Z: ArrowCochain):
     return W, VertexCochain(U, W, incl), VertexCochain(W, V, proj)
 
 
-def pushout_class(h: VertexCochain, Z: ArrowCochain,
-                  target_space: ExtSpace1 | None = None) -> Ext1Class:
+def pushout_class(h: VertexCochain, Z: ArrowCochain) -> Ext1Class:
     """Image of [Z] under a morphism h: U -> M on the sub side.
 
     The image class is represented by the cochain a |-> h_tgt Z_a.
@@ -278,13 +277,10 @@ def pushout_class(h: VertexCochain, Z: ArrowCochain,
         raise QuiverError("pushout expects a morphism")
     M = h.target
     mats = {a.name: h.mats[a.target] @ Z.mats[a.name] for a in V.bq.quiver.arrows}
-    pushed = ArrowCochain(V, M, mats)
-    space = target_space or ext1(V, M)
-    return space.class_of(pushed)
+    return ext1(V, M).class_of(ArrowCochain(V, M, mats))
 
 
-def pullback_class(Z: ArrowCochain, h: VertexCochain,
-                   target_space: ExtSpace1 | None = None) -> Ext1Class:
+def pullback_class(Z: ArrowCochain, h: VertexCochain) -> Ext1Class:
     """Image of [Z] under a morphism h: M -> V on the quotient side.
 
     The image class is represented by the cochain a |-> Z_a h_src.
@@ -296,6 +292,4 @@ def pullback_class(Z: ArrowCochain, h: VertexCochain,
         raise QuiverError("pullback expects a morphism")
     M = h.source
     mats = {a.name: Z.mats[a.name] @ h.mats[a.source] for a in V.bq.quiver.arrows}
-    pulled = ArrowCochain(M, U, mats)
-    space = target_space or ext1(M, U)
-    return space.class_of(pulled)
+    return ext1(M, U).class_of(ArrowCochain(M, U, mats))

@@ -80,12 +80,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero in Q")
         return canonical(Fraction(a.denominator, a.numerator))
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        # Fraction first: int / int would be a float
-        return canonical(Fraction(a) / b)
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -155,9 +149,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError(f"inverse of zero in {self.name}")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

@@ -62,9 +62,6 @@ class RelationElement:
     def max_length(self) -> int:
         return max(p.length for _, p in self.terms)
 
-    def min_length(self) -> int:
-        return min(p.length for _, p in self.terms)
-
     def __str__(self):
         parts = []
         for c, p in self.terms:

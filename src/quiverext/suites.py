@@ -1,9 +1,13 @@
 """Verification suites over the bundled fixtures.
 
 Each suite pins one identity and reports counterexample data on
-failure; `run_suites("all", ...)` executes every suite with the same
-seed.  Case evaluation is sequential and report assembly sorts by case
-key, so reports are deterministic functions of (suite, field, seed).
+failure.  A suite is one body ``(rec, field, seed)`` under the
+``@_suite(name)`` decorator, which registers it in ``SUITES`` in
+definition order and turns it into the public ``(field, seed) ->
+SuiteResult`` function; the decorator's recorder counts the cases and
+times the run.  `run_suites("all", ...)` executes every suite with the
+same seed.  Case evaluation is sequential and report assembly sorts by
+case key, so reports are deterministic functions of (suite, field, seed).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .ext2 import (
 from .fields import QQ
 from .fixtures import FIXTURE_NAMES, fixture_source, load_fixture
 from .geometry import (
+    InconclusiveSearch,
     degeneration_witness_search,
     dual_number_oracle,
     ext_tangent_pairs,
@@ -70,6 +75,7 @@ class _Recorder:
     def __init__(self):
         self.cases = 0
         self.failures = []
+        self.started = time.perf_counter()
 
     def check(self, key: str, ok: bool, detail: str = ""):
         self.cases += 1
@@ -79,10 +85,28 @@ class _Recorder:
     def equal(self, key: str, got, want):
         self.check(key, got == want, f"got {got!r}, expected {want!r}")
 
-    def result(self, suite: str, started: float) -> SuiteResult:
+    def result(self, suite: str) -> SuiteResult:
         self.failures.sort(key=lambda f: f["case"])
         return SuiteResult(suite, self.cases,
-                           self.failures, time.perf_counter() - started)
+                           self.failures, time.perf_counter() - self.started)
+
+
+SUITES = {}
+
+
+def _suite(name: str):
+    """Register a suite body ``(rec, field, seed)`` under ``name``, in
+    definition order, as a function ``(field, seed) -> SuiteResult``."""
+    def register(body):
+        def run(field, seed: int) -> SuiteResult:
+            rec = _Recorder()
+            body(rec, field, seed)
+            return rec.result(name)
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        SUITES[name] = run
+        return run
+    return register
 
 
 # -- seeded random modules -------------------------------------------------
@@ -128,10 +152,9 @@ _F3_CATALOG = ("S1", "S2", "S3", "S4", "P2", "P3", "P4", "R4")
 # -- the suites ------------------------------------------------------------
 
 
-def suite_zdim(field, seed: int) -> SuiteResult:
+@_suite("zdim")
+def suite_zdim(rec, field, seed: int) -> None:
     """Cocycle-space dimension count against hom and first-extension dims."""
-    started = time.perf_counter()
-    rec = _Recorder()
     ws = load_fixture("f2", field=field)
     catalog = list(_F2_CATALOG) + ["M"]
 
@@ -150,13 +173,11 @@ def suite_zdim(field, seed: int) -> SuiteResult:
         V = random_module(ws, _F2_CATALOG, rng)
         U = random_module(ws, _F2_CATALOG, rng)
         check_pair(f"random:{i:03d}", V, U)
-    return rec.result("zdim", started)
 
 
-def suite_euler(field, seed: int) -> SuiteResult:
+@_suite("euler")
+def suite_euler(rec, field, seed: int) -> None:
     """Alternating hom/ext sum equals the bilinear form on dimension vectors."""
-    started = time.perf_counter()
-    rec = _Recorder()
     for name in ("f2", "f3"):
         ws = load_fixture(name, field=field)
         bq = ws.bound_quiver
@@ -166,13 +187,11 @@ def suite_euler(field, seed: int) -> SuiteResult:
                        + ext2_via_omega(M, N).dim)
                 rhs = euler_form(bq, M.dim_vector(), N.dim_vector())
                 rec.equal(f"{name}:{mn}->{nn}", lhs, rhs)
-    return rec.result("euler", started)
 
 
-def suite_ext2_agree(field, seed: int) -> SuiteResult:
+@_suite("ext2-agree")
+def suite_ext2_agree(rec, field, seed: int) -> None:
     """The gated small second-extension model against the syzygy route."""
-    started = time.perf_counter()
-    rec = _Recorder()
     for name in ("f2", "f3"):
         ws = load_fixture(name, field=field)
         for nn, N in ws.modules.items():
@@ -187,7 +206,6 @@ def suite_ext2_agree(field, seed: int) -> SuiteResult:
     f3 = load_fixture("f3", field=field)
     rec.equal("spot:f3:S4|S1",
               ext2_small_model(f3.module("S4"), f3.module("S1")).dim, 1)
-    return rec.result("ext2-agree", started)
 
 
 def _yoneda_triple(ws, u_name, v_name, w_name):
@@ -200,10 +218,9 @@ def _yoneda_triple(ws, u_name, v_name, w_name):
     return U, V, W, Zp, Zpp
 
 
-def suite_yoneda(field, seed: int) -> SuiteResult:
+@_suite("yoneda")
+def suite_yoneda(rec, field, seed: int) -> None:
     """Nonvanishing of the composite class and boundary insensitivity."""
-    started = time.perf_counter()
-    rec = _Recorder()
     rng = random.Random(seed)
     triples = (("f2", "S1", "S2", "S3"), ("f3", "S1", "R4", "S4"))
     for wsname, un, vn, wn in triples:
@@ -218,36 +235,29 @@ def suite_yoneda(field, seed: int) -> SuiteResult:
         cls = ext1(W, V).class_of(Zpp)
         omega_cls = yoneda_left_omega(Zp, cls)
         rec.equal(f"{key}:omega-route", omega_cls.is_zero, product.is_zero)
-        # boundary insensitivity in both factors
-        bp = b_space(V, U)
-        bpp = b_space(W, V)
+        # boundary insensitivity in both factors, left drawn before right
+        factors = (Zp, Zpp)
+        spaces = [b_space(Z.source, Z.target) for Z in factors]
         for i in range(20):
-            if bp.dim:
-                coeffs = [field.of(rng.randint(-4, 4)) for _ in bp.vectors]
-                B = ArrowCochain.from_vector(V, U, bp.combine(coeffs))
-                shifted = model.class_of(
-                    compose_cocycles(Zp.add(B), Zpp))
-                rec.equal(f"{key}:left-shift:{i:02d}", shifted.coords,
+            for k, side in enumerate(("left", "right")):
+                Z, bs = factors[k], spaces[k]
+                if not bs.dim:
+                    continue
+                coeffs = [field.of(rng.randint(-4, 4)) for _ in bs.vectors]
+                B = ArrowCochain.from_vector(Z.source, Z.target, bs.combine(coeffs))
+                shifted, pure = list(factors), list(factors)
+                shifted[k], pure[k] = Z.add(B), B
+                rec.equal(f"{key}:{side}-shift:{i:02d}",
+                          model.class_of(compose_cocycles(*shifted)).coords,
                           product.coords)
-                pure = model.class_of(compose_cocycles(B, Zpp))
-                rec.check(f"{key}:left-boundary:{i:02d}", pure.is_zero,
+                rec.check(f"{key}:{side}-boundary:{i:02d}",
+                          model.class_of(compose_cocycles(*pure)).is_zero,
                           "pure boundary composed to a nonzero class")
-            if bpp.dim:
-                coeffs = [field.of(rng.randint(-4, 4)) for _ in bpp.vectors]
-                B = ArrowCochain.from_vector(W, V, bpp.combine(coeffs))
-                shifted = model.class_of(compose_cocycles(Zp, Zpp.add(B)))
-                rec.equal(f"{key}:right-shift:{i:02d}", shifted.coords,
-                          product.coords)
-                pure = model.class_of(compose_cocycles(Zp, B))
-                rec.check(f"{key}:right-boundary:{i:02d}", pure.is_zero,
-                          "pure boundary composed to a nonzero class")
-    return rec.result("yoneda", started)
 
 
-def suite_tangent_blocks(field, seed: int) -> SuiteResult:
+@_suite("tangent-blocks")
+def suite_tangent_blocks(rec, field, seed: int) -> None:
     """Block decomposition of the tangent space at a split point."""
-    started = time.perf_counter()
-    rec = _Recorder()
     rng = random.Random(seed)
     f2 = load_fixture("f2", field=field)
     rec.equal("f2:S1|V",
@@ -269,22 +279,15 @@ def suite_tangent_blocks(field, seed: int) -> SuiteResult:
                 rec.check(f"{name}:random:{i}", True)
             except Exception as exc:  # the sum check raises on mismatch
                 rec.check(f"{name}:random:{i}", False, str(exc))
-    return rec.result("tangent-blocks", started)
 
 
-def _ses_ends(ws, ses_name):
-    decl = ws.sequence(ses_name)
-    return ws.module(decl.sub), ws.module(decl.quot)
-
-
-def suite_schemeext(field, seed: int) -> SuiteResult:
+@_suite("schemeext")
+def suite_schemeext(rec, field, seed: int) -> None:
     """Tangent-pair membership against the dual-number oracle."""
-    started = time.perf_counter()
-    rec = _Recorder()
     rng = random.Random(seed)
     for wsname, ses in (("f2", "SES1"), ("f3", "XI3")):
         ws = load_fixture(wsname, field=field)
-        U, V = _ses_ends(ws, ses)
+        _, U, V = ws.sequence_modules(ses)
         hpairs = hom_tangent_pairs(ext1(V, U))
         pairs = ext_tangent_pairs(hpairs)
         zu, zv = hpairs.zu, hpairs.zv
@@ -323,35 +326,45 @@ def suite_schemeext(field, seed: int) -> SuiteResult:
     probe0 = dual_number_oracle(U, ArrowCochain.zero(U, U), V,
                                 ArrowCochain.zero(V, V))
     rec.equal("f3:S1|S1+S2:origin", probe0.ext_member, True)
-    return rec.result("schemeext", started)
 
 
-def suite_psi(field, seed: int) -> SuiteResult:
+def _sequence_witness(rec, ws, ses, key, seed, miss):
+    """The verified witness of a declared sequence, or None, checked as
+    case ``key:witness``: a miss fails it with ``miss``, an inconclusive
+    search with ``miss`` and the search's reason."""
+    try:
+        witness = degeneration_witness_search(*ws.sequence_modules(ses),
+                                              seed=seed)
+    except InconclusiveSearch as exc:
+        witness, miss = None, f"{miss}: {exc}"
+    rec.check(f"{key}:witness", witness is not None, miss)
+    return witness
+
+
+@_suite("psi")
+def suite_psi(rec, field, seed: int) -> None:
     """Kernel dimension of the pairing map at the fixture sequences."""
-    started = time.perf_counter()
-    rec = _Recorder()
     for wsname, ses in (("f2", "SES1"), ("f3", "XI3")):
         ws = load_fixture(wsname, field=field)
-        decl = ws.sequence(ses)
-        M = ws.module(decl.middle)
-        U, V = ws.module(decl.sub), ws.module(decl.quot)
-        witness = degeneration_witness_search(M, U, V, seed=seed)
-        rec.check(f"{wsname}:{ses}:witness", witness is not None,
-                  "no extension cocycle with the declared middle term")
+        key = f"{wsname}:{ses}"
+        witness = _sequence_witness(
+            rec, ws, ses, key, seed,
+            "no extension cocycle with the declared middle term")
         if witness is None:
             continue
+        U, V = witness.U, witness.V
         psi = psi_map(witness.space, witness.Z)
-        rec.check(f"{wsname}:{ses}:surjective", psi.surjective,
+        rec.check(f"{key}:surjective", psi.surjective,
                   f"rank {psi.rank} < target {psi.model.dim}")
         if psi.surjective:
             duu = z_space(U, U).dim
             dvv = z_space(V, V).dim
             # on the syzygy, so the suites exercise both routes
             ext2_vu = ext2_via_omega(V, U).dim
-            rec.equal(f"{wsname}:{ses}:kernel", psi.kernel_dim,
+            rec.equal(f"{key}:kernel", psi.kernel_dim,
                       duu + dvv - ext2_vu)
         left = left_comp_surjectivity(witness.space, witness.Z)
-        rec.check(f"{wsname}:{ses}:left-comp", left.surjective,
+        rec.check(f"{key}:left-comp", left.surjective,
                   f"rank {left.rank} < target {left.target_dim}")
     # a zero pairing into a nonzero target must not report surjective
     f2 = load_fixture("f2", field=field)
@@ -359,40 +372,32 @@ def suite_psi(field, seed: int) -> SuiteResult:
     psi = psi_map(ext1(V, U), ArrowCochain.zero(V, U))
     rec.equal("f2:zero-pairing:target", psi.model.dim, 1)
     rec.equal("f2:zero-pairing:gate", psi.surjective, False)
-    return rec.result("psi", started)
 
 
-def suite_regularity(field, seed: int) -> SuiteResult:
+@_suite("regularity")
+def suite_regularity(rec, field, seed: int) -> None:
     """The tangent accounting certificate on both fixture sequences."""
-    started = time.perf_counter()
-    rec = _Recorder()
     for wsname, ses, a_d in (("f2", "SES1", 3), ("f3", "XI3", 3)):
         ws = load_fixture(wsname, field=field)
-        decl = ws.sequence(ses)
-        M = ws.module(decl.middle)
-        U, V = ws.module(decl.sub), ws.module(decl.quot)
-        witness = degeneration_witness_search(M, U, V, seed=seed)
-        rec.check(f"{wsname}:{ses}:witness", witness is not None,
-                  "no witness found")
+        key = f"{wsname}:{ses}"
+        witness = _sequence_witness(rec, ws, ses, key, seed, "no witness found")
         if witness is None:
             continue
-        report = regularity_certificate(M, U, V, witness)
-        key = f"{wsname}:{ses}"
+        report = regularity_certificate(witness.M, witness.U, witness.V,
+                                        witness)
         rec.equal(f"{key}:verdict", report.verdict, "regular-tangent")
         rec.equal(f"{key}:a-of-d", report.a_d, a_d)
         rec.check(f"{key}:bound", report.bound_matches_a,
                   f"bound {report.bound} != a(d) {report.a_d}")
         rec.check(f"{key}:tangent", report.tangent_matches_a,
                   f"tangent {report.z_nn_dim} != a(d) {report.a_d}")
-        codim = orbit_dim(M).orbit_dim - report.orbit_dim_n
+        codim = orbit_dim(witness.M).orbit_dim - report.orbit_dim_n
         rec.equal(f"{key}:codim", codim, 1)
-    return rec.result("regularity", started)
 
 
-def suite_scaling(field, seed: int) -> SuiteResult:
+@_suite("scaling")
+def suite_scaling(rec, field, seed: int) -> None:
     """Conjugation certificates for scaled cocycles; witness search gates."""
-    started = time.perf_counter()
-    rec = _Recorder()
     rng = random.Random(seed)
     ws = load_fixture("f2", field=field)
     produced = 0
@@ -425,16 +430,14 @@ def suite_scaling(field, seed: int) -> SuiteResult:
                                         ws.module("W"), seed=seed)
     rec.check("witness:decoy", decoy is None,
               "the forced-split decoy produced a witness")
-    return rec.result("scaling", started)
 
 
-def suite_dualnum(field, seed: int) -> SuiteResult:
+@_suite("dualnum")
+def suite_dualnum(rec, field, seed: int) -> None:
     """Internal laws of the dual-number probe."""
-    started = time.perf_counter()
-    rec = _Recorder()
     for wsname, ses in (("f2", "SES1"), ("f3", "XI3")):
         ws = load_fixture(wsname, field=field)
-        U, V = _ses_ends(ws, ses)
+        _, U, V = ws.sequence_modules(ses)
         zero_u = ArrowCochain.zero(U, U)
         zero_v = ArrowCochain.zero(V, V)
         probe = dual_number_oracle(U, zero_u, V, zero_v)
@@ -460,13 +463,11 @@ def suite_dualnum(field, seed: int) -> SuiteResult:
             rec.equal(f"{key}:scale-invariance",
                       (scaled.hom_member, scaled.ext_member),
                       (probe.hom_member, probe.ext_member))
-    return rec.result("dualnum", started)
 
 
-def suite_parser(field, seed: int) -> SuiteResult:
+@_suite("parser")
+def suite_parser(rec, field, seed: int) -> None:
     """Round-trip stability, report determinism, and rejection behavior."""
-    started = time.perf_counter()
-    rec = _Recorder()
     for name in FIXTURE_NAMES:
         src = fixture_source(name)
         ws = parse_workspace(src)
@@ -513,22 +514,6 @@ def suite_parser(field, seed: int) -> SuiteResult:
             rec.check(key, False, "invalid source was accepted")
         except ParseError:
             rec.check(key, True)
-    return rec.result("parser", started)
-
-
-SUITES = {
-    "zdim": suite_zdim,
-    "euler": suite_euler,
-    "ext2-agree": suite_ext2_agree,
-    "yoneda": suite_yoneda,
-    "tangent-blocks": suite_tangent_blocks,
-    "schemeext": suite_schemeext,
-    "psi": suite_psi,
-    "regularity": suite_regularity,
-    "scaling": suite_scaling,
-    "dualnum": suite_dualnum,
-    "parser": suite_parser,
-}
 
 
 def run_suites(name: str, field=None, seed: int = 0) -> list[SuiteResult]:

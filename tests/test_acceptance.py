@@ -84,9 +84,7 @@ def test_criterion_05_tangent_accounting_at_the_degeneration(f2, capfd):
 def test_criterion_06_psi_kernel_identity(f2, f3, capfd):
     checked = []
     for ws, ses_name in ((f2, "SES1"), (f3, "XI3")):
-        decl = ws.sequence(ses_name)
-        M = ws.module(decl.middle)
-        U, V = ws.module(decl.sub), ws.module(decl.quot)
+        M, U, V = ws.sequence_modules(ses_name)
         witness = degeneration_witness_search(M, U, V)
         assert witness is not None and witness.verify()
         psi = psi_map(witness.space, witness.Z)
@@ -155,9 +153,7 @@ def profile_dimensions(field):
                     ext1(omega, M).dim,
                 )
         ses_name = "SES1" if name == "f2" else "XI3"
-        decl = ws.sequence(ses_name)
-        M = ws.module(decl.middle)
-        U, V = ws.module(decl.sub), ws.module(decl.quot)
+        M, U, V = ws.sequence_modules(ses_name)
         witness = degeneration_witness_search(M, U, V)
         psi = psi_map(witness.space, witness.Z)
         out[f"{name}:psi"] = (psi.domain_dim, psi.rank, psi.kernel_dim,

@@ -43,7 +43,8 @@ def products(bq, field, layers, window, honest):
     have every term in the window; the others drop the terms past it."""
     out = {}
     for rel in bq.relations:
-        reach = window - (rel.max_length() if honest else rel.min_length())
+        reach = window - (rel.max_length() if honest
+                          else min(p.length for _, p in rel.terms))
         for left_len in range(min(reach, len(layers) - 1) + 1):
             for right_len in range(min(reach - left_len, len(layers) - 1) + 1):
                 for left in layers[left_len]:

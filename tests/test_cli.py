@@ -1,5 +1,6 @@
 import importlib
 import json
+import re
 
 import pytest
 
@@ -7,6 +8,7 @@ from quiverext.cli import main
 from quiverext.dsl import cast_workspace, parse_workspace
 from quiverext.fields import PrimeField
 from quiverext.fixtures import fixture_source
+from quiverext.geometry import InconclusiveSearch
 from quiverext.iso import IsoCertificate
 from quiverext.quiver import QuiverError
 
@@ -285,6 +287,27 @@ def test_an_unknown_isomorphism_verdict_is_not_a_conclusive_miss(
     assert payload["tasks"][0]["result"] == {"found": False, "conclusive": True}
 
 
+@pytest.mark.parametrize("command, miss", [
+    ("psi", "no extension cocycle found for the sequence"),
+    ("certify", "no verified witness for the sequence")], ids=["psi", "certify"])
+@pytest.mark.parametrize("inconclusive", [False, True], ids=["miss", "inconclusive"])
+def test_a_sequence_without_a_witness_reads_null_and_exits_1(
+        capsys, f2_path, monkeypatch, command, miss, inconclusive):
+    """A miss keeps the command's own warning; an inconclusive search adds
+    its reason to it, and neither is a usage error."""
+    def search(M, space, seed):
+        if inconclusive:
+            raise InconclusiveSearch("forced by the test")
+        return None
+
+    monkeypatch.setattr("quiverext.geometry._search_over", search)
+    code, payload = run_json(capsys, [command, f2_path, "SES1"])
+    assert code == 1
+    task = payload["tasks"][0]
+    assert task["result"] is None
+    assert task["warnings"] == [miss + (": forced by the test" if inconclusive else "")]
+
+
 def test_certify_the_declared_sequences(capsys, f2_path, f3_path):
     code, payload = run_json(capsys, ["certify", f2_path, "SES1"])
     assert code == 0
@@ -336,6 +359,24 @@ def test_verify_suite_passes(capsys, f2_path):
     assert task["result"]["pass"] is True
     assert task["result"]["failures"] == []
     assert payload["meta"]["quiver"] == "bundled-fixtures"
+
+
+def help_choices(capsys, argv):
+    """The choices of the one positional argument a help text lists."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    listed = capsys.readouterr().out.split("positional arguments:")[1]
+    return re.search(r"\{([a-z0-9,-]+)\}", listed).group(1).split(",")
+
+
+def test_help_lists_commands_and_suites_in_registry_order(capsys):
+    assert help_choices(capsys, ["--help"]) == [
+        "check", "hom", "ext1", "ext2", "euler", "orbit", "tangent",
+        "e-tangent", "psi", "witness", "certify", "verify"]
+    assert help_choices(capsys, ["verify", "--help"]) == [
+        "zdim", "euler", "ext2-agree", "yoneda", "tangent-blocks", "schemeext",
+        "psi", "regularity", "scaling", "dualnum", "parser", "all"]
 
 
 def test_verify_rejects_a_truncation_override(capsys):

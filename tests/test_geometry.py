@@ -1037,6 +1037,21 @@ def test_the_psi_suite_builds_each_sequence_relation_system_once(monkeypatch):
         assert vu.count("R") == 1
 
 
+@pytest.mark.parametrize("suite, miss", [
+    ("psi", "no extension cocycle with the declared middle term"),
+    ("regularity", "no witness found")], ids=["psi", "regularity"])
+def test_an_inconclusive_search_fails_the_witness_case(monkeypatch, suite, miss):
+    """The suite records the search's reason as a failed case and goes on."""
+    def search(M, space, seed):
+        raise InconclusiveSearch("forced by the test")
+
+    monkeypatch.setattr(geometry, "_search_over", search)
+    result, = run_suites(suite, QQ)
+    assert result.failures == [
+        {"case": f"{key}:witness", "detail": f"{miss}: forced by the test"}
+        for key in ("f2:SES1", "f3:XI3")]
+
+
 def test_a_witness_with_another_pairs_space_is_unverified(f2, ses1_witness):
     """The certificate reads the counts of (V, U) from the witness's space."""
     m = f2.modules

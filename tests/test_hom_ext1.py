@@ -192,8 +192,9 @@ def test_pushout_and_pullback_along_identities(f2):
     m = f2.modules
     space = ext1(m["S2"], m["S1"])
     Z = space.basis_cocycles()[0]
-    assert pushout_class(identity_hom(m["S1"]), Z, space) == space.class_of(Z)
-    assert pullback_class(Z, identity_hom(m["S2"]), space) == space.class_of(Z)
+    coords = space.class_of(Z).coords
+    assert pushout_class(identity_hom(m["S1"]), Z).coords == coords
+    assert pullback_class(Z, identity_hom(m["S2"])).coords == coords
 
 
 def test_pullback_to_a_projective_splits(f2):
@@ -210,7 +211,7 @@ def test_pushout_along_zero_kills_the_class(f2):
     space = ext1(m["S2"], m["S1"])
     Z = space.basis_cocycles()[0]
     zero_hom = VertexCochain(m["S1"], m["S1"], {})
-    assert pushout_class(zero_hom, Z, space).is_zero
+    assert pushout_class(zero_hom, Z).is_zero
     assert not space.class_of(Z).is_zero
 
 
